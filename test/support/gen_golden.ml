@@ -6,6 +6,8 @@
        > test/golden/resilience_ts64.json
      dune exec test/support/gen_golden.exe -- --soak \
        > test/golden/soak_ts64.json
+     dune exec test/support/gen_golden.exe -- --soak-variants \
+       > test/golden/soak_variants_ts64.json
      dune exec test/support/gen_golden.exe -- --netspan \
        > test/golden/netspan_ts64.jsonl
      dune exec test/support/gen_golden.exe -- --scale \
@@ -20,12 +22,13 @@ let () =
   | [ _; "--report" ] -> print_string (Obs_test_support.Golden.build_report ())
   | [ _; "--resilience" ] -> print_string (Obs_test_support.Golden.build_resilience ())
   | [ _; "--soak" ] -> print_string (Obs_test_support.Golden.build_soak ())
+  | [ _; "--soak-variants" ] -> print_string (Obs_test_support.Golden.build_soak_variants ())
   | [ _; "--netspan" ] -> print_string (Obs_test_support.Golden.build_netspan ())
   | [ _; "--scale" ] -> print_string (Obs_test_support.Golden.build_scale ())
   | [ _; "--tournament" ] -> print_string (Obs_test_support.Golden.build_tournament ())
   | [ _; "--cache" ] -> print_string (Obs_test_support.Golden.build_cache ())
   | _ ->
       prerr_endline
-        "usage: gen_golden [--report | --resilience | --soak | --netspan | --scale | \
-         --tournament | --cache]";
+        "usage: gen_golden [--report | --resilience | --soak | --soak-variants | --netspan | \
+         --scale | --tournament | --cache]";
       exit 2

@@ -82,6 +82,24 @@ let soak_spec =
 let build_soak () =
   Experiments.Soak.results_json (Experiments.Soak.run soak_spec) ^ "\n"
 
+(* The golden soak variants: the soak spec at one factor with the paths the
+   plain soak golden never reaches — adaptive maintenance backoff, three
+   HIERAS layers (so the ring-maintenance core runs three times per node)
+   and a mid-horizon crash killing part of the pool (so the anchor
+   re-join, expunge and split-ring healing paths fire). Any change to the
+   protocols' message or timer order moves these bytes. *)
+let soak_variants_spec =
+  {
+    soak_spec with
+    Experiments.Soak.factors = [ 1.0 ];
+    adaptive = true;
+    depth = 3;
+    fault = Some Experiments.Resilience.Crash;
+  }
+
+let build_soak_variants () =
+  Experiments.Soak.results_json (Experiments.Soak.run soak_variants_spec) ^ "\n"
+
 (* The golden netspan trace: a shrunk single-factor soak (10 s horizon)
    with message-level span recording at a 10% root-keyed sample rate. Pins
    the span schema, the RPC kind taxonomy at every send site of both
