@@ -8,11 +8,15 @@
     (the engine drops messages to dead nodes; requesters detect loss by
     timeout and route around).
 
+    The ring itself — per-node state, the three maintenance timers, the
+    join retry loop and the convergence probe — is one {!Ring}; this module
+    adds the node lifecycle, lookups and metrics.
+
     Tests assert that a protocol-built ring converges to exactly the
     fixpoint {!Network.build} computes directly, and that lookups keep
     succeeding under churn and message loss. *)
 
-type config = {
+type config = Ring.config = {
   space : Hashid.Id.space;
   stabilize_every : float;  (** ms between stabilize rounds *)
   fix_fingers_every : float;

@@ -1,0 +1,530 @@
+module Id = Hashid.Id
+module Engine = Simnet.Engine
+module Netspan = Obs.Netspan
+
+type config = {
+  space : Id.space;
+  stabilize_every : float;
+  fix_fingers_every : float;
+  check_pred_every : float;
+  fingers_per_round : int;
+  succ_list_len : int;
+  rpc_timeout : float;
+  lookup_retries : int;
+  stability_k : int;
+  adaptive : bool;
+  backoff_max : float;
+}
+
+let default_config space =
+  {
+    space;
+    stabilize_every = 500.0;
+    fix_fingers_every = 500.0;
+    check_pred_every = 1000.0;
+    fingers_per_round = 8;
+    succ_list_len = 4;
+    rpc_timeout = 2000.0;
+    lookup_retries = 3;
+    stability_k = 3;
+    adaptive = false;
+    backoff_max = 8.0;
+  }
+
+type peer = { paddr : int; pid : Id.t }
+
+type state = {
+  addr : int;
+  id : Id.t;
+  mutable pred : peer option;
+  mutable succs : peer list; (* head = immediate successor; never empty once live *)
+  fingers : peer option array;
+  mutable next_finger : int;
+  mutable anchor : int;
+      (* a long-lived re-entry point (the bootstrap peer): a node that loses
+         its whole successor list to failures/loss re-joins through it
+         instead of staying marooned in a self-ring *)
+  mutable stabilize_rounds : int;
+  mutable succ_suspect : int;
+      (* consecutive stabilize timeouts against the current successor; a
+         single lost reply must not expunge a healthy peer *)
+}
+
+(* what the rings of one protocol instance share *)
+type shared = {
+  cfg : config;
+  eng : Engine.t;
+  mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
+  mutable probing : bool; (* fingerprint probe loop started *)
+  mutable maint_stabilize : int;
+  mutable maint_notify : int;
+  mutable maint_fix_fingers : int;
+  mutable maint_check_pred : int;
+  mutable maint_duty : int;
+  ts : Obs.Timeseries.t;
+  ts_members : Obs.Timeseries.series;
+  ts_joins : Obs.Timeseries.series;
+  ts_join_done : Obs.Timeseries.series;
+  ts_fails : Obs.Timeseries.series;
+  ts_maint : Obs.Timeseries.series;
+  ts_scale : Obs.Timeseries.series;
+  ts_stable : Obs.Timeseries.series;
+}
+
+type t = { sh : shared; nodes : (int, state) Hashtbl.t; stab : Simnet.Stability.t }
+
+let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
+  if cfg.stability_k < 1 then invalid_arg "Chord.Ring.create: stability_k must be >= 1";
+  if cfg.backoff_max < 1.0 then invalid_arg "Chord.Ring.create: backoff_max must be >= 1";
+  let series make name = make ts (prefix ^ "." ^ name) in
+  let sh =
+    {
+      cfg;
+      eng;
+      scale = 1.0;
+      probing = false;
+      maint_stabilize = 0;
+      maint_notify = 0;
+      maint_fix_fingers = 0;
+      maint_check_pred = 0;
+      maint_duty = 0;
+      ts;
+      ts_members = series Obs.Timeseries.gauge "members";
+      ts_joins = series Obs.Timeseries.counter "joins";
+      ts_join_done = series Obs.Timeseries.counter "joins_completed";
+      ts_fails = series Obs.Timeseries.counter "fails";
+      ts_maint = series Obs.Timeseries.counter "maint.ops";
+      ts_scale = series Obs.Timeseries.gauge "maint.scale";
+      ts_stable = series Obs.Timeseries.gauge "stable";
+    }
+  in
+  Array.init rings (fun _ ->
+      { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:cfg.stability_k () })
+
+let add r ~addr ~id =
+  let s =
+    {
+      addr;
+      id;
+      pred = None;
+      succs = [];
+      fingers = Array.make (Id.bits r.sh.cfg.space) None;
+      next_finger = 0;
+      anchor = addr;
+      stabilize_rounds = 0;
+      succ_suspect = 0;
+    }
+  in
+  Hashtbl.replace r.nodes addr s;
+  s
+
+let find r addr = Hashtbl.find r.nodes addr
+let mem r addr = Hashtbl.mem r.nodes addr
+let stability r = r.stab
+let scale r = r.sh.scale
+
+(* one maintenance RPC initiated (stabilize ask, notify, finger fix, pred
+   check, protocol duty) — the unit the bandwidth-overhead series counts *)
+let maint sh field =
+  (match field with
+  | `Stabilize -> sh.maint_stabilize <- sh.maint_stabilize + 1
+  | `Notify -> sh.maint_notify <- sh.maint_notify + 1
+  | `Fix -> sh.maint_fix_fingers <- sh.maint_fix_fingers + 1
+  | `Check -> sh.maint_check_pred <- sh.maint_check_pred + 1
+  | `Duty -> sh.maint_duty <- sh.maint_duty + 1);
+  Obs.Timeseries.add sh.ts_maint ~at:(Engine.now sh.eng) 1.0
+
+let count_duty r = maint r.sh `Duty
+
+type counts = { stabilize : int; notify : int; fix_fingers : int; check_pred : int; duty : int }
+
+let counts r =
+  let sh = r.sh in
+  {
+    stabilize = sh.maint_stabilize;
+    notify = sh.maint_notify;
+    fix_fingers = sh.maint_fix_fingers;
+    check_pred = sh.maint_check_pred;
+    duty = sh.maint_duty;
+  }
+
+let maintenance_ops r =
+  let sh = r.sh in
+  sh.maint_stabilize + sh.maint_notify + sh.maint_fix_fingers + sh.maint_check_pred + sh.maint_duty
+
+let self_peer s = { paddr = s.addr; pid = s.id }
+let current_successor s = match s.succs with [] -> self_peer s | p :: _ -> p
+
+(* --- introspection ------------------------------------------------------ *)
+
+let successor_addr r addr = match (find r addr).succs with [] -> None | p :: _ -> Some p.paddr
+let predecessor_addr r addr = Option.map (fun p -> p.paddr) (find r addr).pred
+let successor_list_addrs r addr = List.map (fun p -> p.paddr) (find r addr).succs
+let finger_addrs r addr = Array.map (Option.map (fun p -> p.paddr)) (find r addr).fingers
+
+let ring_from r start =
+  let guard = 2 * (Hashtbl.length r.nodes + 1) in
+  let rec go addr acc n =
+    if n > guard then List.rev acc
+    else
+      match successor_addr r addr with
+      | None -> List.rev acc
+      | Some s when s = start -> List.rev acc
+      | Some s -> go s (s :: acc) (n + 1)
+  in
+  go start [ start ] 0
+
+let live_members r =
+  Hashtbl.fold (fun a _ acc -> if Engine.is_alive r.sh.eng a then a :: acc else acc) r.nodes []
+  |> List.sort Stdlib.compare
+
+(* --- convergence probe --------------------------------------------------- *)
+
+(* Deterministic digest of the ring's routing state: live membership plus
+   every live node's predecessor, successor list and finger table, visited
+   in sorted address order. Any change a maintenance round can make (a
+   learned successor, an expunged peer, a filled finger, a death) moves it. *)
+let fingerprint r =
+  let addrs =
+    Hashtbl.fold (fun a _ acc -> a :: acc) r.nodes [] |> List.sort Stdlib.compare
+  in
+  let open Simnet.Stability in
+  List.fold_left
+    (fun acc addr ->
+      if not (Engine.is_alive r.sh.eng addr) then acc
+      else begin
+        let s = Hashtbl.find r.nodes addr in
+        let acc = fp_add acc addr in
+        let acc = fp_add acc (match s.pred with None -> -1 | Some p -> p.paddr) in
+        let acc = List.fold_left (fun acc p -> fp_add acc p.paddr) acc s.succs in
+        let acc = fp_add acc (-2) in
+        Array.fold_left
+          (fun acc f -> fp_add acc (match f with None -> -1 | Some p -> p.paddr))
+          acc s.fingers
+      end)
+    fp_init addrs
+
+(* Fixed-cadence convergence probe (a god-event loop, so it outlives any
+   single node and sends no messages): observe every ring's fingerprint,
+   then drive the adaptive backoff — double the maintenance-interval
+   multiplier while every ring is stable, snap it back to 1 the moment any
+   of them changes. The probe cadence itself is never scaled: it bounds
+   detection latency. *)
+let rec probe rings =
+  let sh = rings.(0).sh in
+  let at = Engine.now sh.eng in
+  Array.iter (fun r -> Simnet.Stability.observe r.stab ~at ~fingerprint:(fingerprint r)) rings;
+  let all_stable = Array.for_all (fun r -> Simnet.Stability.is_stable r.stab) rings in
+  if sh.cfg.adaptive then
+    sh.scale <- (if all_stable then Float.min sh.cfg.backoff_max (sh.scale *. 2.0) else 1.0);
+  Obs.Timeseries.set sh.ts_scale ~at sh.scale;
+  Obs.Timeseries.set sh.ts_stable ~at (if all_stable then 1.0 else 0.0);
+  Engine.schedule sh.eng ~delay:sh.cfg.stabilize_every (fun () -> probe rings)
+
+(* Lifecycle events are rare relative to messages, so counting live members
+   on each one is cheap enough for the membership gauge — when anyone is
+   collecting it. *)
+let census sh r ~at extra =
+  if Obs.Timeseries.enabled sh.ts then begin
+    let count =
+      Hashtbl.fold (fun a _ n -> if Engine.is_alive sh.eng a then n + 1 else n) r.nodes 0
+    in
+    Obs.Timeseries.set sh.ts_members ~at (float_of_int count);
+    match extra with Some f -> f at | None -> ()
+  end
+
+let lifecycle ?census:extra rings event =
+  let sh = rings.(0).sh in
+  let at = Engine.now sh.eng in
+  Array.iter (fun r -> Simnet.Stability.perturb r.stab ~at) rings;
+  sh.scale <- 1.0;
+  if not sh.probing then begin
+    sh.probing <- true;
+    Engine.schedule sh.eng ~delay:sh.cfg.stabilize_every (fun () -> probe rings)
+  end;
+  (match event with
+  | `Spawn -> ()
+  | `Join -> Obs.Timeseries.add sh.ts_joins ~at 1.0
+  | `Fail -> Obs.Timeseries.add sh.ts_fails ~at 1.0);
+  census sh rings.(0) ~at extra
+
+let joined ?census:extra rings =
+  let sh = rings.(0).sh in
+  let at = Engine.now sh.eng in
+  Obs.Timeseries.add sh.ts_join_done ~at 1.0;
+  if Option.is_some extra then census sh rings.(0) ~at extra
+
+(* --- message plumbing ------------------------------------------------- *)
+
+(* Request/response with timeout. [service] runs at [dst] against its node
+   state and its response travels back in a second message. A timer at the
+   requester fires [timeout] if the response has not arrived. [kind]
+   labels the request span for the netspan tracer; the response leg is
+   always a [Reply] (and a causal child of the request). *)
+let ask r ~kind ~src ~dst ~(service : state -> 'a) ~(ok : 'a -> unit) ~(timeout : unit -> unit) =
+  let settled = ref false in
+  Engine.send r.sh.eng ~kind ~src ~dst (fun () ->
+      match Hashtbl.find_opt r.nodes dst with
+      | None -> ()
+      | Some s ->
+          let response = service s in
+          Engine.send r.sh.eng ~kind:Netspan.Reply ~src:dst ~dst:src (fun () ->
+              if not !settled then begin
+                settled := true;
+                ok response
+              end));
+  Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
+      if not !settled then begin
+        settled := true;
+        timeout ()
+      end)
+
+(* Split-ring healing: parallel rings (formed under heavy loss or
+   simultaneous joins) never merge through stabilize alone, because no
+   notify crosses rings. Periodically each node asks its anchor's ring for
+   its own successor and adopts the answer when it is closer than the
+   current one; since every join anchors at the same long-lived peer, that
+   ring is authoritative and stray rings drain into it. *)
+let anchor_crosscheck_period = 8
+
+(* Remove a peer everywhere it appears in local state (it timed out). *)
+let expunge s bad =
+  s.succs <- List.filter (fun p -> p.paddr <> bad) s.succs;
+  (match s.pred with Some p when p.paddr = bad -> s.pred <- None | _ -> ());
+  Array.iteri
+    (fun i f -> match f with Some p when p.paddr = bad -> s.fingers.(i) <- None | _ -> ())
+    s.fingers
+
+(* Best known next hop strictly inside (self, key): scan fingers from the
+   top, then the successor list; fall back to the immediate successor. *)
+let closest_preceding s ~key =
+  let best = ref None in
+  let consider p =
+    if p.paddr <> s.addr && Id.in_oo p.pid ~lo:s.id ~hi:key then
+      match !best with
+      | Some b when Id.in_oo p.pid ~lo:b.pid ~hi:key -> best := Some p
+      | Some _ -> ()
+      | None -> best := Some p
+  in
+  Array.iter (function Some p -> consider p | None -> ()) s.fingers;
+  List.iter consider s.succs;
+  match !best with Some p -> p | None -> current_successor s
+
+(* --- find_successor: recursive forwarding with direct reply ----------- *)
+
+(* [kind] is the span kind of the next message this cascade sends: the
+   initiating site's RPC kind on the first send (so the tree's root always
+   carries it, even when the cascade is a single direct reply), [Forward]
+   on every recursive hop after that, [Reply] on the response leg. *)
+let rec handle_find_successor r s ~kind ~key ~hops ~reply_to ~(reply : peer -> int -> unit) =
+  let succ = current_successor s in
+  if Id.in_oc key ~lo:s.id ~hi:succ.pid || succ.paddr = s.addr then
+    (* reply travels straight back to the requester *)
+    Engine.send r.sh.eng
+      ~kind:(match kind with Netspan.Forward -> Netspan.Reply | k -> k)
+      ~src:s.addr ~dst:reply_to
+      (fun () -> reply succ (hops + 1))
+  else begin
+    let next = closest_preceding s ~key in
+    Engine.send r.sh.eng ~kind ~src:s.addr ~dst:next.paddr (fun () ->
+        match Hashtbl.find_opt r.nodes next.paddr with
+        | None -> ()
+        | Some s' ->
+            handle_find_successor r s' ~kind:Netspan.Forward ~key ~hops:(hops + 1) ~reply_to
+              ~reply)
+  end
+
+(* find_successor issued from [src] with timeout/retry *)
+let find_successor r ~kind ~src ~key ~retries ~(ok : peer -> int -> unit) ~(failed : unit -> unit) =
+  let rec attempt n =
+    let settled = ref false in
+    (match Hashtbl.find_opt r.nodes src with
+    | None -> ()
+    | Some s ->
+        handle_find_successor r s ~kind ~key ~hops:(-1) ~reply_to:src ~reply:(fun p h ->
+            if not !settled then begin
+              settled := true;
+              ok p h
+            end));
+    Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
+        if not !settled then begin
+          settled := true;
+          if n > 0 then attempt (n - 1) else failed ()
+        end)
+  in
+  attempt retries
+
+let find_successor_via r ~kind ~src ~via ~key ~reply =
+  Engine.send r.sh.eng ~kind ~src ~dst:via (fun () ->
+      match Hashtbl.find_opt r.nodes via with
+      | None -> ()
+      | Some vs ->
+          handle_find_successor r vs ~kind:Netspan.Forward ~key ~hops:0 ~reply_to:src ~reply)
+
+(* --- periodic maintenance --------------------------------------------- *)
+
+(* Successor-list hygiene: drop ourselves, dedup by address (keeping the
+   first = closest occurrence), cap at the configured length. Entries that
+   are already gone are dropped at adoption (a quick liveness ping in a
+   real deployment): a dead entry adopted from a neighbour's stale list
+   would poison closest_preceding from the tail, where no stabilize
+   timeout ever examines it — lists heal head-first only, and in a small
+   ring that can wedge routing permanently. *)
+let truncate_succs r s l =
+  let seen = Hashtbl.create 8 in
+  let deduped =
+    List.filter
+      (fun p ->
+        if p.paddr = s.addr || Hashtbl.mem seen p.paddr then false
+        else if not (Engine.is_alive r.sh.eng p.paddr) then false
+        else begin
+          Hashtbl.replace seen p.paddr ();
+          true
+        end)
+      l
+  in
+  List.filteri (fun i _ -> i < r.sh.cfg.succ_list_len) deduped
+
+let rec stabilize r s =
+  let sh = r.sh in
+  let succ = current_successor s in
+  if succ.paddr = s.addr then begin
+    (* self-ring: adopt our predecessor as successor once one shows up;
+       failing that, re-enter the ring through the anchor *)
+    (match s.pred with
+    | Some p when p.paddr <> s.addr -> s.succs <- [ p ]
+    | _ ->
+        if s.anchor <> s.addr && Engine.is_alive sh.eng s.anchor then begin
+          maint sh `Stabilize;
+          find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
+            ~reply:(fun p _ ->
+              if (current_successor s).paddr = s.addr && p.paddr <> s.addr then s.succs <- [ p ])
+        end);
+    schedule_stabilize r s
+  end
+  else begin
+    maint sh `Stabilize;
+    ask r ~kind:Netspan.Stabilize ~src:s.addr ~dst:succ.paddr
+      ~service:(fun ss -> (ss.pred, self_peer ss :: ss.succs))
+      ~ok:(fun (spred, slist) ->
+        s.succ_suspect <- 0;
+        (match spred with
+        | Some x when x.paddr <> s.addr && Id.in_oo x.pid ~lo:s.id ~hi:succ.pid ->
+            (* a closer successor exists between us and our successor *)
+            s.succs <- truncate_succs r s (x :: slist)
+        | _ ->
+            (* refresh our successor list from the successor's *)
+            s.succs <- truncate_succs r s slist);
+        s.stabilize_rounds <- s.stabilize_rounds + 1;
+        if
+          s.stabilize_rounds mod anchor_crosscheck_period = 0
+          && s.anchor <> s.addr
+          && Engine.is_alive sh.eng s.anchor
+        then begin
+          maint sh `Stabilize;
+          find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
+            ~reply:(fun p _ ->
+              let cur = current_successor s in
+              if
+                p.paddr <> s.addr
+                && (cur.paddr = s.addr || Id.in_oo p.pid ~lo:s.id ~hi:cur.pid)
+              then s.succs <- truncate_succs r s (p :: s.succs))
+        end;
+        let new_succ = current_successor s in
+        (* notify: we believe we are their predecessor *)
+        maint sh `Notify;
+        Engine.send sh.eng ~kind:Netspan.Notify ~src:s.addr ~dst:new_succ.paddr (fun () ->
+            match Hashtbl.find_opt r.nodes new_succ.paddr with
+            | None -> ()
+            | Some ss -> (
+                let candidate = self_peer s in
+                match ss.pred with
+                | None -> ss.pred <- Some candidate
+                | Some p when Id.in_oo candidate.pid ~lo:p.pid ~hi:ss.id ->
+                    ss.pred <- Some candidate
+                | Some _ -> ()));
+        schedule_stabilize r s)
+      ~timeout:(fun () ->
+        (* only declare the successor dead after two consecutive silent
+           rounds — one lost reply is routine under message loss *)
+        s.succ_suspect <- s.succ_suspect + 1;
+        if s.succ_suspect >= 2 && (current_successor s).paddr = succ.paddr then begin
+          s.succ_suspect <- 0;
+          expunge s succ.paddr;
+          if s.succs = [] then s.succs <- [ self_peer s ]
+        end;
+        schedule_stabilize r s)
+  end
+
+and schedule_stabilize r s =
+  Engine.timer r.sh.eng ~node:s.addr
+    ~delay:(r.sh.cfg.stabilize_every *. r.sh.scale)
+    (fun () -> stabilize r s)
+
+let rec fix_fingers r s =
+  let cfg = r.sh.cfg in
+  let bits = Id.bits cfg.space in
+  for _ = 1 to min cfg.fingers_per_round bits do
+    let i = s.next_finger in
+    s.next_finger <- (s.next_finger + 1) mod bits;
+    let start = Id.add_pow2 cfg.space s.id i in
+    maint r.sh `Fix;
+    find_successor r ~kind:Netspan.Fix_fingers ~src:s.addr ~key:start ~retries:0
+      ~ok:(fun p _ -> s.fingers.(i) <- Some p)
+      ~failed:(fun () ->
+        (* unresolvable finger: clear it rather than keep a possibly-dead
+           entry steering closest_preceding into a black hole — with the
+           slot empty, routing falls back to lower fingers and the
+           successor list until a later round re-resolves it *)
+        s.fingers.(i) <- None)
+  done;
+  Engine.timer r.sh.eng ~node:s.addr
+    ~delay:(cfg.fix_fingers_every *. r.sh.scale)
+    (fun () -> fix_fingers r s)
+
+let rec check_predecessor r s =
+  (match s.pred with
+  | None -> ()
+  | Some p ->
+      if p.paddr <> s.addr then begin
+        maint r.sh `Check;
+        ask r ~kind:Netspan.Check_pred ~src:s.addr ~dst:p.paddr
+          ~service:(fun _ -> ())
+          ~ok:(fun () -> ())
+          ~timeout:(fun () ->
+            match s.pred with
+            | Some q when q.paddr = p.paddr -> s.pred <- None
+            | _ -> ())
+      end);
+  Engine.timer r.sh.eng ~node:s.addr
+    ~delay:(r.sh.cfg.check_pred_every *. r.sh.scale)
+    (fun () -> check_predecessor r s)
+
+let start r s =
+  let cfg = r.sh.cfg in
+  schedule_stabilize r s;
+  Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.fix_fingers_every (fun () -> fix_fingers r s);
+  Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.check_pred_every (fun () -> check_predecessor r s)
+
+let join r s ~bootstrap ~joined =
+  let cfg = r.sh.cfg in
+  let rec attempt n =
+    (* route the join query through the bootstrap node *)
+    let settled = ref false in
+    find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id
+      ~reply:(fun p _ ->
+        if not !settled then begin
+          settled := true;
+          s.succs <- [ p ];
+          joined ()
+        end);
+    Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.rpc_timeout (fun () ->
+        if not !settled then begin
+          settled := true;
+          (* a node that never joins is lost forever: keep retrying, with a
+             longer pause once the initial retry budget is spent *)
+          let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
+          Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () -> attempt (max 0 (n - 1)))
+        end)
+  in
+  attempt cfg.lookup_retries

@@ -422,8 +422,8 @@ let test_chord_conforms_to_network () =
     check_fingers ~what (oracle_finger_addrs net ~n addr) (CP.finger_addrs p addr)
   done
 
-let test_hieras_conforms_per_layer () =
-  let n = 24 and depth = 2 in
+let test_hieras_conforms_per_layer depth () =
+  let n = 24 in
   let _, _, p = build_hieras ~hosts:n ~depth 34 in
   let sll = (HP.config p).HP.succ_list_len in
   Alcotest.(check bool) "all layers converged" true (HP.converged p);
@@ -504,7 +504,10 @@ let () =
       ( "conformance",
         [
           Alcotest.test_case "chord matches analytic network" `Slow test_chord_conforms_to_network;
-          Alcotest.test_case "hieras matches per-layer oracles" `Slow test_hieras_conforms_per_layer;
+          Alcotest.test_case "hieras matches per-layer oracles" `Slow
+            (test_hieras_conforms_per_layer 2);
+          Alcotest.test_case "hieras matches per-layer oracles at depth 3" `Slow
+            (test_hieras_conforms_per_layer 3);
           Alcotest.test_case "healed ring matches survivor oracle" `Slow
             test_conformance_survives_healing;
         ] );
