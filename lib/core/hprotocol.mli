@@ -15,17 +15,18 @@
     four extremes — exactly the sequence of §3.3. The first node of a ring
     creates the ring table.
 
-    Maintenance: per-layer stabilize / notify / fix-fingers / check-
-    predecessor (as in {!Chord.Protocol}, including failure suspicion and
-    anchor-based split-ring healing), plus three ring-table duties on every
-    node that stores tables: a liveness check that expunges dead entries and
-    refills from a surviving member's successor list; replication of each
-    table to the global successor ("duplicated on several nodes for fault
-    tolerance", §3.1) with promotion when ownership passes to the replica
-    holder; and a migration check that re-routes each table to the currently
-    responsible top-layer node as churn moves ownership. A periodic
-    ring-refresh duty re-reads each ring's table and merges the private
-    rings that concurrent joins with stale tables can create. *)
+    Maintenance: one {!Chord.Ring} per layer, each running stabilize /
+    notify / fix-fingers / check-predecessor with failure suspicion
+    (anchor-based split-ring healing on the global ring only), plus three
+    ring-table duties on every node that stores tables: a liveness check
+    that expunges dead entries and refills from a surviving member's
+    successor list; replication of each table to the global successor
+    ("duplicated on several nodes for fault tolerance", §3.1) with
+    promotion when ownership passes to the replica holder; and a migration
+    check that re-routes each table to the currently responsible top-layer
+    node as churn moves ownership. A periodic ring-refresh duty re-reads
+    each ring's table and merges the private rings that concurrent joins
+    with stale tables can create. *)
 
 type config = {
   space : Hashid.Id.space;
