@@ -345,8 +345,19 @@ let micro_state pool =
   let origins = Array.init 4096 (fun _ -> Prng.Rng.int rng n) in
   (lat, chord, hnet, keys, origins)
 
+(* An engine holding 20,000 pending far-future timers, so that each
+   measured send -> deliver pays for pushing into and taking from a queue of
+   realistic depth *)
+let engine_event_state () =
+  let eng = Simnet.Engine.create ~latency:(fun _ _ -> 1.0) ~nodes:2 in
+  for _ = 1 to 20_000 do
+    Simnet.Engine.timer eng ~node:1 ~delay:1e15 ignore
+  done;
+  eng
+
 let micro_tests pool =
   let lat, chord, hnet, keys, origins = micro_state pool in
+  let eng = engine_event_state () in
   let counter = ref 0 in
   let next () =
     counter := (!counter + 1) land 4095;
@@ -376,6 +387,10 @@ let micro_tests pool =
       (Staged.stage (fun () ->
            let i = next () in
            ignore (Topology.Latency.host_latency lat origins.(i) origins.((i + 1) land 4095))));
+    Test.make ~name:"engine-event-20k"
+      (Staged.stage (fun () ->
+           Simnet.Engine.send eng ~src:0 ~dst:1 ignore;
+           Simnet.Engine.run ~max_events:1 eng));
   ]
 
 (* shared bechamel OLS loop; [print] renders one estimate (always collected
