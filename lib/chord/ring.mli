@@ -79,8 +79,10 @@ val current_successor : state -> peer
 (** Head of the successor list, the node itself when the list is empty. *)
 
 val closest_preceding : state -> key:Hashid.Id.t -> peer
-(** Best known next hop strictly inside (node, key): fingers from the top,
-    then the successor list; falls back to {!current_successor}. *)
+(** Best known next hop strictly inside (node, key): the known peer closest
+    to the key among the fingers and the successor list; falls back to
+    {!current_successor}. Runs on every forwarded hop and allocates
+    nothing. *)
 
 (** {2 Messages} *)
 
@@ -121,7 +123,8 @@ val find_successor_via :
 
 val truncate_succs : t -> state -> peer list -> peer list
 (** Successor-list hygiene: drop the node itself and dead peers, dedup by
-    address keeping the first occurrence, cap at [succ_list_len]. *)
+    address keeping the first occurrence, cap at [succ_list_len]. Allocates
+    only the returned list. *)
 
 val start : t -> state -> unit
 (** Arm the node's stabilize, fix-fingers and check-predecessor timers, in

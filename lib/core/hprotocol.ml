@@ -160,7 +160,7 @@ let find_ring_table t rname =
 
 let live_members t =
   Hashtbl.fold (fun a _ acc -> if Engine.is_alive t.eng a then a :: acc else acc) t.nodes []
-  |> List.sort Stdlib.compare
+  |> List.sort Int.compare
 
 (* ---- ring-table duties -------------------------------------------------- *)
 

@@ -100,6 +100,31 @@ let lost t =
   | None -> false
   | Some rng -> t.loss_rate > 0.0 && Prng.Rng.float rng 1.0 < t.loss_rate
 
+(* An event's tag says whom it is for: its kind in the low two bits, its
+   node above them. [fire] does the liveness check and the counting from
+   the tag, so [send] and [timer] queue the caller's closure as it is. A
+   traced delivery does its own accounting and is queued as a god event. *)
+let message = 0
+let timer_on = 1
+let god = 2
+let tag_for kind node = (node lsl 2) lor kind
+
+let fire t tag f =
+  let kind = tag land 3 in
+  if kind = god then f ()
+  else if t.alive.(tag asr 2) then begin
+    if kind = message then begin
+      t.delivered <- t.delivered + 1;
+      Obs.Timeseries.add t.ts_delivered ~at:t.clock 1.0
+    end
+    else t.timers_fired <- t.timers_fired + 1;
+    f ()
+  end
+  else begin
+    t.dropped_dead <- t.dropped_dead + 1;
+    Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
+  end
+
 (* Traced variant of [send]: allocate a span, record the message (parent =
    the span being delivered right now, if any), and wrap the delivery so
    sends made while handling it are recorded as its children. The loss
@@ -118,7 +143,7 @@ let send_traced t ~kind ~src ~dst f =
     Obs.Netspan.drop ns ~span ~root ~at:t.clock ~why:`Loss
   end
   else
-    Event_heap.push t.heap ~time:(t.clock +. lat) (fun () ->
+    Event_heap.push t.heap ~time:(t.clock +. lat) ~tag:god (fun () ->
         if t.alive.(dst) then begin
           t.delivered <- t.delivered + 1;
           Obs.Timeseries.add t.ts_delivered ~at:t.clock 1.0;
@@ -144,54 +169,44 @@ let send ?(kind = Obs.Netspan.Other) t ~src ~dst f =
     t.dropped_loss <- t.dropped_loss + 1;
     Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
   end
-  else begin
-    let arrival = t.clock +. t.latency src dst in
-    Event_heap.push t.heap ~time:arrival (fun () ->
-        if t.alive.(dst) then begin
-          t.delivered <- t.delivered + 1;
-          Obs.Timeseries.add t.ts_delivered ~at:t.clock 1.0;
-          f ()
-        end
-        else begin
-          t.dropped_dead <- t.dropped_dead + 1;
-          Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
-        end)
-  end
+  else
+    Event_heap.push t.heap ~time:(t.clock +. t.latency src dst) ~tag:(tag_for message dst) f
 
 let timer t ~node ~delay f =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
   t.timers_set <- t.timers_set + 1;
-  Event_heap.push t.heap ~time:(t.clock +. delay) (fun () ->
-      if t.alive.(node) then begin
-        t.timers_fired <- t.timers_fired + 1;
-        f ()
-      end
-      else begin
-        t.dropped_dead <- t.dropped_dead + 1;
-        Obs.Timeseries.add t.ts_dropped ~at:t.clock 1.0
-      end)
+  Event_heap.push t.heap ~time:(t.clock +. delay) ~tag:(tag_for timer_on node) f
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  Event_heap.push t.heap ~time:(t.clock +. delay) f
+  Event_heap.push t.heap ~time:(t.clock +. delay) ~tag:god f
 
 let run ?(max_events = max_int) ?until t =
+  (match until with
+  | Some limit when limit < t.clock -> invalid_arg "Engine.run: until is earlier than now"
+  | _ -> ());
+  let h = t.heap in
   let processed = ref 0 in
   let continue = ref true in
   while !continue && !processed < max_events do
-    match Event_heap.pop t.heap with
-    | None -> continue := false
-    | Some (time, f) ->
-        (match until with
-        | Some limit when time >= limit ->
-            (* put it back: it belongs to a later run *)
-            Event_heap.push t.heap ~time f;
-            t.clock <- limit;
-            continue := false
-        | _ ->
-            t.clock <- Float.max t.clock time;
-            incr processed;
-            f ())
+    if Event_heap.is_empty h then continue := false
+    else begin
+      let time = Event_heap.min_time h in
+      match until with
+      | Some limit when time >= limit ->
+          (* it belongs to a later run: queue it again under a fresh stamp,
+             behind everything already queued at its time, exactly as
+             taking it out and pushing it back would *)
+          Event_heap.requeue_min h;
+          t.clock <- limit;
+          continue := false
+      | _ ->
+          let tag = Event_heap.min_tag h in
+          let f = Event_heap.take h in
+          t.clock <- Float.max t.clock time;
+          incr processed;
+          fire t tag f
+    end
   done
 
 let run_until_quiet ?(max_events = 10_000_000) t =

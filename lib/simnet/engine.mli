@@ -2,6 +2,10 @@
 
     Nodes are integer addresses; a message is a closure executed at its
     arrival time (send time + link latency from the latency function).
+    The engine queues the caller's closure as it is, tagged with whom the
+    event is for (a message to [dst], a timer on [node], or a god event),
+    and does the liveness check and the counting from that tag when the
+    event fires — no per-event wrapper closure.
     The engine models node failures (messages to or timers on a dead node are
     silently discarded — a {e silent fail}, exactly the failure mode the
     Chord and HIERAS maintenance protocols must survive) and optional random
@@ -60,9 +64,17 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     failures, joins, and assertions at chosen times. *)
 
 val run : ?max_events:int -> ?until:float -> t -> unit
-(** Process events in timestamp order until the queue is empty, [until]
+(** Process events in order of (time, push stamp) — equal-time events in
+    the order they were queued — until the queue is empty, [until]
     (exclusive) is reached, or [max_events] have run. Remaining events stay
-    queued; [run] can be called again. *)
+    queued; [run] can be called again.
+
+    Reaching [until] sets the clock to it. The first event at or after
+    [until] is queued again under a fresh stamp, as if taken out and pushed
+    back, so it then fires after every event already queued at its time;
+    results depend on this order (see DESIGN.md §5). Raises
+    [Invalid_argument] if [until] is earlier than {!now}: the clock never
+    moves back. *)
 
 val run_until_quiet : ?max_events:int -> t -> unit
 (** Run until the queue drains completely (bounded by [max_events],

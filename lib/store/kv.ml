@@ -439,7 +439,7 @@ let repair_round t =
   t.n_repair_rounds <- t.n_repair_rounds + 1;
   let at = now t in
   let lease = float_of_int t.cfg.lease_rounds *. t.cfg.repair_every in
-  let addrs = Hashtbl.fold (fun a _ acc -> a :: acc) t.nodes [] |> List.sort compare in
+  let addrs = Hashtbl.fold (fun a _ acc -> a :: acc) t.nodes [] |> List.sort Int.compare in
   List.iter
     (fun a ->
       if t.sub.is_member a then begin
@@ -509,7 +509,7 @@ let holders t key =
   Hashtbl.fold
     (fun a st acc -> if t.sub.is_member a && Hashtbl.mem st.items key then a :: acc else acc)
     t.nodes []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let entry_on t a key =
   match Hashtbl.find_opt t.nodes a with
