@@ -88,7 +88,8 @@ let test_packed_equals_reference () =
 
 (* Per-layer HIERAS views: ring successor/predecessor off the packed arrays
    and every ring-restricted finger table against the reference built over
-   that ring's members. *)
+   that ring's members — its segments, its closest preceding finger and its
+   farthest-first failover candidates (what the resilient ring walks read). *)
 let test_hieras_layers_equal_reference () =
   QCheck.Test.make ~count:8 ~name:"hieras layer packs == per-ring reference"
     QCheck.(triple (int_range 8 64) (int_range 2 4) (int_range 0 10_000))
@@ -131,7 +132,14 @@ let test_hieras_layers_equal_reference () =
                   | None -> -1
                 in
                 if got <> want then
-                  QCheck.Test.fail_reportf "layer %d closest_preceding" layer)
+                  QCheck.Test.fail_reportf "layer %d closest_preceding" layer;
+                let got = Hnetwork.preceding_candidates hnet ~layer node ~key in
+                let want =
+                  FT.preceding_candidates ref_t ~id_of:(Network.id chord)
+                    ~self:(Network.id chord node) ~key
+                in
+                if got <> want then
+                  QCheck.Test.fail_reportf "layer %d preceding_candidates" layer)
               members)
           (Hnetwork.ring_names hnet ~layer)
       done;
