@@ -389,7 +389,7 @@ let lookup_cmd =
     let origin = Prng.Rng.int rng nodes in
     let r, rc =
       with_trace_out ~sample:trace_sample trace_out (fun tr ->
-          let r = Hieras.Hlookup.route_checked ~trace:tr hnet ~origin ~key in
+          let r = Hieras.Hlookup.route ~trace:tr hnet ~origin ~key in
           let rc =
             Chord.Lookup.route ~trace:tr net (Experiments.Runner.latency_oracle env) ~origin ~key
           in

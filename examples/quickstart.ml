@@ -34,7 +34,7 @@ let () =
 
   (* 5. route to it from a random peer, with both algorithms *)
   let origin = Prng.Rng.int rng 1000 in
-  let rh = Hieras.Hlookup.route_checked hieras ~origin ~key in
+  let rh = Hieras.Hlookup.route hieras ~origin ~key in
   let rc = Chord.Lookup.route chord lat ~origin ~key in
   Printf.printf "\nlookup from node %d:\n" origin;
   Printf.printf "  chord : %d hops, %7.1f ms\n" rc.Chord.Lookup.hop_count rc.Chord.Lookup.latency;

@@ -8,8 +8,8 @@
     point, the zone containing the point splits in half along its widest
     dimension, and neighbor sets are updated incrementally — so the final
     partition and neighbor structure are exactly what a sequence of joins
-    produces. The paper sketches HIERAS over CAN in §3.2; {!Layered}
-    implements that sketch. *)
+    produces. The paper sketches HIERAS over CAN in §3.2; [Hieras.Make]
+    over {!Routable} implements that sketch. *)
 
 type t
 

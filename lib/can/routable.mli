@@ -3,10 +3,11 @@
     The greedy step is {!Route.next_hop} (derived [route] ≡ {!Route.route_key}
     hop-for-hop); fallback candidates are the strictly-improving zone
     neighbors, closest first. A HIERAS ring re-splits the torus among the
-    members' join points — the ring CANs of {!Layered}, behind the generic
-    ring interface. There is no separate early exit: the layered walk's
-    owner check after each ring loop is exactly {!Layered}'s
-    global-zone-contains test. *)
+    members' join points, so every node owns one zone per layer: the
+    paper's §3.2 HIERAS-over-CAN sketch, run by [Hieras.Make]. There is no
+    separate early exit: the layered walk's owner check after each ring
+    loop is the test whether the global zone of the ring's owner already
+    contains the key's point. *)
 
 type t
 

@@ -103,6 +103,29 @@ let pack sp ~owner_id ~member_ids ?member_pre ~member_nodes ~push () =
     i := !lo
   done
 
+let pack_arena sp ~size ~capacity ~owner_id ~members =
+  let off = Array.make (size + 1) 0 in
+  let exp_buf = Buffer.create capacity in
+  let node_buf = ref (Array.make (max 16 capacity) 0) in
+  let count = ref 0 in
+  let push e v =
+    if !count = Array.length !node_buf then begin
+      let grown = Array.make (2 * !count) 0 in
+      Array.blit !node_buf 0 grown 0 !count;
+      node_buf := grown
+    end;
+    Buffer.add_char exp_buf (Char.unsafe_chr e);
+    !node_buf.(!count) <- v;
+    incr count
+  in
+  for i = 0 to size - 1 do
+    off.(i) <- !count;
+    let member_ids, member_pre, member_nodes = members i in
+    pack sp ~owner_id:(owner_id i) ~member_ids ~member_pre ~member_nodes ~push ()
+  done;
+  off.(size) <- !count;
+  (off, Buffer.to_bytes exp_buf, Array.sub !node_buf 0 !count)
+
 let build sp ~owner ~owner_id ~member_ids ~member_nodes =
   let bits = Id.bits sp in
   let exps = ref [] and nodes = ref [] in

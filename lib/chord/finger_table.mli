@@ -42,6 +42,20 @@ val pack :
     column of [member_ids]: comparisons then resolve by one integer load
     except on (astronomically rare) prefix ties. *)
 
+val pack_arena :
+  Hashid.Id.space ->
+  size:int ->
+  capacity:int ->
+  owner_id:(int -> Hashid.Id.t) ->
+  members:(int -> Hashid.Id.t array * int array * int array) ->
+  int array * Bytes.t * int array
+(** Every node's table in one shared arena, filled in node order: node [i]'s
+    segments come from {!pack} over [members i] = [(member_ids, member_pre,
+    member_nodes)] of the ring it routes in. Returns [(off, exps, nodes)]:
+    node [i]'s segments are [exps/nodes.(off.(i) .. off.(i+1) - 1)], one
+    exponent byte per segment (bits <= 255). [capacity] is the initial
+    segment capacity; the buffers double past it. *)
+
 val of_segments :
   owner:int -> bits:int -> exps:int array -> nodes:int array -> t
 (** Reconstruct a table from stored segments (a packed network's thin view).

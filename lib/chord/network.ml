@@ -32,26 +32,11 @@ let mk ~space ~ids ~hosts ~succ_list_len =
   done;
   let member_nodes = Array.init n (fun i -> i) in
   let pre = Array.map Id.prefix_int sorted_ids in
-  let f_off = Array.make (n + 1) 0 in
-  let exp_buf = Buffer.create (n * 12) in
-  let node_buf = ref (Array.make (max 16 (n * 12)) 0) in
-  let seg_count = ref 0 in
-  let push e v =
-    if !seg_count = Array.length !node_buf then begin
-      let grown = Array.make (2 * !seg_count) 0 in
-      Array.blit !node_buf 0 grown 0 !seg_count;
-      node_buf := grown
-    end;
-    Buffer.add_char exp_buf (Char.unsafe_chr e);
-    !node_buf.(!seg_count) <- v;
-    incr seg_count
+  let f_off, f_exp, f_node =
+    Finger_table.pack_arena space ~size:n ~capacity:(n * 12)
+      ~owner_id:(fun i -> sorted_ids.(i))
+      ~members:(fun _ -> (sorted_ids, pre, member_nodes))
   in
-  for i = 0 to n - 1 do
-    f_off.(i) <- !seg_count;
-    Finger_table.pack space ~owner_id:sorted_ids.(i) ~member_ids:sorted_ids ~member_pre:pre
-      ~member_nodes ~push ()
-  done;
-  f_off.(n) <- !seg_count;
   {
     space;
     ids = sorted_ids;
@@ -59,8 +44,8 @@ let mk ~space ~ids ~hosts ~succ_list_len =
     hosts = sorted_hosts;
     succ_len = min succ_list_len (n - 1);
     f_off;
-    f_exp = Buffer.to_bytes exp_buf;
-    f_node = Array.sub !node_buf 0 !seg_count;
+    f_exp;
+    f_node;
   }
 
 let of_ids ~space ~ids ~hosts ?(succ_list_len = 8) () = mk ~space ~ids ~hosts ~succ_list_len

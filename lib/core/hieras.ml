@@ -1,7 +1,8 @@
-(** Library root: the historical Chord-specialized HIERAS modules plus the
-    substrate-generic functor. [Hieras.Make (R)] layers locality rings over
-    any [Routing.S]; [Hnetwork]/[Hlookup] remain the packed, scale-tuned
-    Chord instantiation the goldens and the million-node experiments pin. *)
+(** Library root. [Hieras.Make (R)] layers locality rings over any
+    [Routing.S] and runs the one fault-free HIERAS walk; [Hnetwork] is its
+    state over [Chord.Routable]'s packed layers plus ring tables, and
+    [Hlookup] names its walk for [Hnetwork] callers and keeps the
+    Chord-specific resilient walk the resilience golden pins. *)
 
 module Cost = Cost
 module Hlookup = Hlookup

@@ -1,8 +1,9 @@
 module Id = Hashid.Id
+module M = Layered.Make (Chord.Routable)
 
-type hop = { from_node : int; to_node : int; latency : float; layer : int }
+type hop = Routing.hop = { from_node : int; to_node : int; latency : float; layer : int }
 
-type result = {
+type result = Routing.result = {
   origin : int;
   key : Hashid.Id.t;
   destination : int;
@@ -14,175 +15,12 @@ type result = {
   finished_at_layer : int;
 }
 
-(* One lower-ring loop (layer >= 2): greedy Chord steps inside the ring,
-   stopping at the ring member that most closely PRECEDES the key. Stopping
-   at the predecessor (never overshooting past the key) is what makes the
-   multi-loop composition monotone: every layer only moves the message
-   clockwise towards the key, so upper layers route across an ever smaller
-   arc instead of re-routing around the circle. *)
-let walk_ring_to_predecessor hnet ~layer ~start ~key ~record =
-  let net = Hnetwork.chord hnet in
-  let sp = Chord.Network.space net in
-  let id_of i = Chord.Network.id net i in
-  let current = ref start in
-  let steps = ref 0 in
-  let guard = 4 * (Id.bits sp + Chord.Network.size net) in
-  let finished = ref false in
-  while not !finished do
-    incr steps;
-    if !steps > guard then failwith "Hieras.Hlookup: ring loop did not terminate";
-    let cur = !current in
-    let succ = Hnetwork.ring_successor hnet ~layer cur in
-    if Id.in_oc key ~lo:(id_of cur) ~hi:(id_of succ) then
-      (* no ring member lies strictly between us and the key *)
-      finished := true
-    else begin
-      let f = Hnetwork.closest_preceding_finger hnet ~layer cur ~key in
-      let next = if f >= 0 && f <> cur then f else succ in
-      record ~layer cur next;
-      current := next
-    end
-  done;
-  !current
-
-(* Final loop on the global ring: ordinary Chord greedy routing ending at
-   the key's global successor — the destination. *)
-let walk_global hnet ~start ~key ~record =
-  let net = Hnetwork.chord hnet in
-  let sp = Chord.Network.space net in
-  let id_of i = Chord.Network.id net i in
-  let current = ref start in
-  let steps = ref 0 in
-  let guard = 4 * (Id.bits sp + Chord.Network.size net) in
-  let finished = ref false in
-  while not !finished do
-    incr steps;
-    if !steps > guard then failwith "Hieras.Hlookup: global loop did not terminate";
-    let cur = !current in
-    let succ = Chord.Network.successor net cur in
-    if Id.in_oc key ~lo:(id_of cur) ~hi:(id_of succ) then begin
-      record ~layer:1 cur succ;
-      current := succ;
-      finished := true
-    end
-    else begin
-      let f = Chord.Network.closest_preceding_finger net cur ~key in
-      let next = if f >= 0 && f <> cur then f else succ in
-      record ~layer:1 cur next;
-      current := next
-    end
-  done;
-  !current
-
-(* The multi-loop composition shared by [route] (latency + trace) and
-   [route_hops_only] (the analytic mode): descend layers [depth .. 2], each
-   stopping at the ring predecessor of the key, with the paper's early-exit
-   check against the global successor between layers, then the global loop.
-   Returns (destination, finished_at_layer); [record] sees every hop. *)
-let walk_layers hnet ~origin ~key ~record =
-  let net = Hnetwork.chord hnet in
-  let depth = Hnetwork.depth hnet in
-  let owner = Chord.Network.successor_of_key net key in
-  let id_of i = Chord.Network.id net i in
-  let current = ref origin in
-  let finished_at = ref 1 in
-  (try
-     if !current = owner then begin
-       (* the originator owns the key *)
-       finished_at := depth;
-       raise Exit
-     end;
-     for layer = depth downto 2 do
-       current := walk_ring_to_predecessor hnet ~layer ~start:!current ~key ~record;
-       (* early-exit check (paper §3.2: "predecessor and successor lists can
-          be used to accelerate the process"): the ring-level predecessor
-          knows its global successor; if that successor owns the key the
-          routing finishes right here instead of climbing further. *)
-       let succ1 = Chord.Network.successor net !current in
-       if Id.in_oc key ~lo:(id_of !current) ~hi:(id_of succ1) then begin
-         record ~layer:1 !current succ1;
-         current := succ1;
-         finished_at := layer;
-         raise Exit
-       end
-     done;
-     current := walk_global hnet ~start:!current ~key ~record;
-     finished_at := 1
-   with Exit -> ());
-  assert (!current = owner);
-  (!current, !finished_at)
-
-let route ?(trace = Obs.Trace.disabled) hnet ~origin ~key =
-  let net = Hnetwork.chord hnet in
-  let lat = Hnetwork.latency_oracle hnet in
-  let depth = Hnetwork.depth hnet in
-  let traced = Obs.Trace.enabled trace in
-  let lid =
-    if traced then Obs.Trace.start trace ~algo:"hieras" ~origin ~key:(Id.to_hex key) else 0
-  in
-  let hops = ref [] in
-  let count = ref 0 in
-  let total = ref 0.0 in
-  let per_hops = Array.make depth 0 in
-  let per_lat = Array.make depth 0.0 in
-  let record ~layer from_node to_node =
-    let l =
-      Topology.Latency.host_latency lat (Chord.Network.host net from_node)
-        (Chord.Network.host net to_node)
-    in
-    if traced then
-      Obs.Trace.hop trace ~lookup:lid ~seq:!count ~layer ~from_node ~to_node ~latency_ms:l;
-    hops := { from_node; to_node; latency = l; layer } :: !hops;
-    incr count;
-    total := !total +. l;
-    per_hops.(layer - 1) <- per_hops.(layer - 1) + 1;
-    per_lat.(layer - 1) <- per_lat.(layer - 1) +. l
-  in
-  let destination, finished_at = walk_layers hnet ~origin ~key ~record in
-  if traced then
-    Obs.Trace.finish trace ~lookup:lid ~destination ~hops:!count ~latency_ms:!total
-      ~finished_at_layer:finished_at;
-  {
-    origin;
-    key;
-    destination;
-    hops = List.rev !hops;
-    hop_count = !count;
-    latency = !total;
-    hops_per_layer = per_hops;
-    latency_per_layer = per_lat;
-    finished_at_layer = finished_at;
-  }
-
-let route_hops_only ?into hnet ~origin ~key =
-  let depth = Hnetwork.depth hnet in
-  let per_hops =
-    match into with
-    | None -> Array.make depth 0
-    | Some a ->
-      if Array.length a < depth then
-        invalid_arg "Hieras.Hlookup.route_hops_only: scratch shorter than depth";
-      Array.fill a 0 depth 0;
-      a
-  in
-  let count = ref 0 in
-  let record ~layer _ _ =
-    incr count;
-    per_hops.(layer - 1) <- per_hops.(layer - 1) + 1
-  in
-  let destination, finished_at = walk_layers hnet ~origin ~key ~record in
-  (!count, per_hops, destination, finished_at)
-
-let route_checked ?trace hnet ~origin ~key =
-  let r = route ?trace hnet ~origin ~key in
-  let owner = Chord.Network.successor_of_key (Hnetwork.chord hnet) key in
-  if r.destination <> owner then
-    failwith "Hieras.Hlookup.route_checked: destination is not the key's owner";
-  r
+let route ?trace hnet ~origin ~key = M.route ?trace (Hnetwork.layered hnet) ~origin ~key
+let route_hops_only ?into hnet ~origin ~key = M.route_hops ?into (Hnetwork.layered hnet) ~origin ~key
 
 (* ---- failure-aware routing --------------------------------------------- *)
 
-type attempt = {
+type attempt = Routing.attempt = {
   outcome : result option;
   retries : int;
   timeouts : int;

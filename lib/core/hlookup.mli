@@ -2,19 +2,22 @@
 
     A lookup runs [depth] Chord loops: first inside the originator's most
     local ring using that ring's finger table, stopping at the ring member
-    whose identifier is closest to the key (its ring-level successor); if
-    that member is not the key's global owner the procedure climbs one layer
-    and repeats, finishing — at the latest — on the global ring, where
-    Chord's guarantee applies. Ring nesting (see {!Hnetwork}) ensures every
-    intermediate node of a layer-[k] loop owns a finger table for that very
-    ring.
+    that most closely precedes the key; if that member's global successor
+    does not own the key the procedure climbs one layer and repeats,
+    finishing — at the latest — on the global ring, where Chord's guarantee
+    applies. Ring nesting (see {!Hnetwork}) ensures every intermediate node
+    of a layer-[k] loop owns a finger table for that very ring.
 
     Each hop is tagged with the layer whose finger table chose it; Figures
-    4–7 of the paper are computed from exactly this decomposition. *)
+    4–7 of the paper are computed from exactly this decomposition.
 
-type hop = { from_node : int; to_node : int; latency : float; layer : int }
+    The fault-free entry points are {!Layered.Make}'s walk over
+    [Chord.Routable], named here for the callers that hold an
+    {!Hnetwork.t}. *)
 
-type result = {
+type hop = Routing.hop = { from_node : int; to_node : int; latency : float; layer : int }
+
+type result = Routing.result = {
   origin : int;
   key : Hashid.Id.t;
   destination : int;
@@ -29,27 +32,20 @@ type result = {
 }
 
 val route : ?trace:Obs.Trace.t -> Hnetwork.t -> origin:int -> key:Hashid.Id.t -> result
-(** [trace] (default {!Obs.Trace.disabled}) receives one start event, one hop
-    event per traversed edge — tagged with the layer whose finger table chose
-    it — and one end event mirroring the returned accounting; when disabled
-    the instrumentation costs one branch per hop and allocates nothing. *)
+(** Ends at the key's Chord owner (the walk asserts it). [trace] (default
+    {!Obs.Trace.disabled}) receives one start event, one hop event per
+    traversed edge — tagged with the layer whose finger table chose it —
+    and one end event mirroring the returned accounting; when disabled the
+    instrumentation costs one branch per hop. *)
 
 val route_hops_only :
   ?into:int array -> Hnetwork.t -> origin:int -> key:Hashid.Id.t -> int * int array * int * int
 (** The analytic mode: [(hop_count, hops_per_layer, destination,
-    finished_at_layer)] of exactly the walk {!route} performs — same hop
-    sequence, same early exits — but touching only the packed structure: no
-    latency oracle, no trace, no per-hop allocation. [into], when given
-    (length >= depth), is zeroed and used as the per-layer accumulator
-    instead of allocating one per call; the returned array is [into]
-    itself, so callers reusing a scratch must consume it before the next
-    call. Cross-validated against {!route} by tests and the scale
-    experiment. *)
-
-val route_checked : ?trace:Obs.Trace.t -> Hnetwork.t -> origin:int -> key:Hashid.Id.t -> result
-(** Like {!route} but asserts the destination equals the Chord owner of the
-    key — used by tests; routing correctness must never depend on binning
-    quality. *)
+    finished_at_layer)] of exactly the walk {!route} performs, without the
+    latency oracle, the trace or the hop list — [Layered.Make.route_hops],
+    whose doc gives what it allocates. [into], when given (length >=
+    depth), is the reused per-layer accumulator; the returned array is
+    [into] itself. *)
 
 (** {2 Failure-aware routing}
 
@@ -61,9 +57,15 @@ val route_checked : ?trace:Obs.Trace.t -> Hnetwork.t -> origin:int -> key:Hashid
     fail a lookup, only the global ring can. Ring-finger probes follow
     the policy's timeout/backoff schedule (tagged with the ring's layer);
     the between-layer early exit and the final global loop consult live
-    successor-list entries like the flat walk does. *)
+    successor-list entries like the flat walk does.
 
-type attempt = {
+    This is one of two resilient HIERAS walks. [Layered.Make]'s
+    [route_resilient] stops a ring walk and takes the early exit by the
+    immediate successors, where this walk skips to the first live ones, so
+    the two differ once nodes die. The resilience golden pins this walk and the
+    tournament golden the functor's; unifying them migrates one golden. *)
+
+type attempt = Routing.attempt = {
   outcome : result option;
       (** [None] only when the {e global} loop stalled; [latency] includes
           [penalty_ms] while [latency_per_layer] attributes link latency

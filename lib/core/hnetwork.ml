@@ -1,284 +1,115 @@
 module Id = Hashid.Id
+module M = Layered.Make (Chord.Routable)
 
-type ring = {
-  rname : Ring_name.t;
-  members : int array; (* node indices, ascending by identifier *)
-  table : Ring_table.t Lazy.t; (* forced on first cost-model/test access *)
-}
-
-(* Per-layer packed state (DESIGN.md §12): ring successor/predecessor and the
-   node's position in its ring as flat node-indexed arrays, and every
-   ring-restricted finger table in one shared arena — node [node]'s segments
-   are [f_exp/f_node.(f_off.(node) .. f_off.(node+1) - 1)]. *)
-type layer_pack = {
-  ring_succ : int array;
-  ring_pred : int array;
-  f_off : int array; (* n+1 *)
-  f_exp : Bytes.t;
-  f_node : int array;
-}
-
-type t = {
-  chord : Chord.Network.t;
-  lat : Topology.Latency.t;
-  landmarks : Binning.Landmark.t;
-  depth : int;
-  orders : string array array; (* orders.(k).(node), k = layer - 2 *)
-  rings : (string, ring) Hashtbl.t array; (* rings.(k) : order -> ring *)
-  ring_of : ring array array; (* ring_of.(k).(node) *)
-  packs : layer_pack array; (* packs.(k), k = layer - 2 *)
-}
+(* The state of [Make (Chord.Routable)] — orders, rings and one packed
+   arena per layer (DESIGN.md §12) — plus what only Chord has: ring tables
+   (built on demand from a ring's extremes) and the landmarks. *)
+type t = { layered : M.t; lat : Topology.Latency.t; landmarks : Binning.Landmark.t }
 
 let build ~chord ~lat ~landmarks ~depth ?measure () =
   if depth < 2 then invalid_arg "Hnetwork.build: depth must be >= 2";
-  let n = Chord.Network.size chord in
-  let space = Chord.Network.space chord in
-  let measure =
-    match measure with
-    | Some f -> f
-    | None -> fun ~host -> Binning.Landmark.measure lat landmarks ~host
-  in
-  let chain = Binning.Scheme.refinement_chain ~depth in
-  (* one measurement vector per node, quantised once per layer *)
-  let orders =
-    let vectors = Array.init n (fun i -> measure ~host:(Chord.Network.host chord i)) in
-    Array.init (depth - 1) (fun k ->
-        Array.init n (fun i -> Binning.Scheme.order chain.(k) vectors.(i)))
-  in
-  let rings = Array.init (depth - 1) (fun _ -> Hashtbl.create 64) in
-  let member_ids_of : (string, Id.t array * int array) Hashtbl.t = Hashtbl.create 64 in
-  let packs =
-    Array.init (depth - 1) (fun k ->
-        (* group nodes by order; iterating 0..n-1 keeps members id-sorted
-           because chord node indices are id-ordered *)
-        let groups : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
-        for i = n - 1 downto 0 do
-          let o = orders.(k).(i) in
-          match Hashtbl.find_opt groups o with
-          | Some l -> l := i :: !l
-          | None -> Hashtbl.replace groups o (ref [ i ])
-        done;
-        Hashtbl.reset member_ids_of;
-        Hashtbl.iter
-          (fun o l ->
-            let members = Array.of_list !l in
-            let rname = Ring_name.make ~layer:(k + 2) ~order:o in
-            let member_ids = Array.map (Chord.Network.id chord) members in
-            (* the table keeps only the 2 smallest + 2 largest identifiers;
-               members are sorted and distinct, so feeding just the extreme
-               entries yields the same table as the full list without the
-               quadratic summarisation cost — lazily, off the build path *)
-            let table =
-              lazy
-                (let m = Array.length members in
-                 let entry pos = { Ring_table.node = members.(pos); id = member_ids.(pos) } in
-                 let extremes =
-                   if m <= 4 then List.init m entry
-                   else [ entry 0; entry 1; entry (m - 2); entry (m - 1) ]
-                 in
-                 Ring_table.of_members space rname extremes)
-            in
-            Hashtbl.replace rings.(k) o { rname; members; table };
-            Hashtbl.replace member_ids_of o (member_ids, Array.map Id.prefix_int member_ids))
-          groups;
-        let ring_succ = Array.make n 0 and ring_pred = Array.make n 0 in
-        Hashtbl.iter
-          (fun _ r ->
-            let m = Array.length r.members in
-            Array.iteri
-              (fun pos node ->
-                ring_succ.(node) <- r.members.((pos + 1) mod m);
-                ring_pred.(node) <- r.members.((pos + m - 1) mod m))
-              r.members)
-          rings.(k);
-        (* one pass in node order fills the shared finger arena with
-           contiguous per-node slices *)
-        let f_off = Array.make (n + 1) 0 in
-        let exp_buf = Buffer.create (n * 8) in
-        let node_buf = ref (Array.make (max 16 (n * 8)) 0) in
-        let seg_count = ref 0 in
-        let push e v =
-          if !seg_count = Array.length !node_buf then begin
-            let grown = Array.make (2 * !seg_count) 0 in
-            Array.blit !node_buf 0 grown 0 !seg_count;
-            node_buf := grown
-          end;
-          Buffer.add_char exp_buf (Char.unsafe_chr e);
-          !node_buf.(!seg_count) <- v;
-          incr seg_count
-        in
-        for node = 0 to n - 1 do
-          f_off.(node) <- !seg_count;
-          let o = orders.(k).(node) in
-          let r = Hashtbl.find rings.(k) o in
-          let member_ids, member_pre = Hashtbl.find member_ids_of o in
-          Chord.Finger_table.pack space ~owner_id:(Chord.Network.id chord node) ~member_ids
-            ~member_pre ~member_nodes:r.members ~push ()
-        done;
-        f_off.(n) <- !seg_count;
-        {
-          ring_succ;
-          ring_pred;
-          f_off;
-          f_exp = Buffer.to_bytes exp_buf;
-          f_node = Array.sub !node_buf 0 !seg_count;
-        })
-  in
-  (* every node belongs to exactly one ring per lower layer *)
-  let ring_of =
-    Array.init (depth - 1) (fun k ->
-        Array.init n (fun node -> Hashtbl.find rings.(k) orders.(k).(node)))
-  in
-  { chord; lat; landmarks; depth; orders; rings; ring_of; packs }
+  let base = Chord.Routable.make ~net:chord ~lat in
+  { layered = M.build ~base ~lat ~landmarks ~depth ?measure (); lat; landmarks }
 
-let chord t = t.chord
+let layered t = t.layered
+let chord t = Chord.Routable.network (M.base t.layered)
 let latency_oracle t = t.lat
-let depth t = t.depth
+let depth t = M.depth t.layered
 let landmarks t = t.landmarks
-let size t = Chord.Network.size t.chord
+let size t = M.size t.layered
 
 let check_layer t layer =
-  if layer < 2 || layer > t.depth then invalid_arg "Hnetwork: layer out of range"
+  if layer < 2 || layer > depth t then invalid_arg "Hnetwork: layer out of range"
 
 let order_of_node t ~layer node =
   check_layer t layer;
-  t.orders.(layer - 2).(node)
-
-let ring_name_of_node t ~layer node =
-  Ring_name.make ~layer ~order:(order_of_node t ~layer node)
+  M.order_of_node t.layered ~layer node
 
 let ring_count t ~layer =
   check_layer t layer;
-  Hashtbl.length t.rings.(layer - 2)
+  M.ring_count t.layered ~layer
 
 let ring_names t ~layer =
   check_layer t layer;
-  Hashtbl.fold (fun _ r acc -> r.rname :: acc) t.rings.(layer - 2) []
-  |> List.sort Ring_name.compare
+  List.map (fun order -> Ring_name.make ~layer ~order) (M.ring_orders t.layered ~layer)
 
 let ring_members t ~layer ~order =
   check_layer t layer;
-  match Hashtbl.find_opt t.rings.(layer - 2) order with
-  | None -> [||]
-  | Some r -> Array.copy r.members
+  M.ring_members t.layered ~layer ~order
 
-let ring_of_node t ~layer node =
+let ring_size_of_node t ~layer node =
   check_layer t layer;
-  t.ring_of.(layer - 2).(node)
+  M.ring_size_of_node t.layered ~layer node
 
-let ring_size_of_node t ~layer node = Array.length (ring_of_node t ~layer node).members
-
-let ring_successor t ~layer node =
+let pack t layer =
   check_layer t layer;
-  t.packs.(layer - 2).ring_succ.(node)
+  M.layer_state t.layered ~layer
 
-let ring_predecessor t ~layer node =
-  check_layer t layer;
-  t.packs.(layer - 2).ring_pred.(node)
+let ring_successor t ~layer node = Chord.Routable.layer_successor (pack t layer) node
+let ring_predecessor t ~layer node = Chord.Routable.layer_predecessor (pack t layer) node
 
 let finger_table t ~layer node =
-  if layer = 1 then Chord.Network.finger_table t.chord node
-  else begin
-    check_layer t layer;
-    let p = t.packs.(layer - 2) in
-    let lo = p.f_off.(node) and hi = p.f_off.(node + 1) in
-    let exps = Array.init (hi - lo) (fun k -> Char.code (Bytes.get p.f_exp (lo + k))) in
-    let nodes = Array.sub p.f_node lo (hi - lo) in
-    Chord.Finger_table.of_segments ~owner:node
-      ~bits:(Id.bits (Chord.Network.space t.chord))
-      ~exps ~nodes
-  end
+  if layer = 1 then Chord.Network.finger_table (chord t) node
+  else Chord.Routable.layer_finger_table (M.base t.layered) (pack t layer) node
 
 let closest_preceding_finger t ~layer node ~key =
-  if layer = 1 then Chord.Network.closest_preceding_finger t.chord node ~key
-  else begin
-    check_layer t layer;
-    let p = t.packs.(layer - 2) in
-    (* layer arenas index the global network, so the prefix-accelerated
-       chord scan applies unchanged *)
-    Chord.Network.closest_preceding_in_arena t.chord ~nodes:p.f_node ~lo:p.f_off.(node)
-      ~hi:p.f_off.(node + 1) ~self:node ~key
-  end
+  if layer = 1 then Chord.Network.closest_preceding_finger (chord t) node ~key
+  else Chord.Routable.layer_closest_preceding (M.base t.layered) (pack t layer) node ~key
 
 let preceding_candidates t ~layer node ~key =
-  if layer = 1 then Chord.Network.preceding_candidates t.chord node ~key
-  else begin
-    check_layer t layer;
-    let p = t.packs.(layer - 2) in
-    Chord.Finger_table.preceding_candidates_arena ~nodes:p.f_node ~lo:p.f_off.(node)
-      ~hi:p.f_off.(node + 1)
-      ~id_of:(fun j -> Chord.Network.id t.chord j)
-      ~self:(Chord.Network.id t.chord node)
-      ~key
-  end
+  if layer = 1 then Chord.Network.preceding_candidates (chord t) node ~key
+  else Chord.Routable.layer_preceding_candidates (M.base t.layered) (pack t layer) node ~key
 
+let total_finger_segments t ~layer = Chord.Routable.layer_segments (pack t layer)
+
+(* the table keeps only the 2 smallest + 2 largest identifiers; members are
+   sorted and distinct, so feeding just the extreme entries yields the same
+   table as the full list *)
 let ring_table t ~layer ~order =
-  check_layer t layer;
-  Option.map (fun r -> Lazy.force r.table) (Hashtbl.find_opt t.rings.(layer - 2) order)
+  match ring_members t ~layer ~order with
+  | [||] -> None
+  | members ->
+      let net = chord t in
+      let m = Array.length members in
+      let entry pos = { Ring_table.node = members.(pos); id = Chord.Network.id net members.(pos) } in
+      let extremes =
+        if m <= 4 then List.init m entry else [ entry 0; entry 1; entry (m - 2); entry (m - 1) ]
+      in
+      Some (Ring_table.of_members (Chord.Network.space net) (Ring_name.make ~layer ~order) extremes)
 
 let ring_table_manager t rname =
-  let rid = Ring_name.ring_id (Chord.Network.space t.chord) rname in
-  Chord.Network.successor_of_key t.chord rid
-
-let total_finger_segments t ~layer =
-  check_layer t layer;
-  Array.length t.packs.(layer - 2).f_node
+  let net = chord t in
+  Chord.Network.successor_of_key net (Ring_name.ring_id (Chord.Network.space net) rname)
 
 let bytes_resident t =
   let word = Sys.word_size / 8 in
   let arr len = (len + 1) * word in
   let n = size t in
-  let per_layer acc p =
-    acc + arr n (* ring_succ *) + arr n (* ring_pred *)
-    + arr (n + 1) (* f_off *)
-    + (word + ((Bytes.length p.f_exp / word) + 1) * word)
-    + arr (Array.length p.f_node)
-  in
-  let layers = Array.fold_left per_layer 0 t.packs in
-  (* order strings: one short string per node per layer *)
-  let order_bytes =
-    Array.fold_left
-      (fun acc os ->
-        Array.fold_left (fun acc o -> acc + word + ((String.length o / word) + 1) * word) (acc + arr n) os)
-      0 t.orders
-  in
-  Chord.Network.bytes_resident t.chord + layers + order_bytes + arr n (* ring_of rows *) * Array.length t.ring_of
-
-let nesting_ok t =
-  let n = size t in
-  let ok = ref true in
-  (* two nodes sharing a deep ring must share every shallower ring; checking
-     per node that its deep ring members all carry its shallow order *)
-  for k = 1 to t.depth - 2 do
+  let per_layer layer =
+    let orders = ref (arr n) (* order strings: one short string per node *) in
     for node = 0 to n - 1 do
-      let deep = t.ring_of.(k).(node) in
-      let shallow_order = t.orders.(k - 1).(node) in
-      Array.iter
-        (fun m -> if t.orders.(k - 1).(m) <> shallow_order then ok := false)
-        deep.members
-    done
+      let o = M.order_of_node t.layered ~layer node in
+      orders := !orders + word + (((String.length o / word) + 1) * word)
+    done;
+    Chord.Routable.layer_bytes_resident (pack t layer) + !orders + arr n (* ring_of row *)
+  in
+  let layers = ref 0 in
+  for layer = 2 to depth t do
+    layers := !layers + per_layer layer
+  done;
+  Chord.Network.bytes_resident (chord t) + !layers
+
+(* two nodes sharing a deep ring must share every shallower ring: each
+   deep ring's members all carry one shallow order *)
+let nesting_ok t =
+  let m = t.layered in
+  let nested layer order =
+    let members = M.ring_members m ~layer ~order in
+    let shallow = M.order_of_node m ~layer:(layer - 1) members.(0) in
+    Array.for_all (fun node -> M.order_of_node m ~layer:(layer - 1) node = shallow) members
+  in
+  let ok = ref true in
+  for layer = 3 to depth t do
+    ok := !ok && List.for_all (nested layer) (M.ring_orders m ~layer)
   done;
   !ok
-
-let mean_ring_link_latency t ~layer ~samples rng =
-  check_layer t layer;
-  let n = size t in
-  let acc = ref 0.0 and cnt = ref 0 in
-  let attempts = ref 0 in
-  while !cnt < samples && !attempts < 50 * samples do
-    incr attempts;
-    let node = Prng.Rng.int rng n in
-    let r = ring_of_node t ~layer node in
-    let m = Array.length r.members in
-    if m >= 2 then begin
-      let a = r.members.(Prng.Rng.int rng m) and b = r.members.(Prng.Rng.int rng m) in
-      if a <> b then begin
-        acc :=
-          !acc
-          +. Topology.Latency.host_latency t.lat (Chord.Network.host t.chord a)
-               (Chord.Network.host t.chord b);
-        incr cnt
-      end
-    end
-  done;
-  if !cnt = 0 then 0.0 else !acc /. float_of_int !cnt

@@ -1,4 +1,4 @@
-(** Oracle-built HIERAS networks: the stabilized multi-ring state.
+(** Oracle-built HIERAS networks over Chord: the stabilized multi-ring state.
 
     A HIERAS network wraps a Chord network (the top-layer, "biggest" ring)
     and adds [depth - 1] lower layers. Each node measures its latency to the
@@ -6,11 +6,17 @@
     the layer's thresholds ({!Binning.Scheme.refinement_chain} — deeper
     layers use strictly finer boundaries, so each deep ring nests inside its
     parent). Per layer, every node keeps a Chord finger table restricted to
-    its ring's members, plus ring successor/predecessor; each ring also gets
-    the {!Ring_table} the top layer stores for it.
+    its ring's members, plus ring successor/predecessor, all packed into
+    flat arrays behind [Chord.Routable]'s layer type (DESIGN.md §12).
+
+    The state is that of {!Layered.Make} over [Chord.Routable] — the one
+    HIERAS walk runs on it ({!Hlookup}) — plus what only Chord has: ring
+    tables, stored for each ring on the top layer, and the landmarks.
 
     Layer indexing follows the paper: layer 1 is the global ring, layer
-    [depth] the most local one. *)
+    [depth] the most local one. Accessors taking a lower [layer] raise
+    [Invalid_argument "Hnetwork: layer out of range"] outside
+    [2 .. depth]. *)
 
 type t
 
@@ -27,6 +33,9 @@ val build :
     default is the exact oracle measurement. The Chord network's hosts must
     be hosts of [lat]. *)
 
+val layered : t -> Layered.Make(Chord.Routable).t
+(** The functor's state this network wraps. *)
+
 val chord : t -> Chord.Network.t
 val latency_oracle : t -> Topology.Latency.t
 val depth : t -> int
@@ -36,12 +45,11 @@ val size : t -> int
 val order_of_node : t -> layer:int -> int -> string
 (** Ring name (order string) of a node at a layer in [2 .. depth]. *)
 
-val ring_name_of_node : t -> layer:int -> int -> Ring_name.t
-
 val ring_count : t -> layer:int -> int
 val ring_names : t -> layer:int -> Ring_name.t list
 val ring_members : t -> layer:int -> order:string -> int array
-(** Member node indices sorted by identifier; empty if no such ring. *)
+(** Member node indices sorted by identifier (a fresh copy); empty if no
+    such ring. *)
 
 val ring_size_of_node : t -> layer:int -> int -> int
 val ring_successor : t -> layer:int -> int -> int
@@ -68,18 +76,17 @@ val total_finger_segments : t -> layer:int -> int
 val bytes_resident : t -> int
 (** Approximate heap footprint of the packed HIERAS state {e including} the
     wrapped Chord network (id strings, per-layer ring arrays, finger arenas,
-    order strings) in bytes. *)
+    order strings, node-to-ring rows) in bytes. *)
 
 val ring_table : t -> layer:int -> order:string -> Ring_table.t option
+(** The ring's table as the top layer stores it, built afresh from the
+    ring's extreme members on each call; [None] if no such ring. *)
+
 val ring_table_manager : t -> Ring_name.t -> int
 (** The node storing a ring's table: successor of the hashed ring id on the
     top layer. *)
 
 val nesting_ok : t -> bool
 (** Every node's layer-[k+1] ring is a subset of its layer-[k] ring (checked
-    over order strings via threshold refinement) — the invariant hierarchical
-    routing relies on. *)
-
-val mean_ring_link_latency : t -> layer:int -> samples:int -> Prng.Rng.t -> float
-(** Monte-Carlo mean latency between two random members of the same ring at
-    the given layer (diagnostic for "lower rings are tighter"). *)
+    over order strings: the members of each deep ring share one shallower
+    order) — the invariant hierarchical routing relies on. *)

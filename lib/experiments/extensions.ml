@@ -22,7 +22,9 @@ let algorithms ?pool cfg =
   let pastry = Pastry.Network.build ~space ~hosts ~lat ~rng () in
   let tapestry = Tapestry.Network.build ~space ~hosts ~lat ~rng () in
   let flat_can = Can.Network.build ~space ~hosts () in
-  let lcan = Can.Layered.build ~global:flat_can ~lat ~landmarks ~depth:2 () in
+  let lcan =
+    Tournament.LCan.build ~base:(Can.Routable.make ~net:flat_can ~lat) ~lat ~landmarks ~depth:2 ()
+  in
   let mk () = (Summary.create (), Summary.create ()) in
   let s_chord = mk () and s_pastry = mk () and s_tapestry = mk () in
   let s_h2 = mk () and s_h3 = mk () in
@@ -48,8 +50,8 @@ let algorithms ?pool cfg =
     add s_h3 r3.Hieras.Hlookup.hop_count r3.Hieras.Hlookup.latency;
     let rcan = Can.Route.route_key flat_can lat ~origin ~key in
     add s_can rcan.Can.Route.hop_count rcan.Can.Route.latency;
-    let rl = Can.Layered.route lcan ~origin ~key in
-    add s_lcan rl.Can.Layered.hop_count rl.Can.Layered.latency
+    let rl = Tournament.LCan.route lcan ~origin ~key in
+    add s_lcan rl.Routing.hop_count rl.Routing.latency
   done;
   let table = Table.create [ "Algorithm"; "Mean hops"; "Mean ms"; "vs Chord" ] in
   let chord_lat = Summary.mean (snd s_chord) in

@@ -213,7 +213,7 @@ let test_route_correctness_exhaustive () =
   for _ = 1 to 500 do
     let key = Id.random Id.sha1_space rng in
     let origin = Prng.Rng.int rng 64 in
-    let r = HL.route_checked hnet ~origin ~key in
+    let r = HL.route hnet ~origin ~key in
     Alcotest.(check int) "destination owns key" (Chord.Network.successor_of_key chord key)
       r.HL.destination
   done

@@ -334,7 +334,7 @@ let trace_prop seed =
       ~depth:1 ~finished_at_layer:1;
     (* hieras *)
     Trace.clear tr;
-    let rh = Hlookup.route_checked ~trace:tr s.hnet ~origin ~key in
+    let rh = Hlookup.route ~trace:tr s.hnet ~origin ~key in
     check_traced_lookup ~what:"hieras" ~origin ~key:(Hashid.Id.to_hex key)
       ~events:(Trace.events tr) ~destination:rh.Hlookup.destination ~hop_count:rh.Hlookup.hop_count
       ~latency:rh.Hlookup.latency ~depth:s.depth ~finished_at_layer:rh.Hlookup.finished_at_layer;
