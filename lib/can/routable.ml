@@ -45,6 +45,10 @@ module Base = struct
 
   let candidates t ~cur ~key = improving t.net ~point:(Network.key_point t.net key) ~cur
 
+  (* no heartbeat window: every dead contact is found by probing *)
+  let window _ ~cur:_ = []
+  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+
   (* A HIERAS ring over a CAN subset is CAN again: re-split the torus among
      the members' join points (their zones nest — fewer members, larger
      zones). A layer holds its ring CANs plus, per node, its ring and its
@@ -89,6 +93,8 @@ module Base = struct
     let rg = layer.rings.(layer.ring_of.(cur)) in
     let point = Network.key_point t.net key in
     improving rg.r_net ~point ~cur:layer.local.(cur) |> List.map (fun v -> rg.r_members.(v))
+
+  let ring_window _ _ ~cur:_ = []
 
   (* the generic owner check after each ring walk IS the CAN early exit:
      the layer-k zone owner's global zone may already contain the point *)

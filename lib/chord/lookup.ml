@@ -1,229 +1,17 @@
-module Id = Hashid.Id
+type hop = Routing.hop = { from_node : int; to_node : int; latency : float; layer : int }
 
-type hop = { from_node : int; to_node : int; latency : float }
-
-type result = {
+type result = Routing.result = {
   origin : int;
   key : Hashid.Id.t;
   destination : int;
   hops : hop list;
   hop_count : int;
   latency : float;
+  hops_per_layer : int array;
+  latency_per_layer : float array;
+  finished_at_layer : int;
 }
 
-(* Greedy walk shared by both entry points. [record] accumulates hops. *)
-let walk net ~origin ~key ~record =
-  let sp = Network.space net in
-  let n = Network.size net in
-  let id_of i = Network.id net i in
-  (* the originator knows its predecessor: if it owns the key, 0 hops *)
-  if Id.in_oc key ~lo:(id_of (Network.predecessor net origin)) ~hi:(id_of origin) then origin
-  else begin
-    let current = ref origin in
-    let steps = ref 0 in
-    let guard = 4 * (Id.bits sp + n) in
-    let finished = ref false in
-    while not !finished do
-      incr steps;
-      if !steps > guard then failwith "Chord.Lookup: routing did not terminate";
-      let cur = !current in
-      let succ = Network.successor net cur in
-      if Id.in_oc key ~lo:(id_of cur) ~hi:(id_of succ) then begin
-        (* the successor owns the key: final hop *)
-        record cur succ;
-        current := succ;
-        finished := true
-      end
-      else begin
-        let f = Network.closest_preceding_finger net cur ~key in
-        let next = if f >= 0 && f <> cur then f else succ in
-        record cur next;
-        current := next
-      end
-    done;
-    !current
-  end
-
-let route ?(trace = Obs.Trace.disabled) net lat ~origin ~key =
-  let traced = Obs.Trace.enabled trace in
-  let lid =
-    if traced then Obs.Trace.start trace ~algo:"chord" ~origin ~key:(Id.to_hex key) else 0
-  in
-  let hops = ref [] in
-  let total = ref 0.0 in
-  let count = ref 0 in
-  let record from_node to_node =
-    let l = Topology.Latency.host_latency lat (Network.host net from_node) (Network.host net to_node) in
-    if traced then
-      Obs.Trace.hop trace ~lookup:lid ~seq:!count ~layer:1 ~from_node ~to_node ~latency_ms:l;
-    hops := { from_node; to_node; latency = l } :: !hops;
-    total := !total +. l;
-    incr count
-  in
-  let destination = walk net ~origin ~key ~record in
-  if traced then
-    Obs.Trace.finish trace ~lookup:lid ~destination ~hops:!count ~latency_ms:!total
-      ~finished_at_layer:1;
-  { origin; key; destination; hops = List.rev !hops; hop_count = !count; latency = !total }
-
+let route ?trace net lat ~origin ~key = Routable.route ?trace (Routable.make ~net ~lat) ~origin ~key
 let route_hops_only net ~origin ~key =
-  let count = ref 0 in
-  let record _ _ = incr count in
-  let destination = walk net ~origin ~key ~record in
-  (!count, destination)
-
-(* ---- failure-aware routing --------------------------------------------- *)
-
-type policy = {
-  rpc_timeout_ms : float;
-  max_retries : int;
-  backoff_base_ms : float;
-  backoff_mult : float;
-  succ_window : int;
-}
-
-let default_policy =
-  { rpc_timeout_ms = 500.0; max_retries = 2; backoff_base_ms = 50.0; backoff_mult = 2.0; succ_window = 8 }
-
-let check_policy p =
-  if
-    p.rpc_timeout_ms <= 0.0 || p.max_retries < 0 || p.backoff_base_ms < 0.0
-    || p.backoff_mult < 1.0 || p.succ_window < 1
-  then invalid_arg "Chord.Lookup: ill-formed resilience policy"
-
-let attempt_delay p k =
-  if k = 0 then p.rpc_timeout_ms
-  else
-    let backoff = p.backoff_base_ms *. (p.backoff_mult ** float_of_int (k - 1)) in
-    Float.min backoff p.rpc_timeout_ms +. p.rpc_timeout_ms
-
-let live_owner net ~is_alive ~key =
-  let n = Network.size net in
-  let rec go node steps =
-    if steps >= n then None
-    else if is_alive node then Some node
-    else go (Network.successor net node) (steps + 1)
-  in
-  go (Network.successor_of_key net key) 0
-
-type attempt = {
-  outcome : result option;
-  retries : int;
-  timeouts : int;
-  fallbacks : int;
-  penalty_ms : float;
-}
-
-let route_resilient ?(trace = Obs.Trace.disabled) ?(policy = default_policy) net lat ~is_alive
-    ~origin ~key =
-  check_policy policy;
-  if not (is_alive origin) then invalid_arg "Chord.Lookup.route_resilient: origin is dead";
-  let sp = Network.space net in
-  let n = Network.size net in
-  let id_of i = Network.id net i in
-  let traced = Obs.Trace.enabled trace in
-  let lid =
-    if traced then Obs.Trace.start trace ~algo:"chord" ~origin ~key:(Id.to_hex key) else 0
-  in
-  let hops = ref [] in
-  let total = ref 0.0 in
-  let count = ref 0 in
-  let pos = ref origin in
-  let retries = ref 0 in
-  let timeouts = ref 0 in
-  let fallbacks = ref 0 in
-  let penalty = ref 0.0 in
-  let record from_node to_node =
-    let l = Topology.Latency.host_latency lat (Network.host net from_node) (Network.host net to_node) in
-    if traced then
-      Obs.Trace.hop trace ~lookup:lid ~seq:!count ~layer:1 ~from_node ~to_node ~latency_ms:l;
-    hops := { from_node; to_node; latency = l } :: !hops;
-    total := !total +. l;
-    incr count;
-    pos := to_node
-  in
-  let fallback at dead =
-    fallbacks := !fallbacks + 1;
-    if traced then
-      Obs.Trace.recover trace ~lookup:lid ~kind:Obs.Trace.Fallback ~layer:1 ~at_node:at
-        ~dead_node:dead ~delay_ms:0.0
-  in
-  (* exhaust every contact attempt on a dead preferred next hop — the full
-     timeout + backoff schedule is charged to the lookup — then fall back *)
-  let probe at dead =
-    timeouts := !timeouts + 1;
-    for k = 0 to policy.max_retries do
-      let d = attempt_delay policy k in
-      retries := !retries + 1;
-      penalty := !penalty +. d;
-      total := !total +. d;
-      if traced then
-        Obs.Trace.recover trace ~lookup:lid ~kind:Obs.Trace.Retry ~layer:1 ~at_node:at
-          ~dead_node:dead ~delay_ms:d
-    done;
-    fallback at dead
-  in
-  let guard = 4 * (Id.bits sp + n) in
-  let rec loop cur steps =
-    if steps > guard then failwith "Chord.Lookup: resilient routing did not terminate";
-    let snth k = Network.succ_list_nth net cur k in
-    let llen = Network.succ_list_len net in
-    (* first live successor-list entry; dead entries before it are known via
-       heartbeats, so skipping them costs no probe. Stop if the list wraps
-       back to cur (possible when the list is longer than the population). *)
-    let rec first_live i =
-      if i >= llen || snth i = cur then None
-      else if is_alive (snth i) then Some i
-      else first_live (i + 1)
-    in
-    let emit_skips upto =
-      for j = 0 to upto - 1 do
-        fallback cur (snth j)
-      done
-    in
-    match first_live 0 with
-    | Some i when Id.in_oc key ~lo:(id_of cur) ~hi:(id_of (snth i)) ->
-        (* s is the first live node clockwise from cur and the key precedes
-           it: s is the live owner — final hop *)
-        emit_skips i;
-        record cur (snth i);
-        Some (snth i)
-    | s_opt -> (
-        let candidates = Network.preceding_candidates net cur ~key in
-        (* farthest-first; probing a dead finger costs the full schedule *)
-        let rec try_fingers = function
-          | [] -> None
-          | f :: rest ->
-              if is_alive f then Some f
-              else begin
-                probe cur f;
-                try_fingers rest
-              end
-        in
-        match try_fingers candidates with
-        | Some next ->
-            record cur next;
-            loop next (steps + 1)
-        | None -> (
-            match s_opt with
-            | Some i ->
-                emit_skips i;
-                record cur (snth i);
-                loop (snth i) (steps + 1)
-            | None -> None (* locally partitioned: nothing live to forward to *)))
-  in
-  let dest_opt =
-    if Id.in_oc key ~lo:(id_of (Network.predecessor net origin)) ~hi:(id_of origin) then Some origin
-    else loop origin 1
-  in
-  if traced then
-    Obs.Trace.finish trace ~lookup:lid
-      ~destination:(Option.value ~default:!pos dest_opt)
-      ~hops:!count ~latency_ms:!total ~finished_at_layer:1;
-  let outcome =
-    Option.map
-      (fun destination ->
-        { origin; key; destination; hops = List.rev !hops; hop_count = !count; latency = !total })
-      dest_opt
-  in
-  { outcome; retries = !retries; timeouts = !timeouts; fallbacks = !fallbacks; penalty_ms = !penalty }
+  Routable.route_hops_only (Routable.of_network net) ~origin ~key

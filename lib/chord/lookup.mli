@@ -4,98 +4,35 @@
     originator, repeatedly forward to the closest preceding finger until the
     key falls between the current node and its successor, then hop to that
     successor — the key's owner. Every traversed overlay edge counts as one
-    hop and contributes the host-to-host delay of the underlying topology. *)
+    hop and contributes the host-to-host delay of the underlying topology.
 
-type hop = { from_node : int; to_node : int; latency : float }
+    Both entry points are {!Routable}'s, so {!Routing.Walk} with no layers,
+    named here for callers that hold a {!Network.t}. Failure-aware routing
+    is [Routable.route_resilient]. *)
 
-type result = {
+type hop = Routing.hop = { from_node : int; to_node : int; latency : float; layer : int }
+(** [layer] is always 1: flat Chord has no hierarchy. *)
+
+type result = Routing.result = {
   origin : int;
   key : Hashid.Id.t;
   destination : int;  (** the key's successor — where the lookup ends *)
   hops : hop list;  (** in travel order; empty when the origin owns the key *)
   hop_count : int;
   latency : float;  (** total one-way routing latency, ms *)
+  hops_per_layer : int array;  (** [\[| hop_count |\]] *)
+  latency_per_layer : float array;  (** [\[| latency |\]] *)
+  finished_at_layer : int;  (** 1 *)
 }
 
 val route :
   ?trace:Obs.Trace.t -> Network.t -> Topology.Latency.t -> origin:int -> key:Hashid.Id.t -> result
-(** Raises [Failure] only on internal invariant violation (non-termination
-    guard); a well-formed network always terminates in [O(log n)] hops.
-
-    [trace] (default {!Obs.Trace.disabled}) receives one start event, one hop
-    event per traversed edge (all tagged layer 1 — Chord has no hierarchy)
-    and one end event mirroring the returned accounting; when disabled the
-    instrumentation costs one branch per hop and allocates nothing. *)
+(** [trace] (default {!Obs.Trace.disabled}) receives one start event, one hop
+    event per traversed edge (all tagged layer 1) and one end event
+    mirroring the returned accounting; when disabled the instrumentation
+    costs one branch per hop and allocates nothing. *)
 
 val route_hops_only : Network.t -> origin:int -> key:Hashid.Id.t -> int * int
 (** [(hop_count, destination)] without latency bookkeeping — for pure
-    hop-count experiments and property tests (no topology needed). *)
-
-(** {2 Failure-aware routing}
-
-    {!route_resilient} runs the same greedy walk against a liveness
-    predicate: contacting a dead preferred next hop costs the full RPC
-    timeout plus [max_retries] exponentially backed-off retries (each a
-    [Retry] trace event) before the router falls back ([Fallback] event)
-    to the next-best finger or the first live successor-list entry.
-    Successor-list liveness is heartbeat-fresh, so dead list entries are
-    skipped without probe cost (but still emit fallbacks). The walk stops
-    at the first live node [s] clockwise from the current node with
-    [key ∈ (cur, s]] — the {e live owner}, because the skipped nodes
-    between are consecutive dead successors. *)
-
-type policy = {
-  rpc_timeout_ms : float;  (** charge for one timed-out contact attempt *)
-  max_retries : int;  (** extra attempts after the first timeout *)
-  backoff_base_ms : float;  (** wait before retry 1 *)
-  backoff_mult : float;  (** exponential factor; waits cap at the timeout *)
-  succ_window : int;
-      (** how many dead ring successors a HIERAS lower-ring walk skips
-          before declaring the ring locally partitioned and escaping a
-          layer (unused by the flat Chord walk, which scans the whole
-          successor list) *)
-}
-
-val default_policy : policy
-(** 500 ms timeout, 2 retries, 50 ms base backoff doubling per attempt,
-    successor window 8. *)
-
-val attempt_delay : policy -> int -> float
-(** [attempt_delay p k] is the latency charged for failed contact attempt
-    [k] (0-based): attempt 0 costs the bare timeout; attempt [k >= 1]
-    costs [min (backoff_base * mult^(k-1)) timeout + timeout]. *)
-
-val live_owner : Network.t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option
-(** Oracle view of where a resilient lookup must end: the first live node
-    clockwise from the key ([None] when every node is dead). Dead nodes'
-    key ranges are absorbed by their first live successor — exactly the
-    ground truth the resilience experiment scores routes against. *)
-
-type attempt = {
-  outcome : result option;
-      (** [None] when routing stalled — no live finger and no live
-          successor-list entry at some node. The result's [latency]
-          {e includes} [penalty_ms]; its [hops] carry pure link
-          latencies. *)
-  retries : int;  (** timed-out contact attempts (= [Retry] events) *)
-  timeouts : int;  (** distinct dead contacts probed to exhaustion *)
-  fallbacks : int;  (** dead contacts abandoned for a secondary choice *)
-  penalty_ms : float;  (** total timeout + backoff latency charged *)
-}
-
-val route_resilient :
-  ?trace:Obs.Trace.t ->
-  ?policy:policy ->
-  Network.t ->
-  Topology.Latency.t ->
-  is_alive:(int -> bool) ->
-  origin:int ->
-  key:Hashid.Id.t ->
-  attempt
-(** The origin must be alive (raises [Invalid_argument] otherwise).
-    When every node is alive the walk, the trace hop stream and the
-    returned [result] are identical to {!route}'s. On a stalled lookup
-    the trace [End] event reports the stall position as destination —
-    spans always close, so traces stay auditable. Raises
-    [Invalid_argument] on an ill-formed policy (non-positive timeout,
-    negative retries/backoff, multiplier < 1, window < 1). *)
+    hop-count experiments and property tests (no topology needed): the
+    walk over {!Routable.of_network}. *)

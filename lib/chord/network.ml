@@ -76,10 +76,6 @@ let successor t i = (i + 1) mod Array.length t.ids
 let predecessor t i = (i + Array.length t.ids - 1) mod Array.length t.ids
 let succ_list_len t = t.succ_len
 
-let succ_list_nth t i k =
-  if k < 0 || k >= t.succ_len then invalid_arg "Chord.Network.succ_list_nth";
-  (i + k + 1) mod Array.length t.ids
-
 let successor_list t i =
   let n = Array.length t.ids in
   Array.init t.succ_len (fun k -> (i + k + 1) mod n)
@@ -138,20 +134,15 @@ let preceding_candidates t i ~key =
 let successor_of_key t key =
   let n = Array.length t.ids in
   let key_pre = Id.prefix_int key in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      let p = Array.unsafe_get t.pre mid in
-      let c =
-        if p < key_pre then -1
-        else if p > key_pre then 1
-        else Id.compare (Array.unsafe_get t.ids mid) key
-      in
-      if c < 0 then search (mid + 1) hi else search lo mid
-  in
-  let pos = search 0 n in
-  if pos = n then 0 else pos
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let p = Array.unsafe_get t.pre mid in
+    if p < key_pre || (p = key_pre && Id.compare (Array.unsafe_get t.ids mid) key < 0) then
+      lo := mid + 1
+    else hi := mid
+  done;
+  if !lo = n then 0 else !lo
 
 let find_node t key =
   let pos = successor_of_key t key in

@@ -56,10 +56,6 @@ val succ_list_len : t -> int
 (** [r = min succ_list_len (size - 1)] — the length {!successor_list}
     returns. *)
 
-val succ_list_nth : t -> int -> int -> int
-(** [succ_list_nth t i k = (successor_list t i).(k)] without the array —
-    the resilient route's allocation-free accessor. *)
-
 val finger_table : t -> int -> Finger_table.t
 (** A thin view materialized from the node's finger-arena slice. Prefer
     {!closest_preceding_finger} / {!preceding_candidates} on hot paths. *)

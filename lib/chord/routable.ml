@@ -1,7 +1,7 @@
 module Id = Hashid.Id
 
 module Base = struct
-  type t = { net : Network.t; lat : Topology.Latency.t }
+  type t = { net : Network.t; lat : Topology.Latency.t option }
 
   let name = "chord"
   let layered_name = "hieras"
@@ -9,14 +9,27 @@ module Base = struct
   let host t i = Network.host t.net i
 
   let link_latency t a b =
-    Topology.Latency.host_latency t.lat (Network.host t.net a) (Network.host t.net b)
+    match t.lat with
+    | Some lat -> Topology.Latency.host_latency lat (Network.host t.net a) (Network.host t.net b)
+    | None -> invalid_arg "Chord.Routable: a hop-count view has no latency oracle"
 
   let guard t = 4 * (Id.bits (Network.space t.net) + Network.size t.net)
   let owner_of_key t ~key = Network.successor_of_key t.net key
-  let live_owner t ~is_alive ~key = Lookup.live_owner t.net ~is_alive ~key
 
-  (* one greedy step of [Lookup.walk]: the successor when it owns the key,
-     otherwise the closest preceding finger (successor fallback) *)
+  (* the first live node clockwise from the key: dead nodes' key ranges are
+     absorbed by their first live successor *)
+  let live_owner t ~is_alive ~key =
+    let net = t.net in
+    let n = Network.size net in
+    let rec go node steps =
+      if steps >= n then None
+      else if is_alive node then Some node
+      else go (Network.successor net node) (steps + 1)
+    in
+    go (Network.successor_of_key net key) 0
+
+  (* the successor when it owns the key, otherwise the closest preceding
+     finger (successor fallback) *)
   let step t ~cur ~key =
     let net = t.net in
     let succ = Network.successor net cur in
@@ -25,27 +38,24 @@ module Base = struct
       let f = Network.closest_preceding_finger net cur ~key in
       if f >= 0 && f <> cur then f else succ
 
-  (* the successor-list chain from [cur], stopping if it wraps — the same
-     heartbeat window [Lookup.route_resilient] walks past dead successors *)
-  let succ_chain net cur =
-    let llen = Network.succ_list_len net in
-    let rec entries i =
-      if i >= llen then []
-      else
-        let s = Network.succ_list_nth net cur i in
-        if s = cur then [] else s :: entries (i + 1)
-    in
-    entries 0
+  let candidates t ~cur ~key = Network.preceding_candidates t.net cur ~key
 
-  let candidates t ~cur ~key =
-    let net = t.net in
-    let succ = Network.successor net cur in
-    if Id.in_oc key ~lo:(Network.id net cur) ~hi:(Network.id net succ) then
-      (* final-hop regime: the chain's first live entry is the live owner *)
-      succ_chain net cur
-    else
-      let pc = Network.preceding_candidates net cur ~key in
-      pc @ List.filter (fun s -> not (List.mem s pc)) (succ_chain net cur)
+  (* [len] successors of [cur] along [next], stopping if they wrap back to
+     [cur] *)
+  let chain next cur len =
+    let rec go node k =
+      if k = 0 then []
+      else
+        let s = next node in
+        if s = cur then [] else s :: go s (k - 1)
+    in
+    go cur len
+
+  (* the successor list *)
+  let window t ~cur = chain (Network.successor t.net) cur (Network.succ_list_len t.net)
+
+  let covers t ~cur ~upto ~key =
+    Id.in_oc key ~lo:(Network.id t.net cur) ~hi:(Network.id t.net upto)
 
   (* A HIERAS ring over a Chord member subset is Chord again. One layer
      packs all its rings (DESIGN.md §12): ring successor and predecessor as
@@ -105,17 +115,10 @@ module Base = struct
     Finger_table.preceding_candidates_arena ~nodes:layer.f_node ~lo:layer.f_off.(cur)
       ~hi:layer.f_off.(cur + 1) ~id_of:(Network.id t.net) ~self:(Network.id t.net cur) ~key
 
-  let ring_candidates t layer ~cur ~key =
-    let pc = preceding_candidates t layer cur ~key in
-    (* ring-successor chain up to the network's successor-list window — the
-       per-ring analogue of [Hlookup]'s resilient chain walk *)
-    let rec chain node k =
-      if k = 0 then []
-      else
-        let s = layer.ring_succ.(node) in
-        if s = cur then [] else s :: chain s (k - 1)
-    in
-    pc @ List.filter (fun s -> not (List.mem s pc)) (chain cur (Network.succ_list_len t.net))
+  let ring_candidates t layer ~cur ~key = preceding_candidates t layer cur ~key
+
+  (* the ring-successor chain, as long as the successor list *)
+  let ring_window t layer ~cur = chain (Array.get layer.ring_succ) cur (Network.succ_list_len t.net)
 
   let early_finish t ~cur ~key =
     let succ = Network.successor t.net cur in
@@ -125,7 +128,8 @@ end
 
 include Routing.Extend (Base)
 
-let make ~net ~lat = { Base.net; lat }
+let make ~net ~lat = { Base.net; lat = Some lat }
+let of_network net = { Base.net; lat = None }
 let network (t : t) = t.Base.net
 let layer_successor (layer : layer) node = layer.Base.ring_succ.(node)
 let layer_predecessor (layer : layer) node = layer.Base.ring_pred.(node)
@@ -148,50 +152,3 @@ let layer_bytes_resident (layer : layer) =
   + arr (n + 1) (* f_off *)
   + (word + ((Bytes.length layer.f_exp / word) + 1) * word)
   + arr (Array.length layer.f_node)
-
-(* The derived entry points would reproduce [Lookup]'s hop sequences, but the
-   native implementations are the tested golden surface (and carry PR 5's
-   exact fallback accounting) — delegate rather than re-derive. *)
-
-let lift_flat (r : Lookup.result) : Routing.result =
-  {
-    origin = r.Lookup.origin;
-    key = r.key;
-    destination = r.destination;
-    hops =
-      List.map
-        (fun (h : Lookup.hop) ->
-          { Routing.from_node = h.from_node; to_node = h.to_node; latency = h.latency; layer = 1 })
-        r.hops;
-    hop_count = r.hop_count;
-    latency = r.latency;
-    hops_per_layer = [| r.hop_count |];
-    latency_per_layer = [| r.latency |];
-    finished_at_layer = 1;
-  }
-
-let lower_policy (p : Routing.policy) : Lookup.policy =
-  {
-    rpc_timeout_ms = p.Routing.rpc_timeout_ms;
-    max_retries = p.max_retries;
-    backoff_base_ms = p.backoff_base_ms;
-    backoff_mult = p.backoff_mult;
-    succ_window = p.succ_window;
-  }
-
-let route ?trace (t : t) ~origin ~key = lift_flat (Lookup.route ?trace t.Base.net t.Base.lat ~origin ~key)
-let route_hops_only (t : t) ~origin ~key = Lookup.route_hops_only t.Base.net ~origin ~key
-
-let route_resilient ?trace ?(policy = Routing.default_policy) (t : t) ~is_alive ~origin ~key =
-  let a =
-    Lookup.route_resilient ?trace ~policy:(lower_policy policy) t.Base.net t.Base.lat ~is_alive
-      ~origin ~key
-  in
-  {
-    Routing.outcome = Option.map lift_flat a.Lookup.outcome;
-    retries = a.retries;
-    timeouts = a.timeouts;
-    fallbacks = a.fallbacks;
-    layer_escapes = 0;
-    penalty_ms = a.penalty_ms;
-  }

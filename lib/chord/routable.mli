@@ -1,16 +1,23 @@
 (** Chord as a {!Routing.S} substrate.
 
-    The routing entry points delegate to {!Lookup} (same hop sequences, same
-    trace bytes, same PR 5 resilience accounting — "chord" traces emitted
-    through this module are byte-identical to the goldens); the {!Routing.BASE}
-    primitives expose the greedy step, its fallback candidates and the
-    packed rings of one HIERAS layer (ring successor/predecessor arrays and
-    one shared finger arena, DESIGN.md §12), over which [Hieras.Make] runs
-    the HIERAS walk. *)
+    The {!Routing.BASE} primitives are Chord's greedy step (the successor
+    when it owns the key, else the closest preceding finger), the preceding
+    fingers as failover candidates, the successor list as the heartbeat
+    window, and the packed rings of one HIERAS layer (ring
+    successor/predecessor arrays and one shared finger arena, DESIGN.md
+    §12) with the ring-successor chain as their window. The entry points
+    are {!Routing.Walk} with no layers — flat Chord is HIERAS at depth 1 —
+    and [Hieras.Make] runs the same walk over the layers. *)
 
 type t
 
 val make : net:Network.t -> lat:Topology.Latency.t -> t
+
+val of_network : Network.t -> t
+(** A hop-count view with no latency oracle: {!route_hops_only} and
+    {!live_owner} work on it; a route that needs a link latency raises
+    [Invalid_argument]. *)
+
 val network : t -> Network.t
 
 include Routing.S with type t := t

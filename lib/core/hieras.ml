@@ -1,8 +1,7 @@
 (** Library root. [Hieras.Make (R)] layers locality rings over any
-    [Routing.S] and runs the one fault-free HIERAS walk; [Hnetwork] is its
-    state over [Chord.Routable]'s packed layers plus ring tables, and
-    [Hlookup] names its walk for [Hnetwork] callers and keeps the
-    Chord-specific resilient walk the resilience golden pins. *)
+    [Routing.BASE] and routes with [Routing.Walk] over them; [Hnetwork] is
+    its state over [Chord.Routable]'s packed layers plus ring tables, and
+    [Hlookup] names its walk for [Hnetwork] callers. *)
 
 module Cost = Cost
 module Hlookup = Hlookup

@@ -11,9 +11,10 @@
     Each hop is tagged with the layer whose finger table chose it; Figures
     4–7 of the paper are computed from exactly this decomposition.
 
-    The fault-free entry points are {!Layered.Make}'s walk over
-    [Chord.Routable], named here for the callers that hold an
-    {!Hnetwork.t}. *)
+    Both entry points are {!Routing.Walk} over [Chord.Routable]'s layers
+    ({!Layered.Make}), named here for the callers that hold an
+    {!Hnetwork.t}. Failure-aware routing is [Make (Chord.Routable)]'s
+    [route_resilient] on {!Hnetwork.layered}. *)
 
 type hop = Routing.hop = { from_node : int; to_node : int; latency : float; layer : int }
 
@@ -32,7 +33,7 @@ type result = Routing.result = {
 }
 
 val route : ?trace:Obs.Trace.t -> Hnetwork.t -> origin:int -> key:Hashid.Id.t -> result
-(** Ends at the key's Chord owner (the walk asserts it). [trace] (default
+(** Ends at the key's Chord owner. [trace] (default
     {!Obs.Trace.disabled}) receives one start event, one hop event per
     traversed edge — tagged with the layer whose finger table chose it —
     and one end event mirroring the returned accounting; when disabled the
@@ -46,47 +47,3 @@ val route_hops_only :
     whose doc gives what it allocates. [into], when given (length >=
     depth), is the reused per-layer accumulator; the returned array is
     [into] itself. *)
-
-(** {2 Failure-aware routing}
-
-    Hierarchical analogue of {!Chord.Lookup.route_resilient}, with one
-    extra recovery move: when a lower-ring walk finds [succ_window]
-    consecutive dead ring successors it declares the ring locally
-    partitioned, emits a [Layer_escape] trace event and climbs to the
-    next layer immediately instead of stalling — a lower ring can never
-    fail a lookup, only the global ring can. Ring-finger probes follow
-    the policy's timeout/backoff schedule (tagged with the ring's layer);
-    the between-layer early exit and the final global loop consult live
-    successor-list entries like the flat walk does.
-
-    This is one of two resilient HIERAS walks. [Layered.Make]'s
-    [route_resilient] stops a ring walk and takes the early exit by the
-    immediate successors, where this walk skips to the first live ones, so
-    the two differ once nodes die. The resilience golden pins this walk and the
-    tournament golden the functor's; unifying them migrates one golden. *)
-
-type attempt = Routing.attempt = {
-  outcome : result option;
-      (** [None] only when the {e global} loop stalled; [latency] includes
-          [penalty_ms] while [latency_per_layer] attributes link latency
-          only. *)
-  retries : int;  (** timed-out contact attempts (= [Retry] events) *)
-  timeouts : int;  (** distinct dead contacts probed to exhaustion *)
-  fallbacks : int;  (** dead contacts abandoned for a secondary choice *)
-  layer_escapes : int;  (** early climbs out of partitioned rings *)
-  penalty_ms : float;  (** total timeout + backoff latency charged *)
-}
-
-val route_resilient :
-  ?trace:Obs.Trace.t ->
-  ?policy:Chord.Lookup.policy ->
-  Hnetwork.t ->
-  is_alive:(int -> bool) ->
-  origin:int ->
-  key:Hashid.Id.t ->
-  attempt
-(** The origin must be alive (raises [Invalid_argument] otherwise; also on
-    an ill-formed policy). When every node is alive the walk, the trace
-    stream and the returned [result] are identical to {!route}'s. On a
-    stalled lookup the trace [End] event reports the stall position, so
-    spans always close and stay auditable. *)

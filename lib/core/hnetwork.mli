@@ -10,7 +10,7 @@
     flat arrays behind [Chord.Routable]'s layer type (DESIGN.md §12).
 
     The state is that of {!Layered.Make} over [Chord.Routable] — the one
-    HIERAS walk runs on it ({!Hlookup}) — plus what only Chord has: ring
+    routing walk runs on its layers ({!Hlookup}) — plus what only Chord has: ring
     tables, stored for each ring on the top layer, and the landmarks.
 
     Layer indexing follows the paper: layer 1 is the global ring, layer

@@ -1,17 +1,16 @@
-(** HIERAS layering over any {!Routing.S} substrate (DESIGN.md §13): the
-    one fault-free HIERAS walk.
+(** HIERAS layering over any {!Routing.BASE} substrate (DESIGN.md §13).
 
     [Make (R)] builds locality rings — landmark binning, refinement chains,
-    one ring per order per layer — hands each layer's rings to [R] as one
-    [R.layer], and routes with the paper's multi-loop composition (§3.2)
-    through [R]'s ring primitives. [Make (Chord.Routable)] is HIERAS over
-    Chord, on the packed layer arenas: {!Hnetwork} is its state plus ring
-    tables, and {!Hlookup}'s fault-free entry points are this walk.
+    one ring per order per layer — and hands each layer's rings to [R] as
+    one [R.layer]. Its routes are {!Routing.Walk} over those layers, the
+    same walk every flat substrate runs with none. [Make (Chord.Routable)]
+    is HIERAS over Chord, on the packed layer arenas: {!Hnetwork} is its
+    state plus ring tables, and {!Hlookup} names its walk.
     [Make (Can.Routable)] is the paper's §3.2 HIERAS-over-CAN. The result
     satisfies {!Routing.ROUTABLE}, so layered overlays enter experiments
     anywhere flat substrates do. *)
 
-module Make (R : Routing.S) : sig
+module Make (R : Routing.BASE) : sig
   type t
 
   val name : string
@@ -58,26 +57,25 @@ module Make (R : Routing.S) : sig
   val owner_of_key : t -> key:Hashid.Id.t -> int
   val live_owner : t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option
 
+  (** The routes are {!Routing.Walk} over the layers at depth {!depth}. *)
+
   val route : ?trace:Obs.Trace.t -> t -> origin:int -> key:Hashid.Id.t -> Routing.result
-  (** Descend layers [depth .. 2] (ring walks + the substrate's early-exit
-      check), then the flat walk; hops are layer-tagged and the trace algo
-      is {!name}. *)
+  (** [Walk.route]; the trace algo is {!name}. *)
 
   val route_hops :
     ?into:int array -> t -> origin:int -> key:Hashid.Id.t -> int * int array * int * int
-  (** [(hops, hops_per_layer, destination, finished_at_layer)] — the
-      analytic walk: exactly {!route}'s hop sequence and early exits, with
-      no latency oracle, no trace and no hop list. [into], when given
-      (length >= depth), is zeroed and used as the per-layer accumulator
-      instead of allocating one per call; the returned array is [into]
-      itself, so a caller reusing it must consume it before the next call.
+  (** [(hops, hops_per_layer, destination, finished_at_layer)] —
+      [Walk.route_hops], the analytic form of {!route}: [into], when given
+      (length >= depth), is the reused per-layer tally and the returned
+      array is [into] itself, so a caller reusing it must consume it before
+      the next call.
 
       It is not allocation-free: the substrate's step functions allocate.
       Over [Chord.Routable] on the paper's set-up (10,000 nodes, depth 2)
-      a call allocates about 178 minor words for 7.65 hops on average,
-      mostly in [Chord.Network.closest_preceding_in_arena], whose three
-      local closures take 23 words per call (one call per hop), and in
-      [Chord.Network.successor_of_key]'s search closure (7 words). *)
+      a call allocates about 160 minor words for 7.65 hops on average,
+      almost all in [Chord.Network.closest_preceding_in_arena], whose
+      three local closures take 23 words per call (about one call per
+      hop). *)
 
   val route_hops_only : t -> origin:int -> key:Hashid.Id.t -> int * int
   (** [(hops, destination)] — the {!Routing.ROUTABLE} analytic form. *)
@@ -90,10 +88,8 @@ module Make (R : Routing.S) : sig
     origin:int ->
     key:Hashid.Id.t ->
     Routing.attempt
-  (** Failure-aware layered routing: resilient ring walks (probing dead
-      in-ring candidates, climbing a layer early — [Layer_escape] — when a
-      ring has no live route), the early exit checked against liveness,
-      then the substrate's flat candidates. Succeeds iff it reaches
-      [live_owner]. With everyone alive, hop-for-hop identical to
+  (** [Walk.route_resilient] over the layers: the heartbeat-window rule,
+      layer escapes out of rings with no live route, and success exactly
+      at [live_owner]. With everyone alive, hop-for-hop identical to
       {!route}. *)
 end

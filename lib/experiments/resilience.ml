@@ -10,6 +10,7 @@
 module Summary = Stats.Summary
 module Pool = Parallel.Pool
 module Faults = Workload.Faults
+module LChord = Hieras.Make (Chord.Routable)
 
 type schedule = Crash | Outage | Restart
 
@@ -180,6 +181,8 @@ let run ?pool ?registry ?(trace = Obs.Trace.disabled) ?(net = Obs.Netspan.disabl
   let hnet = Runner.build_hieras ~timer env cfg in
   let chord = Runner.chord_network env in
   let lat = Runner.latency_oracle env in
+  let rc = Chord.Routable.make ~net:chord ~lat in
+  let layered = Hieras.Hnetwork.layered hnet in
   let n = Chord.Network.size chord in
   let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
   let spec = Workload.Requests.paper_default ~count:cfg.Config.requests in
@@ -252,27 +255,27 @@ let run ?pool ?registry ?(trace = Obs.Trace.disabled) ?(net = Obs.Netspan.disabl
               for i = lo to hi - 1 do
                 let { Workload.Requests.origin; key } = requests.(i) in
                 let origin = live_origin origin in
-                let owner = Chord.Lookup.live_owner chord ~is_alive ~key in
-                let ca = Chord.Lookup.route_resilient ?trace chord lat ~is_alive ~origin ~key in
-                a.c_retries <- a.c_retries + ca.Chord.Lookup.retries;
-                a.c_timeouts <- a.c_timeouts + ca.Chord.Lookup.timeouts;
-                a.c_fallbacks <- a.c_fallbacks + ca.Chord.Lookup.fallbacks;
-                a.c_penalty <- a.c_penalty +. ca.Chord.Lookup.penalty_ms;
-                (match (ca.Chord.Lookup.outcome, owner) with
-                | Some r, Some o when r.Chord.Lookup.destination = o ->
+                let owner = Chord.Routable.live_owner rc ~is_alive ~key in
+                let ca = Chord.Routable.route_resilient ?trace rc ~is_alive ~origin ~key in
+                a.c_retries <- a.c_retries + ca.Routing.retries;
+                a.c_timeouts <- a.c_timeouts + ca.Routing.timeouts;
+                a.c_fallbacks <- a.c_fallbacks + ca.Routing.fallbacks;
+                a.c_penalty <- a.c_penalty +. ca.Routing.penalty_ms;
+                (match (ca.Routing.outcome, owner) with
+                | Some r, Some o when r.Routing.destination = o ->
                     a.c_ok <- a.c_ok + 1;
-                    Summary.add a.c_lat r.Chord.Lookup.latency
+                    Summary.add a.c_lat r.Routing.latency
                 | _ -> ());
-                let ha = Hieras.Hlookup.route_resilient ?trace hnet ~is_alive ~origin ~key in
-                a.h_retries <- a.h_retries + ha.Hieras.Hlookup.retries;
-                a.h_timeouts <- a.h_timeouts + ha.Hieras.Hlookup.timeouts;
-                a.h_fallbacks <- a.h_fallbacks + ha.Hieras.Hlookup.fallbacks;
-                a.h_escapes <- a.h_escapes + ha.Hieras.Hlookup.layer_escapes;
-                a.h_penalty <- a.h_penalty +. ha.Hieras.Hlookup.penalty_ms;
-                match (ha.Hieras.Hlookup.outcome, owner) with
-                | Some r, Some o when r.Hieras.Hlookup.destination = o ->
+                let ha = LChord.route_resilient ?trace layered ~is_alive ~origin ~key in
+                a.h_retries <- a.h_retries + ha.Routing.retries;
+                a.h_timeouts <- a.h_timeouts + ha.Routing.timeouts;
+                a.h_fallbacks <- a.h_fallbacks + ha.Routing.fallbacks;
+                a.h_escapes <- a.h_escapes + ha.Routing.layer_escapes;
+                a.h_penalty <- a.h_penalty +. ha.Routing.penalty_ms;
+                match (ha.Routing.outcome, owner) with
+                | Some r, Some o when r.Routing.destination = o ->
                     a.h_ok <- a.h_ok + 1;
-                    Summary.add a.h_lat r.Hieras.Hlookup.latency
+                    Summary.add a.h_lat r.Routing.latency
                 | _ -> ()
               done;
               a)

@@ -4,9 +4,10 @@
     Each sweep point compiles a {!Workload.Faults} schedule with a
     point-specific seed, applies it to a {!Simnet.Engine}, runs the engine
     to the sample instant and replays the standard paired request stream
-    through both [route_resilient] paths against the surviving population.
-    A lookup succeeds when it reaches the key's {e live owner} — the first
-    live node clockwise from the key ({!Chord.Lookup.live_owner}); dead
+    through the failure-aware walk, flat Chord and HIERAS over Chord,
+    against the surviving population. A lookup succeeds when it reaches
+    the key's {e live owner} — the first live node clockwise from the key
+    ([Chord.Routable.live_owner]); dead
     origins are deterministically remapped to their next live node so every
     point scores the identical stream. Results are bit-identical for any
     pool width (fault draws and merges happen on the calling domain; the

@@ -1,6 +1,7 @@
 (** Structured per-lookup tracing: span + hop events with pluggable sinks.
 
-    A tracer is passed to the routing entry points ([Chord.Lookup.route],
+    A tracer is passed to the routing entry points (every route of
+    [Routing.Walk], among them [Chord.Lookup.route] and
     [Hieras.Hlookup.route]) as an optional argument; every lookup then emits
     one [Start] event, one [Hop] event per traversed overlay edge, and one
     [End] event carrying the final accounting. The per-hop stream is exactly
@@ -33,13 +34,14 @@
       HIERAS hierarchy depth. *)
 
 type rkind = Retry | Fallback | Layer_escape
-(** Failure-recovery actions of the resilient routing paths
-    ([Chord.Lookup.route_resilient], [Hieras.Hlookup.route_resilient]):
+(** Failure-recovery actions of the failure-aware walk
+    ([Routing.Walk.route_resilient], flat or layered):
     - [Retry]: a contact attempt on a dead node timed out (the [delay_ms]
       of the event is the timeout plus the exponential backoff wait charged
       to the lookup);
     - [Fallback]: the router abandoned a dead preferred next hop and picked
-      a secondary candidate (next-best finger or successor-list entry);
+      a secondary candidate (next-best finger, or a heartbeat-window entry
+      past dead ones);
     - [Layer_escape]: a HIERAS lower-ring loop found no live in-ring route
       and climbed to the next layer early. *)
 

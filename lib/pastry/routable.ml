@@ -69,6 +69,10 @@ module Base = struct
     in
     if next = cur then rest else next :: rest
 
+  (* no heartbeat window: every dead contact is found by probing *)
+  let window _ ~cur:_ = []
+  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+
   (* A HIERAS ring over a Pastry subset: the members on the identifier
      circle, walked by numerical closeness — contact-list shortcuts when a
      known contact is an in-ring member strictly closer to the key, circle
@@ -90,6 +94,8 @@ module Base = struct
       match ring_candidates t layer ~cur ~key with
       | next :: _ -> next
       | [] -> cur (* unreachable: [toward] makes progress off the root *)
+
+  let ring_window _ _ ~cur:_ = []
 
   let early_finish t ~cur ~key =
     (* leaf-set delivery: the current node already knows the key's root *)

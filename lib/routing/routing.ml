@@ -19,16 +19,13 @@ type policy = {
   max_retries : int;
   backoff_base_ms : float;
   backoff_mult : float;
-  succ_window : int;
 }
 
 let default_policy =
-  { rpc_timeout_ms = 500.0; max_retries = 2; backoff_base_ms = 50.0; backoff_mult = 2.0; succ_window = 8 }
+  { rpc_timeout_ms = 500.0; max_retries = 2; backoff_base_ms = 50.0; backoff_mult = 2.0 }
 
 let check_policy p =
-  if
-    p.rpc_timeout_ms <= 0.0 || p.max_retries < 0 || p.backoff_base_ms < 0.0
-    || p.backoff_mult < 1.0 || p.succ_window < 1
+  if p.rpc_timeout_ms <= 0.0 || p.max_retries < 0 || p.backoff_base_ms < 0.0 || p.backoff_mult < 1.0
   then invalid_arg "Routing: ill-formed resilience policy"
 
 let attempt_delay p k =
@@ -84,12 +81,15 @@ module type BASE = sig
   val live_owner : t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option
   val step : t -> cur:int -> key:Hashid.Id.t -> int
   val candidates : t -> cur:int -> key:Hashid.Id.t -> int list
+  val window : t -> cur:int -> int list
+  val covers : t -> cur:int -> upto:int -> key:Hashid.Id.t -> bool
 
   type layer
 
   val make_layer : t -> rings:int array list -> layer
   val ring_step : t -> layer -> cur:int -> key:Hashid.Id.t -> int
   val ring_candidates : t -> layer -> cur:int -> key:Hashid.Id.t -> int list
+  val ring_window : t -> layer -> cur:int -> int list
   val early_finish : t -> cur:int -> key:Hashid.Id.t -> int option
 end
 
@@ -109,158 +109,314 @@ module type S = sig
     attempt
 end
 
-module Extend (B : BASE) = struct
-  include B
+module Walk (B : BASE) = struct
+  let algo layers = if Array.length layers = 0 then B.name else B.layered_name
 
-  let route ?(trace = Obs.Trace.disabled) t ~origin ~key =
-    let owner = B.owner_of_key t ~key in
+  (* What a full route records beyond the per-layer hop tally. [total]
+     accumulates in event order — link latencies and, on a failure-aware
+     walk, probe delays. *)
+  type record = {
+    trace : Obs.Trace.t;
+    traced : bool;
+    lid : int;
+    lat : float array;
+    total : float array;
+    mutable count : int;
+    mutable path : hop list;  (* newest first *)
+  }
+
+  let start trace layers ~origin ~key =
     let traced = Obs.Trace.enabled trace in
     let lid =
-      if traced then Obs.Trace.start trace ~algo:B.name ~origin ~key:(Id.to_hex key) else 0
+      if traced then Obs.Trace.start trace ~algo:(algo layers) ~origin ~key:(Id.to_hex key) else 0
     in
-    let hops = ref [] in
-    let total = ref 0.0 in
-    let count = ref 0 in
-    let record from_node to_node =
-      let l = B.link_latency t from_node to_node in
-      if traced then
-        Obs.Trace.hop trace ~lookup:lid ~seq:!count ~layer:1 ~from_node ~to_node ~latency_ms:l;
-      hops := { from_node; to_node; latency = l; layer = 1 } :: !hops;
-      total := !total +. l;
-      incr count
-    in
-    let current = ref origin in
-    let guard = B.guard t in
-    while !current <> owner do
-      if !count >= guard then failwith (B.name ^ ": routing did not terminate");
-      let next = B.step t ~cur:!current ~key in
-      record !current next;
-      current := next
-    done;
-    if traced then
-      Obs.Trace.finish trace ~lookup:lid ~destination:owner ~hops:!count ~latency_ms:!total
-        ~finished_at_layer:1;
+    let lat = Array.make (Array.length layers + 1) 0.0 in
+    { trace; traced; lid; lat; total = [| 0.0 |]; count = 0; path = [] }
+
+  let note t per full ~layer from_node to_node =
+    per.(layer - 1) <- per.(layer - 1) + 1;
+    match full with
+    | None -> ()
+    | Some r ->
+        let l = B.link_latency t from_node to_node in
+        if r.traced then
+          Obs.Trace.hop r.trace ~lookup:r.lid ~seq:r.count ~layer ~from_node ~to_node ~latency_ms:l;
+        r.path <- { from_node; to_node; latency = l; layer } :: r.path;
+        r.count <- r.count + 1;
+        r.total.(0) <- r.total.(0) +. l;
+        r.lat.(layer - 1) <- r.lat.(layer - 1) +. l
+
+  let finish r ~origin ~key ~destination ~hops_per_layer ~finished_at_layer =
+    let latency = r.total.(0) in
+    if r.traced then
+      Obs.Trace.finish r.trace ~lookup:r.lid ~destination ~hops:r.count ~latency_ms:latency
+        ~finished_at_layer;
     {
       origin;
       key;
-      destination = owner;
-      hops = List.rev !hops;
-      hop_count = !count;
-      latency = !total;
-      hops_per_layer = [| !count |];
-      latency_per_layer = [| !total |];
-      finished_at_layer = 1;
+      destination;
+      hops = List.rev r.path;
+      hop_count = r.count;
+      latency;
+      hops_per_layer;
+      latency_per_layer = r.lat;
+      finished_at_layer;
     }
 
-  let route_hops_only t ~origin ~key =
-    let owner = B.owner_of_key t ~key in
-    let current = ref origin in
-    let count = ref 0 in
-    let guard = B.guard t in
-    while !current <> owner do
-      if !count >= guard then failwith (B.name ^ ": routing did not terminate");
-      current := B.step t ~cur:!current ~key;
-      incr count
+  let tally per depth =
+    let n = ref 0 in
+    for k = 0 to depth - 1 do
+      n := !n + per.(k)
     done;
-    (!count, owner)
+    !n
 
-  let route_resilient ?(trace = Obs.Trace.disabled) ?(policy = default_policy) t ~is_alive ~origin
-      ~key =
+  (* ---- the fault-free walk ---------------------------------------------- *)
+
+  let rec global t per full ~key ~owner cur =
+    if cur <> owner then begin
+      let next = B.step t ~cur ~key in
+      note t per full ~layer:1 cur next;
+      global t per full ~key ~owner next
+    end
+
+  (* one layer's ring loop; returns where it stops *)
+  let rec ring t per full lr ~layer ~key cur =
+    let next = B.ring_step t lr ~cur ~key in
+    if next = cur then cur
+    else begin
+      note t per full ~layer cur next;
+      ring t per full lr ~layer ~key next
+    end
+
+  (* layers [layer .. 2], each followed by the owner check and the early
+     exit, then the global loop; returns the layer that finished *)
+  let rec descend t layers per full ~key ~owner ~layer cur =
+    if layer = 1 then begin
+      global t per full ~key ~owner cur;
+      1
+    end
+    else
+      let stop = ring t per full layers.(layer - 2) ~layer ~key cur in
+      if stop = owner then layer
+      else
+        match B.early_finish t ~cur:stop ~key with
+        | Some next ->
+            note t per full ~layer:1 stop next;
+            layer
+        | None -> descend t layers per full ~key ~owner ~layer:(layer - 1) stop
+
+  let walk t layers per full ~origin ~key ~owner =
+    let depth = Array.length layers + 1 in
+    if origin = owner then depth else descend t layers per full ~key ~owner ~layer:depth origin
+
+  let route ?(trace = Obs.Trace.disabled) t layers ~origin ~key =
+    let owner = B.owner_of_key t ~key in
+    let r = start trace layers ~origin ~key in
+    let per = Array.make (Array.length layers + 1) 0 in
+    let finished_at_layer = walk t layers per (Some r) ~origin ~key ~owner in
+    finish r ~origin ~key ~destination:owner ~hops_per_layer:per ~finished_at_layer
+
+  let route_hops ?into t layers ~origin ~key =
+    let depth = Array.length layers + 1 in
+    let per =
+      match into with
+      | Some a ->
+          if Array.length a < depth then
+            invalid_arg "Routing.Walk.route_hops: scratch buffer shorter than depth";
+          Array.fill a 0 depth 0;
+          a
+      | None -> Array.make depth 0
+    in
+    let owner = B.owner_of_key t ~key in
+    let finished_at = walk t layers per None ~origin ~key ~owner in
+    (tally per depth, per, owner, finished_at)
+
+  let route_hops_only t layers ~origin ~key =
+    let depth = Array.length layers + 1 in
+    let per = Array.make depth 0 in
+    let owner = B.owner_of_key t ~key in
+    ignore (walk t layers per None ~origin ~key ~owner);
+    (tally per depth, owner)
+
+  (* ---- the failure-aware walk ------------------------------------------- *)
+
+  type faults = {
+    is_alive : int -> bool;
+    policy : policy;
+    mutable retried : int;
+    mutable timed_out : int;
+    mutable fell_back : int;
+    mutable escaped : int;
+    mutable penalty : float;
+  }
+
+  let recover r kind ~layer ~at_node ~dead_node ~delay_ms =
+    if r.traced then
+      Obs.Trace.recover r.trace ~lookup:r.lid ~kind ~layer ~at_node ~dead_node ~delay_ms
+
+  let fallback r f ~layer at dead =
+    f.fell_back <- f.fell_back + 1;
+    recover r Obs.Trace.Fallback ~layer ~at_node:at ~dead_node:dead ~delay_ms:0.0
+
+  (* exhaust the full timeout + backoff schedule on a dead contact, then
+     fall back *)
+  let probe r f ~layer at dead =
+    f.timed_out <- f.timed_out + 1;
+    for k = 0 to f.policy.max_retries do
+      let d = attempt_delay f.policy k in
+      f.retried <- f.retried + 1;
+      f.penalty <- f.penalty +. d;
+      r.total.(0) <- r.total.(0) +. d;
+      recover r Obs.Trace.Retry ~layer ~at_node:at ~dead_node:dead ~delay_ms:d
+    done;
+    fallback r f ~layer at dead
+
+  let escape r f ~layer at =
+    f.escaped <- f.escaped + 1;
+    recover r Obs.Trace.Layer_escape ~layer ~at_node:at ~dead_node:at ~delay_ms:0.0
+
+  (* the first live candidate, probing each dead one before it *)
+  let rec first_live r f ~layer at = function
+    | [] -> None
+    | c :: rest ->
+        if f.is_alive c then Some c
+        else begin
+          probe r f ~layer at c;
+          first_live r f ~layer at rest
+        end
+
+  (* The heartbeat rule: the first live window entry stands in for the
+     successor. Dead entries are known dead without a probe. *)
+  let rec stand_in f = function
+    | [] -> None
+    | w :: rest -> if f.is_alive w then Some w else stand_in f rest
+
+  (* forward to the stand-in [s]: each dead window entry before it is a
+     fallback, charged nothing *)
+  let rec forward t per r f ~layer at s = function
+    | w :: rest when w <> s ->
+        fallback r f ~layer at w;
+        forward t per r f ~layer at s rest
+    | _ -> note t per (Some r) ~layer at s
+
+  (* the next hop when no covering stand-in ends the loop: the first live
+     candidate, else the stand-in; [None] when neither exists *)
+  let next_hop t per r f ~layer cur s win candidates =
+    match first_live r f ~layer cur candidates with
+    | Some next ->
+        note t per (Some r) ~layer cur next;
+        Some next
+    | None -> (
+        match s with
+        | Some s ->
+            forward t per r f ~layer cur s win;
+            Some s
+        | None -> None)
+
+  let rec global_live t per r f ~key ~target ~guard cur steps =
+    if cur = target then true
+    else if steps >= guard then false
+    else
+      let win = B.window t ~cur in
+      let s = stand_in f win in
+      let next =
+        match s with
+        | Some s when B.covers t ~cur ~upto:s ~key ->
+            forward t per r f ~layer:1 cur s win;
+            Some s
+        | _ -> next_hop t per r f ~layer:1 cur s win (B.candidates t ~cur ~key)
+      in
+      match next with
+      | Some next -> global_live t per r f ~key ~target ~guard next (steps + 1)
+      | None -> false (* locally partitioned: nothing live to forward to *)
+
+  (* one layer's ring loop under failures; a ring with no live route (or
+     past the step budget) is left early, a layer escape *)
+  let rec ring_live t per r f lr ~layer ~key ~guard cur steps =
+    let win = B.ring_window t lr ~cur in
+    let s = stand_in f win in
+    let covered = match s with Some s -> B.covers t ~cur ~upto:s ~key | None -> false in
+    if covered || B.ring_step t lr ~cur ~key = cur then cur
+    else
+      let next =
+        if steps >= guard then None
+        else next_hop t per r f ~layer cur s win (B.ring_candidates t lr ~cur ~key)
+      in
+      match next with
+      | Some next -> ring_live t per r f lr ~layer ~key ~guard next (steps + 1)
+      | None ->
+          escape r f ~layer cur;
+          cur
+
+  (* the early exit from a ring stop: to the covering stand-in, else to the
+     substrate's own exit if it is alive; returns the new position *)
+  let early_live t per r f ~key stop =
+    let win = B.window t ~cur:stop in
+    match stand_in f win with
+    | Some s when B.covers t ~cur:stop ~upto:s ~key ->
+        forward t per r f ~layer:1 stop s win;
+        s
+    | _ -> (
+        match B.early_finish t ~cur:stop ~key with
+        | Some next when f.is_alive next ->
+            note t per (Some r) ~layer:1 stop next;
+            next
+        | Some next ->
+            probe r f ~layer:1 stop next;
+            stop
+        | None -> stop)
+
+  let rec descend_live t layers per r f ~key ~target ~guard ~layer cur =
+    if layer = 1 then if global_live t per r f ~key ~target ~guard cur 0 then Some 1 else None
+    else
+      let stop = ring_live t per r f layers.(layer - 2) ~layer ~key ~guard cur 0 in
+      if stop = target then Some layer
+      else
+        let next = early_live t per r f ~key stop in
+        if next = target then Some layer
+        else descend_live t layers per r f ~key ~target ~guard ~layer:(layer - 1) next
+
+  let route_resilient ?(trace = Obs.Trace.disabled) ?(policy = default_policy) t layers ~is_alive
+      ~origin ~key =
     check_policy policy;
-    if not (is_alive origin) then invalid_arg (B.name ^ ".route_resilient: origin is dead");
-    let traced = Obs.Trace.enabled trace in
-    let lid =
-      if traced then Obs.Trace.start trace ~algo:B.name ~origin ~key:(Id.to_hex key) else 0
+    if not (is_alive origin) then invalid_arg (algo layers ^ ".route_resilient: origin is dead");
+    let depth = Array.length layers + 1 in
+    let r = start trace layers ~origin ~key in
+    let per = Array.make depth 0 in
+    let f =
+      { is_alive; policy; retried = 0; timed_out = 0; fell_back = 0; escaped = 0; penalty = 0.0 }
     in
-    let hops = ref [] in
-    let total = ref 0.0 in
-    let count = ref 0 in
-    let pos = ref origin in
-    let retries = ref 0 in
-    let timeouts = ref 0 in
-    let fallbacks = ref 0 in
-    let penalty = ref 0.0 in
-    let record from_node to_node =
-      let l = B.link_latency t from_node to_node in
-      if traced then
-        Obs.Trace.hop trace ~lookup:lid ~seq:!count ~layer:1 ~from_node ~to_node ~latency_ms:l;
-      hops := { from_node; to_node; latency = l; layer = 1 } :: !hops;
-      total := !total +. l;
-      incr count;
-      pos := to_node
-    in
-    (* exhaust the full timeout + backoff schedule on a dead preferred contact,
-       then record the fallback to the next candidate *)
-    let probe at dead =
-      timeouts := !timeouts + 1;
-      for k = 0 to policy.max_retries do
-        let d = attempt_delay policy k in
-        retries := !retries + 1;
-        penalty := !penalty +. d;
-        total := !total +. d;
-        if traced then
-          Obs.Trace.recover trace ~lookup:lid ~kind:Obs.Trace.Retry ~layer:1 ~at_node:at
-            ~dead_node:dead ~delay_ms:d
-      done;
-      fallbacks := !fallbacks + 1;
-      if traced then
-        Obs.Trace.recover trace ~lookup:lid ~kind:Obs.Trace.Fallback ~layer:1 ~at_node:at
-          ~dead_node:dead ~delay_ms:0.0
-    in
-    let dest_opt =
+    let finished =
       match B.live_owner t ~is_alive ~key with
       | None -> None
+      | Some target when target = origin -> Some depth
       | Some target ->
-          let guard = B.guard t in
-          let rec loop cur steps =
-            if cur = target then Some cur
-            else if steps > guard then None
-            else
-              let rec first_live = function
-                | [] -> None
-                | c :: rest ->
-                    if is_alive c then Some c
-                    else begin
-                      probe cur c;
-                      first_live rest
-                    end
-              in
-              match first_live (B.candidates t ~cur ~key) with
-              | None -> None (* locally partitioned: nothing live to forward to *)
-              | Some next ->
-                  record cur next;
-                  loop next (steps + 1)
-          in
-          loop origin 1
+          descend_live t layers per r f ~key ~target ~guard:(B.guard t) ~layer:depth origin
     in
-    if traced then
-      Obs.Trace.finish trace ~lookup:lid
-        ~destination:(Option.value ~default:!pos dest_opt)
-        ~hops:!count ~latency_ms:!total ~finished_at_layer:1;
-    let outcome =
-      Option.map
-        (fun destination ->
-          {
-            origin;
-            key;
-            destination;
-            hops = List.rev !hops;
-            hop_count = !count;
-            latency = !total;
-            hops_per_layer = [| !count |];
-            latency_per_layer = [| !total |];
-            finished_at_layer = 1;
-          })
-        dest_opt
+    let pos = match r.path with h :: _ -> h.to_node | [] -> origin in
+    let res =
+      finish r ~origin ~key ~destination:pos ~hops_per_layer:per
+        ~finished_at_layer:(Option.value finished ~default:1)
     in
     {
-      outcome;
-      retries = !retries;
-      timeouts = !timeouts;
-      fallbacks = !fallbacks;
-      layer_escapes = 0;
-      penalty_ms = !penalty;
+      outcome = Option.map (fun _ -> res) finished;
+      retries = f.retried;
+      timeouts = f.timed_out;
+      fallbacks = f.fell_back;
+      layer_escapes = f.escaped;
+      penalty_ms = f.penalty;
     }
+end
+
+module Extend (B : BASE) = struct
+  include B
+  module W = Walk (B)
+
+  let route ?trace t ~origin ~key = W.route ?trace t [||] ~origin ~key
+  let route_hops_only t ~origin ~key = W.route_hops_only t [||] ~origin ~key
+
+  let route_resilient ?trace ?policy t ~is_alive ~origin ~key =
+    W.route_resilient ?trace ?policy t [||] ~is_alive ~origin ~key
 end
 
 module Circle = struct

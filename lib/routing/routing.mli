@@ -1,11 +1,15 @@
-(** The unified routing core (ROADMAP "Unified routing core").
+(** The unified routing core: one walk for every substrate and depth.
 
-    Chord, Pastry, CAN and Tapestry each grew their own lookup plumbing;
-    this module extracts the contract they all satisfy into one set of
-    types and module signatures so that hierarchical layering
-    ({!Hieras.Make}), conformance testing and the cross-algorithm
-    tournament can be written once against {!S} instead of four times
-    against four APIs.
+    Chord, Pastry, CAN and Tapestry each provide the primitives of {!BASE}
+    (one greedy step, its failover candidates, the heartbeat window, and
+    ring-restricted variants over the rings of one HIERAS layer). {!Walk}
+    is the one routing walk over them, the paper's lookup (§3.2): a ring
+    loop per lower layer, from the most local one up, the substrate's early
+    exit between layers, then the global loop to the key's owner. With no
+    lower layers it is the substrate's flat greedy walk — flat routing is
+    HIERAS at depth 1. {!Extend} gives every flat substrate its
+    {!ROUTABLE} entry points from the walk, and [Hieras.Make] runs it over
+    locality rings it builds.
 
     Two levels of signature:
 
@@ -14,15 +18,12 @@
       failure-aware entry points plus the ownership oracles). Flat
       substrates and HIERAS-layered overlays both satisfy it, which is what
       lets the tournament treat "chord" and "hieras-over-can" as peers.
-    - {!BASE} is the {e provider} interface: the per-substrate primitive
-      step/candidate functions plus ring operations over the rings of one
-      HIERAS layer. {!Extend} derives a full {!S} (= {!BASE} + the
-      {!ROUTABLE} entry points) from it, and [Hieras.Make] layers locality
-      rings over any {!S}.
+    - {!BASE} is the {e provider} interface: the per-substrate primitives
+      the walk reads. {!S} is {!BASE} plus the flat entry points.
 
-    Determinism: nothing in this module draws randomness; every derived
-    route is a pure function of the substrate state and the key, so traces
-    and tournament matrices are byte-stable across runs and [--jobs]. *)
+    Determinism: nothing in this module draws randomness; every route is a
+    pure function of the substrate state and the key, so traces and
+    tournament matrices are byte-stable across runs and [--jobs]. *)
 
 (** {2 Shared result and policy types} *)
 
@@ -43,34 +44,36 @@ type result = {
 }
 
 type policy = {
-  rpc_timeout_ms : float;
-  max_retries : int;
-  backoff_base_ms : float;
-  backoff_mult : float;
-  succ_window : int;
+  rpc_timeout_ms : float;  (** charge for one timed-out contact attempt *)
+  max_retries : int;  (** extra attempts after the first timeout *)
+  backoff_base_ms : float;  (** wait before retry 1 *)
+  backoff_mult : float;  (** exponential factor; waits cap at the timeout *)
 }
-(** The failure-handling policy of resilient routing — identical in shape
-    and defaults to [Chord.Lookup.policy] (PR 5), so fault experiments can
-    carry one policy across all substrates. *)
+(** The failure-handling policy of the failure-aware walk, one for every
+    substrate. *)
 
 val default_policy : policy
-(** 500 ms timeout, 2 retries, 50 ms base backoff doubling, window 8. *)
+(** 500 ms timeout, 2 retries, 50 ms base backoff doubling per attempt. *)
 
 val check_policy : policy -> unit
-(** Raises [Invalid_argument] on an ill-formed policy. *)
+(** Raises [Invalid_argument] on an ill-formed policy (non-positive
+    timeout, negative retries or backoff, multiplier < 1). *)
 
 val attempt_delay : policy -> int -> float
-(** [attempt_delay p k] is the latency charged for contact attempt [k] on a
-    dead node: the plain timeout for [k = 0], timeout + capped exponential
-    backoff for retries — the same arithmetic as [Chord.Lookup]. *)
+(** [attempt_delay p k] is the latency charged for failed contact attempt
+    [k] (0-based): attempt 0 costs the bare timeout; attempt [k >= 1]
+    costs [min (backoff_base * mult^(k-1)) timeout + timeout]. *)
 
 type attempt = {
-  outcome : result option;  (** [None]: the lookup stalled (no live route) *)
-  retries : int;
-  timeouts : int;
-  fallbacks : int;
-  layer_escapes : int;  (** always 0 for flat substrates *)
-  penalty_ms : float;
+  outcome : result option;
+      (** [None] when the lookup stalled (no live route) or the overlay has
+          no live owner. The result's [latency] {e includes} [penalty_ms];
+          its hops and [latency_per_layer] carry link latency only. *)
+  retries : int;  (** timed-out contact attempts (= [Retry] events) *)
+  timeouts : int;  (** distinct dead contacts probed to exhaustion *)
+  fallbacks : int;  (** dead contacts abandoned for a secondary choice *)
+  layer_escapes : int;  (** early climbs out of rings with no live route; 0 when flat *)
+  penalty_ms : float;  (** total timeout + backoff latency charged *)
 }
 
 val num_dist : Hashid.Id.space -> Hashid.Id.t -> Hashid.Id.t -> float
@@ -115,15 +118,17 @@ module type ROUTABLE = sig
     origin:int ->
     key:Hashid.Id.t ->
     attempt
-  (** Failure-aware routing against a liveness oracle. With everyone alive
-      it follows {!route} hop-for-hop with zero penalty; under failures it
-      probes dead preferred contacts (charging the full retry schedule) and
-      falls back to secondary candidates. Raises [Invalid_argument] if the
-      origin is dead. *)
+  (** Failure-aware routing against a liveness oracle ({!Walk}'s rule).
+      With everyone alive it follows {!route} hop-for-hop with zero
+      penalty. It succeeds exactly when it reaches [live_owner]; a stalled
+      lookup's trace [End] event reports the stall position, so spans
+      always close. Raises [Invalid_argument] if the origin is dead or the
+      policy ill-formed. *)
 end
 
-(** The provider contract: one greedy step, its failover alternatives, and
-    ring-restricted variants of both over an arbitrary member subset. *)
+(** The provider contract: one greedy step, its failover alternatives, the
+    heartbeat window, and ring-restricted variants of each over an
+    arbitrary member subset. *)
 module type BASE = sig
   type t
 
@@ -149,10 +154,21 @@ module type BASE = sig
       [cur <> owner_of_key t ~key]. *)
 
   val candidates : t -> cur:int -> key:Hashid.Id.t -> int list
-  (** Liveness-blind failover order for one step: the head is exactly
-      {!step}'s choice, the tail the secondary contacts a resilient route
-      may fall back to. The head equality is what makes the derived
-      resilient route reproduce {!route} when everyone is alive. *)
+  (** Liveness-blind failover order for one step, probed in turn. With
+      everyone alive, {!step}'s choice is the first {!window} entry when it
+      {!covers} the key, else the head of this list, else the first window
+      entry — which is what makes the failure-aware walk reproduce the
+      fault-free one when everyone is alive. *)
+
+  val window : t -> cur:int -> int list
+  (** The heartbeat window on the global ring: the peers, in successor
+      order, whose death [cur] knows without probing — Chord's successor
+      list; empty for CAN, Pastry and Tapestry. *)
+
+  val covers : t -> cur:int -> upto:int -> key:Hashid.Id.t -> bool
+  (** The key lies on the arc ([cur], [upto]]: were the window entry
+      [upto] [cur]'s successor, it would own the key. Only asked of window
+      entries. *)
 
   type layer
   (** Routing state of one HIERAS layer: every ring of it, each restricted
@@ -168,8 +184,13 @@ module type BASE = sig
       layer can make no further progress — the ring walk's stop. *)
 
   val ring_candidates : t -> layer -> cur:int -> key:Hashid.Id.t -> int list
-  (** Failover order within [cur]'s ring; away from the stop, the head is
-      {!ring_step}'s choice. *)
+  (** Failover order within [cur]'s ring, as {!candidates} is on the global
+      ring. *)
+
+  val ring_window : t -> layer -> cur:int -> int list
+  (** The heartbeat window within [cur]'s ring (Chord: the ring-successor
+      chain, as long as the successor list); empty for CAN, Pastry and
+      Tapestry. *)
 
   val early_finish : t -> cur:int -> key:Hashid.Id.t -> int option
   (** The paper's between-layer early exit: [Some next] when [cur]'s global
@@ -177,7 +198,64 @@ module type BASE = sig
       then records one final layer-1 hop to [next] and stops. *)
 end
 
-(** A full routing implementation: substrate primitives + derived routes. *)
+(** The one routing walk over a substrate's primitives. [layers.(k)] is
+    the routing state of HIERAS layer [k + 2], so a walk over [layers] runs
+    at depth [Array.length layers + 1]; with no layers it is the flat walk.
+    The trace algo tag is [B.name] when flat, [B.layered_name] otherwise. *)
+module Walk (B : BASE) : sig
+  val route :
+    ?trace:Obs.Trace.t -> B.t -> B.layer array -> origin:int -> key:Hashid.Id.t -> result
+  (** Descend layers [depth .. 2] — each a ring loop over {!BASE.ring_step}
+      to its stop, then the owner check and {!BASE.early_finish} — then
+      loop {!BASE.step} to the owner on the global ring. Hops are tagged
+      with the layer whose state chose them (the early exit is a layer-1
+      hop); [finished_at_layer] is the layer whose loop reached the owner,
+      [depth] when the origin owns the key. Emits Start/Hop/End on an
+      enabled tracer. *)
+
+  val route_hops :
+    ?into:int array ->
+    B.t ->
+    B.layer array ->
+    origin:int ->
+    key:Hashid.Id.t ->
+    int * int array * int * int
+  (** [(hops, hops_per_layer, destination, finished_at_layer)] of exactly
+      {!route}'s walk, with no latency oracle, no trace and no hop list —
+      the same loop, told not to record. [into], when given (length >=
+      depth), is zeroed and used as the per-layer tally instead of
+      allocating one; the returned array is [into] itself. *)
+
+  val route_hops_only : B.t -> B.layer array -> origin:int -> key:Hashid.Id.t -> int * int
+  (** [(hops, destination)] of the same walk. *)
+
+  val route_resilient :
+    ?trace:Obs.Trace.t ->
+    ?policy:policy ->
+    B.t ->
+    B.layer array ->
+    is_alive:(int -> bool) ->
+    origin:int ->
+    key:Hashid.Id.t ->
+    attempt
+  (** The same walk against a liveness oracle, towards
+      {!BASE.live_owner}, with one substrate-specific rule: the heartbeat
+      window. At each node the first live window entry stands in for the
+      successor — dead entries before it are skipped without a probe, each
+      a [Fallback] event. When the stand-in covers the key it ends the
+      loop: a ring loop stops, the early exit hops to it, the global loop
+      makes its final hop. Otherwise the substrate decides: a ring loop
+      stops where {!BASE.ring_step} does, and the next hop is the first
+      live candidate — each dead one probed through the policy's full
+      retry schedule — or else the stand-in. A ring with neither climbs a
+      layer early ([Layer_escape]); the global ring with neither stalls.
+      The early exit without a covering stand-in is the substrate's own,
+      probed when dead. An origin that is the live owner takes 0 hops.
+      With an empty window this is the substrate's plain failover; with
+      everyone alive it is {!route} hop for hop, with zero penalty. *)
+end
+
+(** A flat routing implementation: substrate primitives + entry points. *)
 module type S = sig
   include BASE
 
@@ -195,18 +273,8 @@ module type S = sig
 end
 
 module Extend (B : BASE) : S with type t = B.t and type layer = B.layer
-(** Derive the {!ROUTABLE} entry points from the substrate primitives:
-
-    - [route] loops [step] until the owner, recording layer-1 hops with
-      Start/Hop/End trace events;
-    - [route_hops_only] is the same walk without accounting;
-    - [route_resilient] walks [candidates], charging the retry schedule for
-      each dead preferred contact, and succeeds exactly when it reaches
-      [live_owner] within the guard budget.
-
-    A substrate with a richer native implementation (Chord's PR 5
-    successor-list logic) includes [Extend] and shadows the entry points
-    with delegations. *)
+(** The {!ROUTABLE} entry points of a flat substrate: {!Walk} with no
+    layers. *)
 
 (** {2 Identifier-circle rings}
 

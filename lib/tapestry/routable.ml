@@ -23,6 +23,10 @@ module Base = struct
   let step t ~cur ~key = Network.next_on_path t ~path:(path_of t key) ~cur
   let candidates t ~cur ~key = Network.path_candidates t ~path:(path_of t key) ~cur
 
+  (* no heartbeat window: every dead contact is found by probing *)
+  let window _ ~cur:_ = []
+  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+
   (* A HIERAS ring over a Tapestry subset: members on the identifier circle,
      with prefix-group shortcuts — in-ring nodes matching one more digit of
      the key and numerically closer, proximity-closest first — and circle
@@ -58,6 +62,8 @@ module Base = struct
       match ring_candidates t layer ~cur ~key with
       | next :: _ -> next
       | [] -> cur (* unreachable: [toward] makes progress off the root *)
+
+  let ring_window _ _ ~cur:_ = []
 
   let early_finish _t ~cur:_ ~key:_ = None
 end

@@ -1,13 +1,16 @@
-(* Tests for the fault-injection layer and the failure-aware routers:
+(* Tests for the fault-injection layer and the failure-aware walk:
    schedule compilation (monotonicity, determinism, planned-population
-   replay, engine agreement), the resilient walks of both algorithms
-   (never end at a dead node; collapse to the plain walk when nobody is
-   dead; traces stay auditable under faults), and the golden resilience
-   report regression. *)
+   replay, engine agreement), the failure-aware walk over flat Chord and
+   over HIERAS at depths 2 and 3 (never ends at a dead node; collapses to
+   the plain walk when nobody is dead; every hop makes clockwise progress;
+   an origin that is the live owner takes no hop; traces stay auditable
+   under faults), and the golden resilience report regression. *)
 
 module Faults = Workload.Faults
 module Lookup = Chord.Lookup
 module Hlookup = Hieras.Hlookup
+module Routable = Chord.Routable
+module LChord = Hieras.Make (Chord.Routable)
 module Engine = Simnet.Engine
 module Analyze = Obs.Analyze
 module Trace = Obs.Trace
@@ -211,10 +214,13 @@ type scenario = {
   hnet : Hieras.Hnetwork.t;
   lat : Topology.Latency.t;
   nodes : int;
+  rc : Routable.t;
+  layered : LChord.t;
 }
 
 let scenario_cache : (int, scenario) Hashtbl.t = Hashtbl.create 8
 
+(* four scenarios, 48-105 nodes, at depths 2 and 3 alternately *)
 let scenario_of_seed seed =
   let variant = abs seed mod 4 in
   match Hashtbl.find_opt scenario_cache variant with
@@ -229,13 +235,40 @@ let scenario_of_seed seed =
       in
       let lm = Binning.Landmark.choose_spread lat ~count:4 rng in
       let hnet = Hieras.Hnetwork.build ~chord:net ~lat ~landmarks:lm ~depth () in
-      let s = { net; hnet; lat; nodes } in
+      let s =
+        {
+          net;
+          hnet;
+          lat;
+          nodes;
+          rc = Routable.make ~net ~lat;
+          layered = Hieras.Hnetwork.layered hnet;
+        }
+      in
       Hashtbl.add scenario_cache variant s;
       s
 
 let all_alive _ = true
 
-(* At failure fraction 0 the resilient walks must be the plain walks:
+(* a live origin drawn from [rng] *)
+let live_origin rng s alive =
+  let rec pick () =
+    let o = Prng.Rng.int rng s.nodes in
+    if alive.(o) then o else pick ()
+  in
+  pick ()
+
+(* seeded crashes of 10-50% of the nodes *)
+let crash_population s seed =
+  let frac = float_of_int (10 + (abs seed mod 41)) /. 100.0 in
+  let events =
+    Faults.compile ~nodes:s.nodes
+      [ Faults.Crash { at = 1.0; frac } ]
+      (Prng.Rng.create ~seed:(seed + 13))
+  in
+  Faults.population ~nodes:s.nodes ~at:10.0 events
+
+(* At failure fraction 0 the failure-aware walk must be the plain walk:
    identical results (polymorphic equality covers hops, latencies and
    per-layer attribution) and zero recovery activity. *)
 let fraction0_prop seed =
@@ -246,30 +279,30 @@ let fraction0_prop seed =
     let key = Hashid.Id.random Hashid.Id.sha1_space rng in
     let origin = Prng.Rng.int rng s.nodes in
     let plain = Lookup.route s.net s.lat ~origin ~key in
-    let a = Lookup.route_resilient s.net s.lat ~is_alive:all_alive ~origin ~key in
-    (match a.Lookup.outcome with
+    let a = Routable.route_resilient s.rc ~is_alive:all_alive ~origin ~key in
+    (match a.Routing.outcome with
     | Some r when r = plain -> ()
     | Some r ->
         fail "chord: resilient dest %d lat %g <> plain dest %d lat %g" r.Lookup.destination
           r.Lookup.latency plain.Lookup.destination plain.Lookup.latency
     | None -> fail "chord: resilient walk failed with everyone alive");
-    if a.Lookup.retries + a.Lookup.timeouts + a.Lookup.fallbacks <> 0 then
+    if a.Routing.retries + a.Routing.timeouts + a.Routing.fallbacks <> 0 then
       fail "chord: recovery activity with everyone alive";
-    if a.Lookup.penalty_ms <> 0.0 then fail "chord: penalty with everyone alive";
-    (match Lookup.live_owner s.net ~is_alive:all_alive ~key with
+    if a.Routing.penalty_ms <> 0.0 then fail "chord: penalty with everyone alive";
+    (match Routable.live_owner s.rc ~is_alive:all_alive ~key with
     | Some o when o = plain.Lookup.destination -> ()
     | Some o -> fail "live_owner %d <> plain destination %d" o plain.Lookup.destination
     | None -> fail "live_owner None with everyone alive");
     let hplain = Hlookup.route s.hnet ~origin ~key in
-    let ha = Hlookup.route_resilient s.hnet ~is_alive:all_alive ~origin ~key in
-    (match ha.Hlookup.outcome with
+    let ha = LChord.route_resilient s.layered ~is_alive:all_alive ~origin ~key in
+    (match ha.Routing.outcome with
     | Some r when r = hplain -> ()
     | Some r ->
         fail "hieras: resilient dest %d lat %g <> plain dest %d lat %g" r.Hlookup.destination
           r.Hlookup.latency hplain.Hlookup.destination hplain.Hlookup.latency
     | None -> fail "hieras: resilient walk failed with everyone alive");
     if
-      ha.Hlookup.retries + ha.Hlookup.timeouts + ha.Hlookup.fallbacks + ha.Hlookup.layer_escapes
+      ha.Routing.retries + ha.Routing.timeouts + ha.Routing.fallbacks + ha.Routing.layer_escapes
       <> 0
     then fail "hieras: recovery activity with everyone alive"
   done;
@@ -281,36 +314,24 @@ let test_fraction0_equivalence =
        QCheck.(int_range 0 100_000)
        fraction0_prop)
 
-(* Under a random crash pattern the resilient walks must never end a
+(* Under a random crash pattern the failure-aware walk must never end a
    successful lookup at a dead node, and Chord successes must land exactly
    on the live owner. *)
 let resilient_owner_prop seed =
   let s = scenario_of_seed seed in
   let rng = Prng.Rng.create ~seed in
   let fail fmt = QCheck.Test.fail_reportf fmt in
-  let frac = float_of_int (10 + (abs seed mod 41)) /. 100.0 in
-  let events =
-    Faults.compile ~nodes:s.nodes
-      [ Faults.Crash { at = 1.0; frac } ]
-      (Prng.Rng.create ~seed:(seed + 13))
-  in
-  let alive = Faults.population ~nodes:s.nodes ~at:10.0 events in
+  let alive = crash_population s seed in
   let is_alive i = alive.(i) in
   for _ = 1 to 5 do
     let key = Hashid.Id.random Hashid.Id.sha1_space rng in
-    let origin =
-      let rec pick () =
-        let o = Prng.Rng.int rng s.nodes in
-        if alive.(o) then o else pick ()
-      in
-      pick ()
-    in
-    let owner = Lookup.live_owner s.net ~is_alive ~key in
+    let origin = live_origin rng s alive in
+    let owner = Routable.live_owner s.rc ~is_alive ~key in
     (match owner with
     | Some o -> if not alive.(o) then fail "live_owner returned dead node %d" o
     | None -> fail "live_owner None with live nodes present");
-    let a = Lookup.route_resilient s.net s.lat ~is_alive ~origin ~key in
-    (match a.Lookup.outcome with
+    let a = Routable.route_resilient s.rc ~is_alive ~origin ~key in
+    (match a.Routing.outcome with
     | Some r ->
         if not alive.(r.Lookup.destination) then
           fail "chord: resilient walk ended at dead node %d" r.Lookup.destination;
@@ -318,8 +339,8 @@ let resilient_owner_prop seed =
           fail "chord: destination %d <> live owner %s" r.Lookup.destination
             (match owner with Some o -> string_of_int o | None -> "none")
     | None -> ());
-    let ha = Hlookup.route_resilient s.hnet ~is_alive ~origin ~key in
-    match ha.Hlookup.outcome with
+    let ha = LChord.route_resilient s.layered ~is_alive ~origin ~key in
+    match ha.Routing.outcome with
     | Some r ->
         if not alive.(r.Hlookup.destination) then
           fail "hieras: resilient walk ended at dead node %d" r.Hlookup.destination
@@ -334,7 +355,82 @@ let test_resilient_never_dead =
        QCheck.(int_range 0 100_000)
        resilient_owner_prop)
 
-(* Traced resilient lookups under faults must still satisfy the stream
+(* Forward progress under crashes, for flat Chord and for HIERAS at depths
+   2 and 3: on every successful failure-aware lookup each hop lands
+   clockwise in (from, live owner], each lower-layer hop (layer >= 2) lands
+   strictly before the key, and the walk ends at the live owner. A ring
+   walk that passes the key and circles its ring breaks the first two. *)
+let forward_progress_prop seed =
+  let s = scenario_of_seed seed in
+  let rng = Prng.Rng.create ~seed in
+  let alive = crash_population s seed in
+  let is_alive i = alive.(i) in
+  let id = Chord.Network.id s.net in
+  let check algo key owner (a : Routing.attempt) =
+    match a.Routing.outcome with
+    | None -> ()
+    | Some r ->
+        if r.Routing.destination <> owner then
+          QCheck.Test.fail_reportf "%s: success at %d, live owner %d" algo r.Routing.destination
+            owner;
+        List.iter
+          (fun (h : Routing.hop) ->
+            if not (Hashid.Id.in_oc (id h.to_node) ~lo:(id h.from_node) ~hi:(id owner)) then
+              QCheck.Test.fail_reportf "%s: layer-%d hop %d -> %d leaves (from, live owner %d]" algo
+                h.layer h.from_node h.to_node owner;
+            if h.layer >= 2 && not (Hashid.Id.in_oo (id h.to_node) ~lo:(id h.from_node) ~hi:key)
+            then
+              QCheck.Test.fail_reportf "%s: layer-%d hop %d -> %d passes the key" algo h.layer
+                h.from_node h.to_node)
+          r.Routing.hops
+  in
+  for _ = 1 to 5 do
+    let key = Hashid.Id.random Hashid.Id.sha1_space rng in
+    let origin = live_origin rng s alive in
+    match Routable.live_owner s.rc ~is_alive ~key with
+    | None -> ()
+    | Some owner ->
+        check "chord" key owner (Routable.route_resilient s.rc ~is_alive ~origin ~key);
+        check
+          (Printf.sprintf "hieras depth %d" (LChord.depth s.layered))
+          key owner
+          (LChord.route_resilient s.layered ~is_alive ~origin ~key)
+  done;
+  true
+
+let test_forward_progress =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"failure-aware hops progress clockwise to the live owner" ~count:40
+       QCheck.(int_range 0 100_000)
+       forward_progress_prop)
+
+(* An origin can be a key's live owner only because the key's owner, its
+   predecessor, is dead. The walk must see that at the origin and take no
+   hop, flat and at every depth. *)
+let test_owner_origin () =
+  List.iter
+    (fun variant ->
+      let s = scenario_of_seed variant in
+      for origin = 0 to s.nodes - 1 do
+        let pred = Chord.Network.predecessor s.net origin in
+        let is_alive i = i <> pred in
+        let key = Chord.Network.id s.net pred in
+        let zero_hops algo (a : Routing.attempt) =
+          match a.Routing.outcome with
+          | Some r when r.Routing.destination = origin && r.Routing.hop_count = 0 -> ()
+          | Some r ->
+              Alcotest.failf "%s: origin %d owns the key alive, walk took %d hops to %d" algo origin
+                r.Routing.hop_count r.Routing.destination
+          | None -> Alcotest.failf "%s: origin %d owns the key alive, walk stalled" algo origin
+        in
+        zero_hops "chord" (Routable.route_resilient s.rc ~is_alive ~origin ~key);
+        zero_hops
+          (Printf.sprintf "hieras depth %d" (LChord.depth s.layered))
+          (LChord.route_resilient s.layered ~is_alive ~origin ~key)
+      done)
+    [ 0; 1 ]
+
+(* Traced failure-aware lookups under faults must still satisfy the stream
    invariants: the analyzer audits hop-chain contiguity through retry and
    fallback events (a Recover event anchored off-chain is a violation),
    spans all close, and End latency = hop latencies + recovery penalties. *)
@@ -354,17 +450,11 @@ let resilient_trace_prop seed =
   let recover = ref 0 in
   for _ = 1 to 6 do
     let key = Hashid.Id.random Hashid.Id.sha1_space rng in
-    let origin =
-      let rec pick () =
-        let o = Prng.Rng.int rng s.nodes in
-        if alive.(o) then o else pick ()
-      in
-      pick ()
-    in
-    let a = Lookup.route_resilient ~trace:tr s.net s.lat ~is_alive ~origin ~key in
-    recover := !recover + a.Lookup.retries + a.Lookup.fallbacks;
-    let ha = Hlookup.route_resilient ~trace:tr s.hnet ~is_alive ~origin ~key in
-    recover := !recover + ha.Hlookup.retries + ha.Hlookup.fallbacks + ha.Hlookup.layer_escapes
+    let origin = live_origin rng s alive in
+    let a = Routable.route_resilient ~trace:tr s.rc ~is_alive ~origin ~key in
+    recover := !recover + a.Routing.retries + a.Routing.fallbacks;
+    let ha = LChord.route_resilient ~trace:tr s.layered ~is_alive ~origin ~key in
+    recover := !recover + ha.Routing.retries + ha.Routing.fallbacks + ha.Routing.layer_escapes
   done;
   let an = Analyze.create () in
   String.split_on_char '\n' (Buffer.contents buf) |> List.iter (Analyze.feed_line an);
@@ -393,26 +483,26 @@ let test_resilient_traces_audit =
 let test_policy_validation () =
   let s = scenario_of_seed 0 in
   let key = Hashid.Id.random Hashid.Id.sha1_space (Prng.Rng.create ~seed:5) in
-  let bad = { Lookup.default_policy with Lookup.rpc_timeout_ms = 0.0 } in
+  let bad = { Routing.default_policy with Routing.rpc_timeout_ms = 0.0 } in
   Alcotest.(check bool) "bad policy raises" true
     (try
-       ignore (Lookup.route_resilient ~policy:bad s.net s.lat ~is_alive:all_alive ~origin:0 ~key);
+       ignore (Routable.route_resilient ~policy:bad s.rc ~is_alive:all_alive ~origin:0 ~key);
        false
      with Invalid_argument _ -> true);
   let dead_origin i = i <> 0 in
   Alcotest.(check bool) "dead origin raises" true
     (try
-       ignore (Lookup.route_resilient s.net s.lat ~is_alive:dead_origin ~origin:0 ~key);
+       ignore (Routable.route_resilient s.rc ~is_alive:dead_origin ~origin:0 ~key);
        false
      with Invalid_argument _ -> true);
   (* attempt_delay: first attempt costs the timeout, later ones add capped backoff *)
-  let p = Lookup.default_policy in
-  Alcotest.(check (float 1e-9)) "attempt 0" p.Lookup.rpc_timeout_ms (Lookup.attempt_delay p 0);
+  let p = Routing.default_policy in
+  Alcotest.(check (float 1e-9)) "attempt 0" p.Routing.rpc_timeout_ms (Routing.attempt_delay p 0);
   Alcotest.(check (float 1e-9)) "attempt 1"
-    (p.Lookup.backoff_base_ms +. p.Lookup.rpc_timeout_ms)
-    (Lookup.attempt_delay p 1);
+    (p.Routing.backoff_base_ms +. p.Routing.rpc_timeout_ms)
+    (Routing.attempt_delay p 1);
   Alcotest.(check bool) "backoff capped at timeout" true
-    (Lookup.attempt_delay p 40 <= 2.0 *. p.Lookup.rpc_timeout_ms +. 1e-9)
+    (Routing.attempt_delay p 40 <= 2.0 *. p.Routing.rpc_timeout_ms +. 1e-9)
 
 (* --- golden resilience report -------------------------------------------------- *)
 
@@ -448,6 +538,9 @@ let () =
         [
           test_fraction0_equivalence;
           test_resilient_never_dead;
+          test_forward_progress;
+          Alcotest.test_case "an origin that is the live owner takes no hop" `Quick
+            test_owner_origin;
           test_resilient_traces_audit;
           Alcotest.test_case "policy and origin validation" `Quick test_policy_validation;
         ] );
