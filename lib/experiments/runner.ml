@@ -240,7 +240,6 @@ let latency_ratio m = Summary.mean m.hieras_latency /. Summary.mean m.chord_late
 let hop_overhead m = (Summary.mean m.hieras_hops /. Summary.mean m.chord_hops) -. 1.0
 let lower_hop_share m = Summary.mean m.lower_hops /. Summary.mean m.hieras_hops
 let lower_latency_share m = Summary.mean m.lower_latency /. Summary.mean m.hieras_latency
-let mean_link_latency_chord m = Summary.mean m.chord_latency /. Summary.mean m.chord_hops
 
 let mean_link_latency_lower m =
   let h = Summary.mean m.lower_hops in

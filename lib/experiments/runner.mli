@@ -98,6 +98,5 @@ val lower_hop_share : metrics -> float
 (** Fraction of HIERAS hops taken on lower layers. *)
 
 val lower_latency_share : metrics -> float
-val mean_link_latency_chord : metrics -> float
 val mean_link_latency_lower : metrics -> float
 val mean_link_latency_top : metrics -> float

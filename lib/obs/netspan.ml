@@ -140,7 +140,6 @@ let jsonl ?(ctx = "") ?(sample = 1.0) write =
   }
 
 let enabled t = match t.sink with Null -> false | Writer _ -> true
-let sample_rate t = t.sample
 
 let next_span t =
   match t.sink with

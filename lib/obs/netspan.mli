@@ -99,7 +99,6 @@ val jsonl : ?ctx:string -> ?sample:float -> (string -> unit) -> t
     keep rate. Raises [Invalid_argument] if [sample] is outside [0, 1]. *)
 
 val enabled : t -> bool
-val sample_rate : t -> float
 
 val next_span : t -> int
 (** Allocate the next span id (sequential from 0; 0 without allocation on

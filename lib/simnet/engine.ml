@@ -67,7 +67,6 @@ let attach_netspan t ns = t.ns <- ns
 let netspan t = t.ns
 
 let now t = t.clock
-let node_count t = Array.length t.alive
 let is_alive t n = t.alive.(n)
 
 (* kill/revive count transitions only: a fault schedule may (and does, when a

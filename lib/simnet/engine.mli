@@ -25,7 +25,6 @@ val create : latency:(int -> int -> float) -> nodes:int -> t
 val now : t -> float
 (** Current simulated time (ms). *)
 
-val node_count : t -> int
 val is_alive : t -> int -> bool
 val kill : t -> int -> unit
 (** Silent fail: pending deliveries and timers for the node are discarded on

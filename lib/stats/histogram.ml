@@ -78,11 +78,3 @@ let quantile t q =
      with Exit -> ());
     !result
   end
-
-let pp_rows ?(nonzero_only = false) fmt t =
-  let p = pdf t in
-  Array.iteri
-    (fun i v ->
-      if (not nonzero_only) || v > 0.0 then
-        Format.fprintf fmt "%10.2f  %.5f@." (bin_lo t i +. (t.width /. 2.0)) v)
-    p

@@ -39,6 +39,3 @@ val cdf : t -> float array
 val quantile : t -> float -> float
 (** [quantile t q] approximates the [q]-quantile (0..1) by linear
     interpolation within the containing bin. *)
-
-val pp_rows : ?nonzero_only:bool -> Format.formatter -> t -> unit
-(** One "lo value" row per bin of the PDF — the series a figure plots. *)

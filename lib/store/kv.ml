@@ -516,11 +516,6 @@ let entry_on t a key =
   | None -> None
   | Some st -> Option.map (fun it -> it.entry) (Hashtbl.find_opt st.items key)
 
-let keys_on t a =
-  match Hashtbl.find_opt t.nodes a with
-  | None -> []
-  | Some st -> Hashtbl.fold (fun k _ acc -> k :: acc) st.items [] |> List.sort Id.compare
-
 let items_live t =
   Hashtbl.fold
     (fun a st acc -> if t.sub.is_member a then acc + Hashtbl.length st.items else acc)

@@ -156,8 +156,6 @@ val holders : t -> Hashid.Id.t -> int list
     replica set the property suite compares against the oracle. *)
 
 val entry_on : t -> int -> Hashid.Id.t -> entry option
-val keys_on : t -> int -> Hashid.Id.t list
-(** Keys held by one node, ascending. *)
 
 val items_live : t -> int
 (** Entries across live members (a key on three nodes counts three). *)
