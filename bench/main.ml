@@ -467,19 +467,6 @@ let run_large_micro () =
 (* JSON trajectory output                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
   let cfg = bench_cfg () in
   let backend_name = Topology.Latency.backend_name !backend in
@@ -492,7 +479,8 @@ let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"label\": \"%s\",\n" (json_escape label);
+  add "  \"schema\": \"hieras-bench\",\n";
+  add "  \"label\": \"%s\",\n" (Obs.Jsonu.escape label);
   add "  \"timestamp\": %.0f,\n" (Unix.time ());
   add "  \"config\": {\n";
   add "    \"scale\": %g,\n" !scale;
@@ -508,21 +496,21 @@ let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
       add
         "    {\"id\": \"%s\", \"seconds\": %.3f, \"minor_words\": %.0f, \"major_words\": %.0f, \
          \"top_heap_words\": %d}%s\n"
-        (json_escape ft.fig_id) ft.seconds ft.minor_words ft.major_words ft.top_heap_words
+        (Obs.Jsonu.escape ft.fig_id) ft.seconds ft.minor_words ft.major_words ft.top_heap_words
         (if i = List.length figures - 1 then "" else ","))
     figures;
   add "  ],\n";
   let st = (oracle : Topology.Latency.stats) in
   add "  \"oracle\": {\n";
-  add "    \"backend\": \"%s\",\n" (json_escape st.Topology.Latency.backend);
+  add "    \"backend\": \"%s\",\n" (Obs.Jsonu.escape st.Topology.Latency.backend);
   add "    \"routers\": %d,\n" st.Topology.Latency.routers;
   add "    \"rows_computed\": %d,\n" st.Topology.Latency.rows_computed;
   add "    \"row_hits\": %d,\n" st.Topology.Latency.row_hits;
   add "    \"resident_bytes\": %d\n" st.Topology.Latency.resident_bytes;
   add "  },\n";
-  (* packed-network footprint + whole-run allocation totals; peak_rss_kb is
-     machine-dependent and deliberately NOT a compared metric (Analyze skips
-     it), the rest gate regressions lower-is-better *)
+  (* packed-network footprint + whole-run allocation totals; only the
+     footprint is gated: the totals include the bechamel section (iteration
+     counts are time-dependent) and peak_rss_kb is machine-dependent *)
   let chord_bytes, hieras_bytes = memory in
   let g = Gc.quick_stat () in
   add "  \"memory\": {\n";
@@ -536,11 +524,32 @@ let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
   add "  \"micro\": [\n";
   List.iteri
     (fun i (name, ns) ->
-      add "    {\"name\": \"%s\", \"ns_per_op\": %.2f}%s\n" (json_escape name) ns
+      add "    {\"name\": \"%s\", \"ns_per_op\": %.2f}%s\n" (Obs.Jsonu.escape name) ns
         (if i = List.length micro_results - 1 then "" else ","))
     micro_results;
   add "  ],\n";
-  add "  \"metrics\": %s\n" (Obs.Metrics.to_json (Obs.Metrics.snapshot registry));
+  add "  \"metrics\": %s,\n" (Obs.Metrics.to_json (Obs.Metrics.snapshot registry));
+  (* gated at the precision printed above, so the list agrees with the body *)
+  let printed fmt x = float_of_string (Printf.sprintf fmt x) in
+  let m = Obs.Gate.metric in
+  let gated =
+    List.map (fun (name, ns) -> m ("micro." ^ name ^ ".ns_per_op") "ns" (printed "%.2f" ns)) micro_results
+    @ List.concat_map
+        (fun ft ->
+          let fig name = m ("figure." ^ ft.fig_id ^ "." ^ name) in
+          [
+            fig "seconds" "s" (printed "%.3f" ft.seconds);
+            fig "minor_words" "words" (printed "%.0f" ft.minor_words);
+            fig "major_words" "words" (printed "%.0f" ft.major_words);
+            fig "top_heap_words" "words" (float_of_int ft.top_heap_words);
+          ])
+        figures
+    @ [
+        m "memory.chord_bytes_resident" "bytes" (float_of_int chord_bytes);
+        m "memory.hieras_bytes_resident" "bytes" (float_of_int hieras_bytes);
+      ]
+  in
+  add "  \"gated\": %s\n" (Obs.Gate.to_json gated);
   add "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);

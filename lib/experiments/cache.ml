@@ -452,17 +452,33 @@ let cell_json c =
     c.promotions c.pruned c.items_live c.evictions c.expirations c.hot_objects c.killed
     c.final_members
 
+(* Gated per algo x replication x skew cell: lookup latency, then
+   unavailability (an acknowledged object a get cannot reach is what the
+   store exists to prevent), miss rate and put failure rate. *)
+let gated r =
+  List.concat_map
+    (fun c ->
+      let name m =
+        Printf.sprintf "cache.%s.r%d.a%s.%s" c.algo c.replication (Obs.Jsonu.float_repr c.alpha) m
+      in
+      Obs.Gate.metric (name "latency_mean_ms") "ms" c.latency_mean_ms
+      :: Obs.Gate.failure_rate (name "unavailability") ~ok:c.served ~total:c.requests
+      @ Obs.Gate.failure_rate (name "miss_rate") ~ok:c.hits ~total:c.requests
+      @ Obs.Gate.failure_rate (name "put_failure_rate") ~ok:c.puts_acked ~total:c.puts)
+    r.cells
+
 let results_json r =
   let s = r.spec in
   let n = Obs.Jsonu.number in
   Printf.sprintf
-    {|{"schema":"hieras-cache","pool":%d,"objects":%d,"request_stream":%d,"replication":[%s],"alphas":[%s],"fault":"%s","fault_frac":%s,"cache_entries":%d,"cache_bytes":%d,"ttl_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"seed":%d,"cells":[%s]}|}
+    {|{"schema":"hieras-cache","pool":%d,"objects":%d,"request_stream":%d,"replication":[%s],"alphas":[%s],"fault":"%s","fault_frac":%s,"cache_entries":%d,"cache_bytes":%d,"ttl_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"seed":%d,"cells":[%s],"gated":%s}|}
     s.pool s.objects s.requests
     (String.concat "," (List.map string_of_int s.replication))
     (String.concat "," (List.map n s.alphas))
     (fault_name s.fault) (n s.fault_frac) s.cache_entries s.cache_bytes (n s.ttl_ms) (n s.loss)
     s.depth s.landmarks s.seed
     (String.concat "," (List.map cell_json r.cells))
+    (Obs.Gate.to_json (gated r))
 
 (* Cells are already in fixed (replication-major, then alpha, then algo)
    order, so the merged trace is byte-identical for any --jobs; cell_json

@@ -107,9 +107,10 @@ val export_registry : Obs.Metrics.t -> results -> unit
     [cache.<algo>.r<r>.a<alpha>.*]. *)
 
 val results_json : results -> string
-(** Deterministic single-line JSON, ["schema":"hieras-cache"] —
-    recognised by [Obs.Analyze.compare_files] and gated lower-is-better
-    on unavailability, miss rate and fetch latency. *)
+(** Deterministic single-line JSON, ["schema":"hieras-cache"], ending
+    with the {!Obs.Gate} list: per cell [cache.<algo>.r<r>.a<alpha>.]
+    [latency_mean_ms], [unavailability], [miss_rate] and
+    [put_failure_rate]. *)
 
 val net_trace : results -> string
 (** Concatenated per-cell message-span JSONL (empty unless

@@ -368,6 +368,23 @@ let ints_json a = "[" ^ String.concat "," (Array.to_list (Array.map string_of_in
 let floats_json a =
   "[" ^ String.concat "," (Array.to_list (Array.map Obs.Jsonu.number a)) ^ "]"
 
+(* Gated on the deterministic core only: hop statistics, segment counts,
+   resident bytes and agreement rates, never wall clock or RSS. *)
+let gated r =
+  let m = Obs.Gate.metric in
+  let count name n = m name "count" (float_of_int n) in
+  [
+    m "scale.chord.hops_mean" "hops" r.chord_hops_mean;
+    m "scale.chord.hops_max" "hops" r.chord_hops_max;
+    count "scale.chord.segments" r.chord_segments;
+    m "scale.chord.bytes_resident" "bytes" (float_of_int r.chord_bytes);
+    m "scale.hieras.hops_mean" "hops" r.hieras_hops_mean;
+    m "scale.hieras.hops_max" "hops" r.hieras_hops_max;
+    m "scale.hieras.bytes_resident" "bytes" (float_of_int r.hieras_bytes);
+  ]
+  @ Obs.Gate.failure_rate "scale.dest_mismatch_rate" ~ok:r.dest_match ~total:r.lookups
+  @ [ count "scale.cross.mismatches" r.cross_mismatches ]
+
 (* Deterministic results: structure + analytic distributions only — no wall
    times, no process stats — byte-identical for any --jobs and any machine.
    Golden: test/golden/scale_ts64.json. *)
@@ -375,7 +392,7 @@ let results_json r =
   let s = r.spec in
   let n = Obs.Jsonu.number in
   Printf.sprintf
-    {|{"schema":"hieras-scale","nodes":%d,"requests":%d,"landmarks":%d,"depth":%d,"succ_list_len":%d,"seed":%d,"ring_counts":%s,"chord":{"segments":%d,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s},"hieras":{"segments_per_layer":%s,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s,"layer_hop_pdf":[%s],"layer_hops_mean":%s,"finished_at":%s},"lookups":%d,"dest_match":%d,"cross":{"checked":%d,"mismatches":%d}}|}
+    {|{"schema":"hieras-scale","nodes":%d,"requests":%d,"landmarks":%d,"depth":%d,"succ_list_len":%d,"seed":%d,"ring_counts":%s,"chord":{"segments":%d,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s},"hieras":{"segments_per_layer":%s,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s,"layer_hop_pdf":[%s],"layer_hops_mean":%s,"finished_at":%s},"lookups":%d,"dest_match":%d,"cross":{"checked":%d,"mismatches":%d},"gated":%s}|}
     s.nodes s.requests s.landmarks s.depth s.succ_list_len s.seed (ints_json r.ring_counts)
     r.chord_segments r.chord_bytes (n r.chord_hops_mean) (n r.chord_hops_max)
     (ints_json r.chord_pdf)
@@ -386,6 +403,7 @@ let results_json r =
     (floats_json r.layer_hops_mean)
     (ints_json r.finished_at)
     r.lookups r.dest_match r.cross_checked r.cross_mismatches
+    (Obs.Gate.to_json (gated r))
 
 (* Perf snapshot: the deterministic core plus wall-clock, Gc and peak-RSS
    numbers — the BENCH_scale.json artifact. *)
@@ -395,12 +413,13 @@ let bench_json ?(label = "scale") r =
     if r.lookups = 0 then 0.0 else t *. 1e6 /. float_of_int r.lookups
   in
   Printf.sprintf
-    {|{"schema":"hieras-scale-bench","label":%s,"build_chord_s":%s,"build_hieras_s":%s,"replay_s":%s,"cross_s":%s,"us_per_op":%s,"gc":{"minor_words":%s,"major_words":%s,"top_heap_words":%d},"peak_rss_kb":%d,"results":%s}|}
+    {|{"schema":"hieras-scale-bench","label":%s,"build_chord_s":%s,"build_hieras_s":%s,"replay_s":%s,"cross_s":%s,"us_per_op":%s,"gc":{"minor_words":%s,"major_words":%s,"top_heap_words":%d},"peak_rss_kb":%d,"results":%s,"gated":%s}|}
     (Printf.sprintf "%S" label) (n r.build_chord_s) (n r.build_hieras_s) (n r.replay_s)
     (n r.cross_s)
     (n (us_per_op r.replay_s))
     (n r.gc_minor_words) (n r.gc_major_words) r.gc_top_heap_words r.peak_rss_kb
     (results_json r)
+    (Obs.Gate.to_json (gated r))
 
 let section r =
   let tbl =

@@ -93,12 +93,16 @@ val run :
 val results_json : result -> string
 (** One line, schema ["hieras-scale"]: structure + analytic distributions
     only — no wall times, no GC, no RSS — byte-identical for any pool width
-    and machine. Golden: [test/golden/scale_ts64.json]. *)
+    and machine. Golden: [test/golden/scale_ts64.json]. It ends with the
+    {!Obs.Gate} list: [scale.chord.] and [scale.hieras.] [hops_mean],
+    [hops_max] and [bytes_resident], [scale.chord.segments],
+    [scale.dest_mismatch_rate] and [scale.cross.mismatches]. *)
 
 val bench_json : ?label:string -> result -> string
 (** Schema ["hieras-scale-bench"]: build/replay wall times, µs per lookup,
     GC words, peak RSS, with {!results_json} embedded under ["results"] —
-    the [BENCH_scale.json] artifact. *)
+    the [BENCH_scale.json] artifact. It gates the same list as
+    {!results_json}, never a wall time. *)
 
 val section : result -> Report.section
 (** Human-readable summary table for [hieras_sim scale]. *)

@@ -96,9 +96,11 @@ val export_registry : Obs.Metrics.t -> results -> unit
 val results_json : results -> string
 (** Deterministic single-line object, [{"schema":"hieras-soak",...}] with
     one member per spec field and a ["cells"] array embedding each cell's
-    time series — the artifact `analyze compare` diffs and the soak golden
-    pins. The per-cell [net_trace] is deliberately {e not} embedded, so
-    the bytes do not depend on whether tracing ran. *)
+    time series — the artifact the soak golden pins. It ends with the
+    {!Obs.Gate} list: per cell [soak.<algo>.x<factor>.] [messages_per_s],
+    [maint_ops_per_s], [mean_convergence_ms], [lookup_failure_rate] and
+    [ring_bad_rate]. The per-cell [net_trace] is deliberately {e not}
+    embedded, so the bytes do not depend on whether tracing ran. *)
 
 val net_trace : results -> string
 (** The cells' message-span JSONL concatenated in cell order (factor-major,

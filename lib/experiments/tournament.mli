@@ -70,7 +70,10 @@ val run :
 
 val results_json : results -> string
 (** Deterministic single-line object, [{"schema":"hieras-tournament",...}],
-    fixed member and contestant order — the golden-gated artifact. *)
+    fixed member and contestant order — the golden-gated artifact. It ends
+    with the {!Obs.Gate} list: per contestant [tournament.<algo>.]
+    [hops_mean], [latency_mean], [stretch], and per schedule
+    [crash|outage.failure_rate] and [.penalty_ms]. *)
 
 val section : results -> Report.section
 (** Text-report rendering of the matrix. *)

@@ -756,6 +756,49 @@ let net_report_text r =
 
 (* ---- JSON rendering ---------------------------------------------------- *)
 
+(* The gated metrics, all lower-is-better. The four recover quantities are
+   gated even when the report omits its recover block, so a healthy base
+   still catches a candidate that starts recovering. *)
+let report_gated r =
+  Gate.metric "violations" "count" (float_of_int r.violations)
+  :: List.concat_map
+       (fun ar ->
+         let m name = Gate.metric (ar.algo ^ "." ^ name) in
+         let count name n = m name "count" (float_of_int n) in
+         [
+           m "hops.mean" "hops" ar.hops_mean;
+           m "latency_ms.mean" "ms" ar.latency_mean_ms;
+           m "latency_ms.max" "ms" ar.latency_max_ms;
+           m "forwarding.gini" "ratio" ar.gini;
+           count "recover.retries" ar.recover.retries;
+           count "recover.fallbacks" ar.recover.fallbacks;
+           count "recover.layer_escapes" ar.recover.layer_escapes;
+           m "recover.penalty_ms" "ms" ar.recover.penalty_ms;
+         ])
+       r.algos
+
+(* Maintenance traffic is the net report's gate: a change that makes upkeep
+   chattier shows as a count regression at equal run length. Every kind is
+   gated, zero counts included. *)
+let net_report_gated r =
+  let m = Gate.metric in
+  let count name n = m name "count" (float_of_int n) in
+  let kind_count k =
+    List.fold_left (fun n s -> if s.k_kind = Netspan.kind_name k then s.k_count else n) 0 r.n_kinds
+  in
+  [
+    count "net.violations" r.n_violations;
+    count "net.drops.dead" r.n_drops_dead;
+    count "net.drops.loss" r.n_drops_loss;
+    m "net.depth.mean" "hops" r.n_depth_mean;
+    m "net.bandwidth.gini" "ratio" r.n_gini;
+    m "net.bandwidth.imbalance" "ratio" r.n_imbalance;
+  ]
+  @ List.map (fun c -> m ("net.classes." ^ c.c_class ^ ".byte_share") "ratio" c.c_byte_share) r.n_classes
+  @ List.map
+      (fun k -> count ("net.kinds." ^ Netspan.kind_name k ^ ".count") (kind_count k))
+      Netspan.all_kinds
+
 let hist_json h =
   let buf = Buffer.create 128 in
   Buffer.add_char buf '[';
@@ -823,7 +866,7 @@ let report_json r =
              (Jsonu.number ar.recover.penalty_ms));
       Buffer.add_char buf '}')
     r.algos;
-  Buffer.add_string buf "}}";
+  Buffer.add_string buf (Printf.sprintf {|},"gated":%s}|} (Gate.to_json (report_gated r)));
   Buffer.contents buf
 
 let net_report_json r =
@@ -859,357 +902,5 @@ let net_report_json r =
       Buffer.add_string buf
         (Printf.sprintf "[%d,%d,%d,%s]" b.b_node b.b_msgs b.b_bytes (Jsonu.number b.b_byte_share)))
     r.n_top;
-  Buffer.add_string buf "]}}";
+  Buffer.add_string buf (Printf.sprintf {|]},"gated":%s}|} (Gate.to_json (net_report_gated r)));
   Buffer.contents buf
-
-(* ---- compare mode ------------------------------------------------------ *)
-
-type cmp_row = { metric : string; base : float; cand : float; delta : float }
-type comparison = { kind : string; threshold : float; rows : cmp_row list; regressions : cmp_row list }
-
-let delta_of base cand =
-  if base = 0.0 then if cand = 0.0 then 0.0 else infinity else (cand -. base) /. base
-
-(* Flatten a parsed report/bench JSON into (metric, value) pairs; comparing
-   two files is then a join on metric name. *)
-let metrics_of_trace_report j =
-  let num path v acc = match Jsonu.to_float v with Some f -> (path, f) :: acc | None -> acc in
-  let acc = match Jsonu.member "violations" j with Some v -> num "violations" v [] | None -> [] in
-  let acc =
-    match Jsonu.member "algos" j with
-    | Some (Jsonu.Obj algos) ->
-        List.fold_left
-          (fun acc (algo, aj) ->
-            let pick acc names =
-              List.fold_left
-                (fun acc (label, path) ->
-                  let rec dig j = function
-                    | [] -> Some j
-                    | k :: rest -> Option.bind (Jsonu.member k j) (fun v -> dig v rest)
-                  in
-                  match dig aj path with
-                  | Some v -> num (algo ^ "." ^ label) v acc
-                  | None -> acc)
-                acc names
-            in
-            pick acc
-              [
-                ("hops.mean", [ "hops"; "mean" ]);
-                ("latency_ms.mean", [ "latency_ms"; "mean" ]);
-                ("latency_ms.max", [ "latency_ms"; "max" ]);
-                ("forwarding.gini", [ "forwarding"; "gini" ]);
-                ("recover.retries", [ "recover"; "retries" ]);
-                ("recover.fallbacks", [ "recover"; "fallbacks" ]);
-                ("recover.layer_escapes", [ "recover"; "layer_escapes" ]);
-                ("recover.penalty_ms", [ "recover"; "penalty_ms" ]);
-              ])
-          acc algos
-    | _ -> acc
-  in
-  List.rev acc
-
-let metrics_of_bench j =
-  let acc =
-    match Jsonu.member "micro" j with
-    | Some (Jsonu.Arr rows) ->
-        List.fold_left
-          (fun acc row ->
-            match (Jsonu.member "name" row, Jsonu.member "ns_per_op" row) with
-            | Some name, Some v -> (
-                match (Jsonu.to_string name, Jsonu.to_float v) with
-                | Some n, Some f -> (("micro." ^ n ^ ".ns_per_op"), f) :: acc
-                | _ -> acc)
-            | _ -> acc)
-          [] rows
-    | _ -> []
-  in
-  let acc =
-    match Jsonu.member "figures" j with
-    | Some (Jsonu.Arr rows) ->
-        List.fold_left
-          (fun acc row ->
-            match Option.bind (Jsonu.member "id" row) Jsonu.to_string with
-            | None -> acc
-            | Some n ->
-                List.fold_left
-                  (fun acc field ->
-                    match Option.bind (Jsonu.member field row) Jsonu.to_float with
-                    | Some f -> (("figure." ^ n ^ "." ^ field), f) :: acc
-                    | None -> acc)
-                  acc
-                  [ "seconds"; "minor_words"; "major_words"; "top_heap_words" ])
-          acc rows
-    | _ -> acc
-  in
-  (* packed-network footprint gates like any other metric; the whole-run GC
-     totals and peak_rss_kb stay informational — the totals include the
-     bechamel section (iteration counts are time-dependent) and RSS is
-     machine-dependent *)
-  let acc =
-    match Jsonu.member "memory" j with
-    | Some mem ->
-        List.fold_left
-          (fun acc field ->
-            match Option.bind (Jsonu.member field mem) Jsonu.to_float with
-            | Some f -> (("memory." ^ field), f) :: acc
-            | None -> acc)
-          acc
-          [ "chord_bytes_resident"; "hieras_bytes_resident" ]
-    | None -> acc
-  in
-  List.rev acc
-
-(* Soak reports compare per cell; every extracted metric is lower-is-better
-   (failure rates rather than success rates), matching delta_of. *)
-let metrics_of_soak j =
-  match Jsonu.member "cells" j with
-  | Some (Jsonu.Arr cells) ->
-      List.concat_map
-        (fun cell ->
-          match (Jsonu.member "algo" cell, Jsonu.member "factor" cell) with
-          | Some algo, Some factor -> (
-              match (Jsonu.to_string algo, Jsonu.to_float factor) with
-              | Some algo, Some factor ->
-                  let prefix = Printf.sprintf "soak.%s.x%s" algo (Jsonu.float_repr factor) in
-                  let num name =
-                    Option.bind (Jsonu.member name cell) Jsonu.to_float
-                  in
-                  let direct =
-                    List.filter_map
-                      (fun name ->
-                        Option.map (fun v -> (prefix ^ "." ^ name, v)) (num name))
-                      [ "messages_per_s"; "maint_ops_per_s"; "mean_convergence_ms" ]
-                  in
-                  let failure_rate ~ok ~total name =
-                    match (num ok, num total) with
-                    | Some ok, Some total when total > 0.0 ->
-                        [ (prefix ^ "." ^ name, 1.0 -. (ok /. total)) ]
-                    | _ -> []
-                  in
-                  direct
-                  @ failure_rate ~ok:"lookups_ok" ~total:"lookups_issued"
-                      "lookup_failure_rate"
-                  @ failure_rate ~ok:"ring_ok" ~total:"ring_checks" "ring_bad_rate"
-              | _ -> [])
-          | _ -> [])
-        cells
-  | _ -> []
-
-(* Scale runs compare on the deterministic core only — hop statistics, arena
-   segment counts, resident bytes, agreement rates. Wall clock, GC and RSS
-   never enter (machine-dependent); a scale-bench artifact is compared
-   through its embedded ["results"] object. *)
-let metrics_of_scale j =
-  let j = match Jsonu.member "results" j with Some r -> r | None -> j in
-  let num path label acc =
-    let rec dig v = function
-      | [] -> Jsonu.to_float v
-      | k :: rest -> Option.bind (Jsonu.member k v) (fun v -> dig v rest)
-    in
-    match dig j path with Some f -> (label, f) :: acc | None -> acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc algo ->
-        List.fold_left
-          (fun acc field ->
-            num [ algo; field ] (Printf.sprintf "scale.%s.%s" algo field) acc)
-          acc
-          [ "hops_mean"; "hops_max"; "segments"; "bytes_resident" ])
-      [] [ "chord"; "hieras" ]
-  in
-  let acc =
-    match
-      ( Option.bind (Jsonu.member "dest_match" j) Jsonu.to_float,
-        Option.bind (Jsonu.member "lookups" j) Jsonu.to_float )
-    with
-    | Some m, Some l when l > 0.0 -> ("scale.dest_mismatch_rate", 1.0 -. (m /. l)) :: acc
-    | _ -> acc
-  in
-  let acc = num [ "cross"; "mismatches" ] "scale.cross.mismatches" acc in
-  List.rev acc
-
-(* Tournament matrices compare per contestant: baseline means and stretch,
-   plus failure rates and recovery penalty under each fault schedule — all
-   lower-is-better, so the generic threshold logic applies unchanged. *)
-let metrics_of_tournament j =
-  match Jsonu.member "contestants" j with
-  | Some (Jsonu.Arr entries) ->
-      let lookups =
-        Option.bind (Jsonu.member "requests" j) Jsonu.to_float |> Option.value ~default:0.0
-      in
-      List.concat_map
-        (fun e ->
-          match Option.bind (Jsonu.member "algo" e) Jsonu.to_string with
-          | None -> []
-          | Some algo ->
-              let prefix = "tournament." ^ algo in
-              let num k = Option.bind (Jsonu.member k e) Jsonu.to_float in
-              let direct =
-                List.filter_map
-                  (fun name -> Option.map (fun v -> (prefix ^ "." ^ name, v)) (num name))
-                  [ "hops_mean"; "latency_mean"; "stretch" ]
-              in
-              let fault name =
-                match Jsonu.member name e with
-                | Some f ->
-                    let fnum k = Option.bind (Jsonu.member k f) Jsonu.to_float in
-                    let rate =
-                      match fnum "succeeded" with
-                      | Some ok when lookups > 0.0 ->
-                          [ (Printf.sprintf "%s.%s.failure_rate" prefix name, 1.0 -. (ok /. lookups)) ]
-                      | _ -> []
-                    in
-                    let penalty =
-                      match fnum "penalty_ms" with
-                      | Some p -> [ (Printf.sprintf "%s.%s.penalty_ms" prefix name, p) ]
-                      | None -> []
-                    in
-                    rate @ penalty
-                | None -> []
-              in
-              direct @ fault "crash" @ fault "outage")
-        entries
-  | _ -> []
-
-(* Netspan reports gate on maintenance traffic: per-kind message counts and
-   class byte shares are the "how much does upkeep cost" metrics — a change
-   that makes stabilization chattier shows up as a count regression at equal
-   run length. Everything extracted is lower-is-better. *)
-let metrics_of_netspan j =
-  let num label path acc =
-    let rec dig v = function
-      | [] -> Jsonu.to_float v
-      | k :: rest -> Option.bind (Jsonu.member k v) (fun v -> dig v rest)
-    in
-    match dig j path with Some f -> (label, f) :: acc | None -> acc
-  in
-  let acc = num "net.violations" [ "violations" ] [] in
-  let acc = num "net.drops.dead" [ "drops"; "dead" ] acc in
-  let acc = num "net.drops.loss" [ "drops"; "loss" ] acc in
-  let acc = num "net.depth.mean" [ "depth"; "mean" ] acc in
-  let acc = num "net.bandwidth.gini" [ "bandwidth"; "gini" ] acc in
-  let acc = num "net.bandwidth.imbalance" [ "bandwidth"; "imbalance" ] acc in
-  let acc =
-    List.fold_left
-      (fun acc cls ->
-        num (Printf.sprintf "net.classes.%s.byte_share" cls) [ "classes"; cls; "byte_share" ] acc)
-      acc
-      [ "maint"; "lookup"; "join"; "store"; "other" ]
-  in
-  let acc =
-    match Jsonu.member "kinds" j with
-    | Some (Jsonu.Obj kinds) ->
-        List.fold_left
-          (fun acc (kname, kj) ->
-            match Option.bind (Jsonu.member "count" kj) Jsonu.to_float with
-            | Some f -> (Printf.sprintf "net.kinds.%s.count" kname, f) :: acc
-            | None -> acc)
-          acc kinds
-    | _ -> acc
-  in
-  List.rev acc
-
-(* Cache runs compare per cell, keyed by algo × replication factor × zipf
-   skew. Unavailability is the headline gate (an acknowledged object that a
-   get cannot reach is the regression the storage layer exists to prevent);
-   miss rate and lookup latency ride along. All lower-is-better. *)
-let metrics_of_cache j =
-  match Jsonu.member "cells" j with
-  | Some (Jsonu.Arr cells) ->
-      List.concat_map
-        (fun cell ->
-          match
-            ( Option.bind (Jsonu.member "algo" cell) Jsonu.to_string,
-              Option.bind (Jsonu.member "replication" cell) Jsonu.to_float,
-              Option.bind (Jsonu.member "alpha" cell) Jsonu.to_float )
-          with
-          | Some algo, Some r, Some alpha ->
-              let prefix =
-                Printf.sprintf "cache.%s.r%d.a%s" algo (int_of_float r) (Jsonu.float_repr alpha)
-              in
-              let num name = Option.bind (Jsonu.member name cell) Jsonu.to_float in
-              let direct =
-                List.filter_map
-                  (fun name -> Option.map (fun v -> (prefix ^ "." ^ name, v)) (num name))
-                  [ "latency_mean_ms" ]
-              in
-              let failure_rate ~ok ~total name =
-                match (num ok, num total) with
-                | Some ok, Some total when total > 0.0 ->
-                    [ (prefix ^ "." ^ name, 1.0 -. (ok /. total)) ]
-                | _ -> []
-              in
-              direct
-              @ failure_rate ~ok:"served" ~total:"requests" "unavailability"
-              @ failure_rate ~ok:"hits" ~total:"requests" "miss_rate"
-              @ failure_rate ~ok:"puts_acked" ~total:"puts" "put_failure_rate"
-          | _ -> [])
-        cells
-  | _ -> []
-
-let classify j =
-  match Jsonu.member "schema" j with
-  | Some (Jsonu.Str "hieras-trace-report") -> Ok "trace-report"
-  | Some (Jsonu.Str "hieras-netspan") -> Ok "netspan"
-  | Some (Jsonu.Str "hieras-soak") -> Ok "soak"
-  | Some (Jsonu.Str "hieras-cache") -> Ok "cache"
-  | Some (Jsonu.Str "hieras-scale") | Some (Jsonu.Str "hieras-scale-bench") -> Ok "scale"
-  | Some (Jsonu.Str "hieras-tournament") -> Ok "tournament"
-  | _ -> if Jsonu.member "micro" j <> None then Ok "bench" else Error "unrecognised report"
-
-let load_json path =
-  match In_channel.with_open_bin path In_channel.input_all |> Jsonu.parse with
-  | Ok j -> Ok j
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | exception Sys_error msg -> Error msg
-
-let compare_files ~base ~cand ~threshold =
-  match (load_json base, load_json cand) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok bj, Ok cj -> (
-      match (classify bj, classify cj) with
-      | Error e, _ -> Error (Printf.sprintf "%s: %s" base e)
-      | _, Error e -> Error (Printf.sprintf "%s: %s" cand e)
-      | Ok bk, Ok ck when bk <> ck ->
-          Error (Printf.sprintf "cannot compare a %s against a %s" bk ck)
-      | Ok kind, Ok _ ->
-          let extract =
-            match kind with
-            | "bench" -> metrics_of_bench
-            | "soak" -> metrics_of_soak
-            | "cache" -> metrics_of_cache
-            | "scale" -> metrics_of_scale
-            | "tournament" -> metrics_of_tournament
-            | "netspan" -> metrics_of_netspan
-            | _ -> metrics_of_trace_report
-          in
-          let bm = extract bj and cm = extract cj in
-          let rows =
-            List.filter_map
-              (fun (metric, base) ->
-                match List.assoc_opt metric cm with
-                | Some cand -> Some { metric; base; cand; delta = delta_of base cand }
-                | None -> None)
-              bm
-          in
-          if rows = [] then Error "no common metrics to compare"
-          else
-            Ok
-              {
-                kind;
-                threshold;
-                rows;
-                regressions = List.filter (fun r -> r.delta > threshold) rows;
-              })
-
-let comparison_text c =
-  let tbl = Stats.Text_table.create [ "metric"; "base"; "candidate"; "delta"; "" ] in
-  List.iter
-    (fun r ->
-      let flag = if r.delta > c.threshold then "REGRESSION" else "" in
-      Stats.Text_table.add_row tbl
-        [ r.metric; fmt_f r.base; fmt_f r.cand; fmt_pct r.delta; flag ])
-    c.rows;
-  Printf.sprintf "%s comparison (threshold %s)\n%s%d regression(s)\n" c.kind
-    (fmt_pct c.threshold) (Stats.Text_table.render tbl) (List.length c.regressions)

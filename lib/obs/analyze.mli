@@ -4,9 +4,9 @@
     module turns those streams back into answers — the per-layer latency
     attribution of the paper's Figures 4–7, hop/latency distributions,
     per-node forwarding hotspots and load imbalance, and ring-residency
-    statistics — without re-running the experiment. It also diffs two
-    analysis reports (or two [BENCH_*.json] performance snapshots) and
-    flags regressions, which is what the CI perf gate runs.
+    statistics — without re-running the experiment. Both JSON reports
+    end with a {!Gate} list, so [analyze compare] gates them like any
+    other artifact.
 
     Everything is computed in one streaming pass ({!feed_line} /
     {!of_file} read line by line; the trace never resides in memory) and
@@ -110,7 +110,10 @@ val report_json : report -> string
     render as sparse [[bin_lo, count]] pairs. The per-algo ["recover"]
     object only appears when at least one recovery was counted, so
     reports over healthy traces are byte-identical to pre-resilience
-    ones. *)
+    ones. The closing ["gated"] list ({!Gate}) holds [violations] and,
+    per algo, the hop and latency means, the latency max, the
+    forwarding gini and the four [recover.*] quantities, zeros
+    included. *)
 
 (** {2 Net (message-span) reports}
 
@@ -170,53 +173,7 @@ val net_report_text : net_report -> string
 
 val net_report_json : net_report -> string
 (** Deterministic single-line JSON, ["schema":"hieras-netspan"]
-    (DESIGN.md §14). *)
-
-(** {2 Compare mode} *)
-
-type cmp_row = {
-  metric : string;
-  base : float;
-  cand : float;
-  delta : float;  (** (cand - base) / base; +inf when base = 0 < cand *)
-}
-
-type comparison = {
-  kind : string;
-      (** ["trace-report"], ["netspan"], ["bench"], ["soak"], ["cache"],
-          ["scale"] or ["tournament"] *)
-  threshold : float;
-  rows : cmp_row list;  (** every metric present in both inputs *)
-  regressions : cmp_row list;
-      (** rows whose [delta] exceeds the threshold — all compared metrics
-          are lower-is-better (latency, hops, ns/op, seconds, gini,
-          violations) *)
-}
-
-val compare_files : base:string -> cand:string -> threshold:float -> (comparison, string) result
-(** Load two JSON files and diff them. Both must be the same kind: trace
-    reports ({!report_json} output, recognised by
-    ["schema":"hieras-trace-report"]), soak results (recognised by
-    ["schema":"hieras-soak"] — compared per cell on message/maintenance
-    rates, mean convergence time, and lookup/ring {e failure} rates so
-    every metric stays lower-is-better), bench snapshots ([BENCH_*.json],
-    recognised by their ["micro"] array — compared on micro ns/op,
-    per-figure seconds and GC words, and packed-network
-    ["memory".*_bytes_resident]; whole-run GC totals and [peak_rss_kb]
-    stay informational), or scale runs (["hieras-scale"] /
-    ["hieras-scale-bench"] — compared on the deterministic core: hop
-    statistics, segment counts, resident bytes and agreement rates,
-    never wall clock or RSS), or tournament matrices
-    (["hieras-tournament"] — compared per contestant on baseline
-    hops/latency/stretch plus per-schedule lookup {e failure} rates and
-    recovery penalty, all lower-is-better), or netspan reports
-    (["hieras-netspan"] — compared on violations, drops, causal depth,
-    bandwidth gini/imbalance, class byte shares and per-kind message
-    counts: the maintenance-rate gate), or cache runs
-    (["hieras-cache"] — compared per algo × replication × skew cell on
-    unavailability, miss rate, put failure rate and lookup latency, all
-    lower-is-better: the data-availability gate). *)
-
-val comparison_text : comparison -> string
-(** Aligned table of metric, base, candidate, delta — regressions
-    flagged. *)
+    (DESIGN.md §14). The closing ["gated"] list ({!Gate}) holds
+    violations, drops, mean causal depth, bandwidth gini and imbalance,
+    the class byte shares and every kind's message count, zeros
+    included. *)

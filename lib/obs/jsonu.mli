@@ -1,9 +1,10 @@
 (** JSON emission and parsing helpers for the observability layer.
 
     Emission serves the metrics/trace renderers; the parser exists for
-    {!Analyze}, which consumes the JSONL trace streams and [BENCH_*.json]
-    reports the emitters produced. It is a small, strict recursive-descent
-    parser over the full JSON grammar — no dependency needed. *)
+    {!Analyze}, which consumes the JSONL trace streams, and {!Gate}, which
+    reads the artifacts [analyze compare] diffs. It is a small, strict
+    recursive-descent parser over the full JSON grammar — no dependency
+    needed. *)
 
 val escape : string -> string
 (** Escape a string for embedding between JSON double quotes (the quotes

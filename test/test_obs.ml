@@ -641,6 +641,11 @@ let test_analyze_audit_detects_corruption () =
   Analyze.feed_line an "";
   Alcotest.(check int) "blank lines ignored" 0 (Analyze.report an).Analyze.events
 
+module Gate = Obs.Gate
+module Golden = Obs_test_support.Golden
+
+let parse_json s = match Obs.Jsonu.parse s with Ok j -> j | Error e -> Alcotest.fail e
+
 let with_temp_file content f =
   let path = Filename.temp_file "analyze_test" ".json" in
   Fun.protect
@@ -668,45 +673,151 @@ let test_analyze_compare () =
   let slower = report_of (span ~lookup:0 ~lat:150.0) in
   with_temp_file base (fun b ->
       with_temp_file slower (fun c ->
-          match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
+          match Gate.compare_files ~base:b ~cand:c ~threshold:0.2 with
           | Error e -> Alcotest.fail e
           | Ok cmp ->
-              Alcotest.(check string) "kind" "trace-report" cmp.Analyze.kind;
-              let reg = List.map (fun r -> r.Analyze.metric) cmp.Analyze.regressions in
+              Alcotest.(check string) "kind" "hieras-trace-report" cmp.Gate.schema;
+              let reg = List.map (fun r -> r.Gate.metric) cmp.Gate.regressions in
               Alcotest.(check bool) "latency regression flagged" true
                 (List.mem "chord.latency_ms.mean" reg);
               (* the 50% slowdown appears with the right delta *)
               let row =
-                List.find (fun r -> r.Analyze.metric = "chord.latency_ms.mean") cmp.Analyze.rows
+                List.find (fun r -> r.Gate.metric = "chord.latency_ms.mean") cmp.Gate.rows
               in
-              Alcotest.(check (float 1e-9)) "delta" 0.5 row.Analyze.delta;
-              ignore (Analyze.comparison_text cmp));
+              Alcotest.(check (float 1e-9)) "delta" 0.5 row.Gate.delta;
+              ignore (Gate.comparison_text cmp));
       (* same file against itself: no regressions *)
       with_temp_file base (fun c ->
-          match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
+          match Gate.compare_files ~base:b ~cand:c ~threshold:0.2 with
           | Error e -> Alcotest.fail e
-          | Ok cmp -> Alcotest.(check int) "self-compare clean" 0 (List.length cmp.Analyze.regressions)));
+          | Ok cmp -> Alcotest.(check int) "self-compare clean" 0 (List.length cmp.Gate.regressions)));
   (* mismatched kinds are an error, not a silent empty diff *)
   with_temp_file base (fun b ->
-      with_temp_file {|{"label":"x","micro":[{"name":"op","ns_per_op":5}]}|} (fun c ->
-          match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
+      with_temp_file
+        {|{"schema":"hieras-bench","label":"x","micro":[{"name":"op","ns_per_op":5}],"gated":[{"name":"micro.op.ns_per_op","value":5,"better":"lower","unit":"ns"}]}|}
+        (fun c ->
+          match Gate.compare_files ~base:b ~cand:c ~threshold:0.2 with
           | Error _ -> ()
           | Ok _ -> Alcotest.fail "kind mismatch accepted"))
 
 let test_analyze_compare_bench () =
   let bench label ns secs =
     Printf.sprintf
-      {|{"label":"%s","figures":[{"id":"fig4","seconds":%g}],"micro":[{"name":"op","ns_per_op":%g}]}|}
-      label secs ns
+      {|{"schema":"hieras-bench","label":"%s","figures":[{"id":"fig4","seconds":%g}],"micro":[{"name":"op","ns_per_op":%g}],"gated":[{"name":"micro.op.ns_per_op","value":%g,"better":"lower","unit":"ns"},{"name":"figure.fig4.seconds","value":%g,"better":"lower","unit":"s"}]}|}
+      label secs ns ns secs
   in
   with_temp_file (bench "a" 100.0 2.0) (fun b ->
       with_temp_file (bench "b" 130.0 2.0) (fun c ->
-          match Analyze.compare_files ~base:b ~cand:c ~threshold:0.2 with
+          match Gate.compare_files ~base:b ~cand:c ~threshold:0.2 with
           | Error e -> Alcotest.fail e
           | Ok cmp ->
-              Alcotest.(check string) "kind" "bench" cmp.Analyze.kind;
+              Alcotest.(check string) "kind" "hieras-bench" cmp.Gate.schema;
               Alcotest.(check (list string)) "only the micro regressed" [ "micro.op.ns_per_op" ]
-                (List.map (fun r -> r.Analyze.metric) cmp.Analyze.regressions)))
+                (List.map (fun r -> r.Gate.metric) cmp.Gate.regressions)))
+
+(* A healthy base gates the recover counts it does not render: the same span
+   with one zero-delay retry flags exactly chord.recover.retries. *)
+let test_compare_flags_new_recovery () =
+  let report_of lines =
+    let an = Analyze.create () in
+    List.iter (Analyze.feed_line an) lines;
+    parse_json (Analyze.report_json (Analyze.report an))
+  in
+  let start = {|{"ev":"start","lookup":0,"algo":"chord","origin":0,"key":"00"}|} in
+  let rest =
+    [
+      {|{"ev":"hop","lookup":0,"seq":0,"layer":1,"from":0,"to":1,"lat_ms":100}|};
+      {|{"ev":"end","lookup":0,"dest":1,"hops":1,"lat_ms":100,"finished_at_layer":1}|};
+    ]
+  in
+  let retry = {|{"ev":"recover","lookup":0,"kind":"retry","layer":1,"at":0,"dead":5,"delay_ms":0}|} in
+  match
+    Gate.compare ~threshold:0.2 ~base:(report_of (start :: rest))
+      ~cand:(report_of (start :: retry :: rest))
+  with
+  | Error e -> Alcotest.fail e
+  | Ok cmp ->
+      Alcotest.(check (list string)) "retry flagged" [ "chord.recover.retries" ]
+        (List.map (fun r -> r.Gate.metric) cmp.Gate.regressions)
+
+(* A soak run that lost a cell is a regression, not a smaller clean diff. *)
+let test_compare_flags_missing_cell () =
+  let r = Experiments.Soak.run Golden.soak_spec in
+  let cand = Experiments.Soak.results_json { r with Experiments.Soak.cells = List.tl r.Experiments.Soak.cells } in
+  match
+    Gate.compare ~threshold:0.2
+      ~base:(parse_json (read_file (Filename.concat "golden" "soak_ts64.json")))
+      ~cand:(parse_json cand)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok cmp ->
+      let missing = List.filter (fun r -> r.Gate.cand = None) cmp.Gate.rows in
+      Alcotest.(check bool) "missing rows" true (missing <> []);
+      Alcotest.(check bool) "missing rows are regressions" true
+        (List.for_all (fun r -> List.memq r cmp.Gate.regressions) missing)
+
+(* Every producer's artifact passes the gate against itself, scaling any one
+   gated value past the threshold flags exactly that row, and a foreign
+   schema, a missing gated list or a direction other than "lower" is an
+   error. *)
+let test_gate_envelopes () =
+  let open Obs.Jsonu in
+  let threshold = 0.2 in
+  (* rewrite (or, on None, drop) member [k] of an object *)
+  let map_member k f = function
+    | Obj ms ->
+        Obj (List.filter_map (fun (k', v) -> if k' = k then Option.map (fun v -> (k, v)) (f v) else Some (k', v)) ms)
+    | j -> j
+  in
+  let net_report =
+    let an = Analyze.create () in
+    String.split_on_char '\n' (Golden.build_netspan ()) |> List.iter (Analyze.feed_line an);
+    Analyze.net_report_json (Option.get (Analyze.net_report an))
+  in
+  List.iter
+    (fun (what, text) ->
+      let base = parse_json text in
+      let gated = Option.get (Option.bind (member "gated" base) to_list) in
+      let with_gated l = map_member "gated" (fun _ -> Some (Arr l)) base in
+      let cmp cand = Gate.compare ~threshold ~base ~cand in
+      (match cmp base with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok c ->
+          Alcotest.(check int) (what ^ ": one row per entry") (List.length gated) (List.length c.Gate.rows);
+          Alcotest.(check int) (what ^ ": self-compare clean") 0 (List.length c.Gate.regressions));
+      List.iteri
+        (fun i e ->
+          let name = Option.get (Option.bind (member "name" e) to_string) in
+          let v = Option.get (Option.bind (member "value" e) to_float) in
+          if v > 0.0 then
+            let scaled = map_member "value" (fun _ -> Some (Num (v *. (1.0 +. (2.0 *. threshold))))) e in
+            match cmp (with_gated (List.mapi (fun j e -> if j = i then scaled else e) gated)) with
+            | Error e -> Alcotest.failf "%s: %s" what e
+            | Ok c ->
+                Alcotest.(check (list string)) (what ^ ": " ^ name) [ name ]
+                  (List.map (fun r -> r.Gate.metric) c.Gate.regressions))
+        gated;
+      let higher = map_member "better" (fun _ -> Some (Str "higher")) (List.hd gated) in
+      List.iter
+        (fun (label, cand) ->
+          match cmp cand with Ok _ -> Alcotest.failf "%s: %s accepted" what label | Error _ -> ())
+        [
+          ("another schema", map_member "schema" (fun _ -> Some (Str "hieras-other")) base);
+          ("no gated member", map_member "gated" (fun _ -> None) base);
+          ("better higher", with_gated (higher :: List.tl gated));
+        ])
+    [
+      ("trace report", Golden.build_report ());
+      ("resilience report", Golden.build_resilience ());
+      ("soak", Golden.build_soak ());
+      ("soak variants", Golden.build_soak_variants ());
+      ("scale", Golden.build_scale ());
+      ("cache", Golden.build_cache ());
+      ("tournament", Golden.build_tournament ());
+      ("netspan report", net_report);
+      ("scale bench", Experiments.Scale.bench_json (Experiments.Scale.run Golden.scale_spec));
+      ("bench", read_file (Filename.concat ".." "BENCH_smoke.json"));
+    ]
 
 (* --- phase timer -------------------------------------------------------------- *)
 
@@ -941,6 +1052,10 @@ let () =
             test_analyze_audit_detects_corruption;
           Alcotest.test_case "compare flags trace-report regressions" `Quick test_analyze_compare;
           Alcotest.test_case "compare flags bench regressions" `Quick test_analyze_compare_bench;
+          Alcotest.test_case "compare flags a recovery the base did not render" `Quick
+            test_compare_flags_new_recovery;
+          Alcotest.test_case "compare flags a missing soak cell" `Quick test_compare_flags_missing_cell;
+          Alcotest.test_case "every producer's gated envelope" `Quick test_gate_envelopes;
         ] );
       ( "timer",
         [
