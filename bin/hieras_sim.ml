@@ -8,12 +8,12 @@
      lookup   trace a single HIERAS lookup hop by hop
      trace    replay a request stream with structured JSONL tracing
      analyze  analyze a JSONL trace / compare two reports
-     churn    protocol-level churn run with time-series telemetry
      soak     long-horizon churn soak: maintenance bandwidth vs churn rate
      cache    replicated key-value store + web-cache scenario over the overlay
      scale    million-node packed-network run with analytic hop counts
      resilience  lookup success/stretch vs failed-node fraction
      tournament  every algorithm x flat/layered on one seeded matrix
+     extensions  the beyond-the-paper comparisons: Pastry, CAN, ablations
 
    Exit codes: 0 success, 1 runtime failure (also: regressions found by
    `analyze compare`), 2 invalid command line. *)
@@ -108,6 +108,26 @@ let metrics_t =
     & info [ "metrics" ]
         ~doc:"Print a metrics-registry snapshot (one line per series) after the run.")
 
+let print_metrics reg = print_string (Obs.Metrics.to_text (Obs.Metrics.snapshot reg))
+
+type pool_metrics = { jobs : int; metrics : bool }
+
+let pool_metrics_t = Term.(const (fun jobs metrics -> { jobs; metrics }) $ jobs_t $ metrics_t)
+
+(* Run [f pool registry] on the --jobs pool; with --metrics, [f] fills the
+   registry and the snapshot, pool counters included, prints afterwards. *)
+let with_pool_metrics pm f =
+  with_jobs pm.jobs (fun pool ->
+      let registry = if pm.metrics then Some (Obs.Metrics.create ()) else None in
+      let r = f pool registry in
+      Option.iter
+        (fun reg ->
+          Parallel.Pool.export_metrics pool reg;
+          print_newline ();
+          print_metrics reg)
+        registry;
+      r)
+
 (* Build a tracer over FILE (or the disabled tracer), run [f], and report how
    many events were written. *)
 let with_trace_out ?(sample = 1.0) path f =
@@ -164,21 +184,25 @@ let net_sample_t =
            Sampling never orphans a parent, and the output is byte-identical \
            for any $(b,--jobs).")
 
-(* --net-sample without --net-trace-out is a flag with no effect: reject it
-   rather than silently ignore it. *)
-let net_sample_rate ~net_out net_sample =
-  match (net_out, net_sample) with
-  | None, Some _ -> exit_usage "--net-sample requires --net-trace-out"
-  | _, Some r when r < 0.0 || r > 1.0 ->
-      exit_usage (Printf.sprintf "--net-sample must be in [0, 1] (got %g)" r)
-  | _, r -> Option.value ~default:1.0 r
+(* Some (FILE, rate) when recording. --net-sample without --net-trace-out
+   is a flag with no effect: reject it rather than silently ignore it. *)
+let net_t =
+  let check net_out net_sample =
+    match (net_out, net_sample) with
+    | None, Some _ -> exit_usage "--net-sample requires --net-trace-out"
+    | _, Some r when r < 0.0 || r > 1.0 ->
+        exit_usage (Printf.sprintf "--net-sample must be in [0, 1] (got %g)" r)
+    | None, None -> None
+    | Some file, r -> Some (file, Option.value ~default:1.0 r)
+  in
+  Term.(const check $ net_trace_out_t $ net_sample_t)
 
 (* Build a net tracer over FILE (or the disabled tracer), run [f], and report
    how many span events were written. *)
-let with_net_trace_out ?(sample = 1.0) path f =
-  match path with
+let with_net_trace_out net f =
+  match net with
   | None -> f Obs.Netspan.disabled
-  | Some file ->
+  | Some (file, sample) ->
       let oc = open_out file in
       let events = ref 0 in
       let ns =
@@ -189,8 +213,6 @@ let with_net_trace_out ?(sample = 1.0) path f =
       let r = Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f ns) in
       Printf.printf "wrote %d net span events to %s\n" !events file;
       r
-
-let print_metrics reg = print_string (Obs.Metrics.to_text (Obs.Metrics.snapshot reg))
 
 (* --out of the experiment subcommands: one JSON artifact of [schema] *)
 let out_t schema =
@@ -276,8 +298,7 @@ let figure_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id: table1 table2 fig2..fig9.")
   in
-  let run id model nodes landmarks depth requests seed scale jobs backend trace_out metrics
-      timings folded =
+  let run id model nodes landmarks depth requests seed scale pm backend trace_out timings folded =
     match Experiments.Figures.by_id id with
     | None ->
         exit_err
@@ -285,58 +306,43 @@ let figure_cmd =
              (String.concat " " Experiments.Figures.ids))
     | Some f ->
         let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
-        with_jobs jobs (fun pool ->
-            let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+        with_pool_metrics pm (fun pool registry ->
             with_timer ~timings ~folded (fun timer ->
                 with_trace_out trace_out (fun trace ->
                     Experiments.Report.print_all (f ~pool ?registry ~trace ~timer cfg));
-                Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry);
-            match registry with
-            | None -> ()
-            | Some reg ->
-                Parallel.Pool.export_metrics pool reg;
-                print_newline ();
-                print_metrics reg)
+                Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
       const run $ id_t $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t
-      $ seed_t $ scale_t $ jobs_t $ backend_t $ trace_out_t $ metrics_t $ timings_t $ folded_t)
+      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ trace_out_t $ timings_t $ folded_t)
   in
   Cmd.v (Cmd.info "figure" ~doc:"Reproduce one table or figure of the paper") term
 
 (* ---- all -------------------------------------------------------------- *)
 
 let all_cmd =
-  let run model nodes landmarks depth requests seed scale jobs backend trace_out metrics timings
-      folded =
+  let run model nodes landmarks depth requests seed scale pm backend trace_out timings folded =
     let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
                 Experiments.Report.print_all
                   (Experiments.Figures.all ~pool ?registry ~trace ~timer cfg));
-            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry);
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
       const run $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t $ seed_t
-      $ scale_t $ jobs_t $ backend_t $ trace_out_t $ metrics_t $ timings_t $ folded_t)
+      $ scale_t $ pool_metrics_t $ backend_t $ trace_out_t $ timings_t $ folded_t)
   in
   Cmd.v (Cmd.info "all" ~doc:"Reproduce every table and figure") term
 
 (* ---- topology --------------------------------------------------------- *)
 
 let topology_cmd =
-  let run model nodes seed jobs backend metrics =
-    with_jobs jobs @@ fun pool ->
+  let run model nodes seed pm backend =
+    with_pool_metrics pm @@ fun pool registry ->
     let rng = Prng.Rng.create ~seed in
     let lat =
       try Topology.Model.build ~backend ~pool model ~hosts:nodes rng
@@ -366,15 +372,9 @@ let topology_cmd =
     Hashtbl.fold (fun o c acc -> (o, c) :: acc) counts []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
     |> List.iter (fun (o, c) -> Printf.printf "  ring %-6s %6d nodes\n" o c);
-    if metrics then begin
-      let reg = Obs.Metrics.create () in
-      Topology.Latency.export_metrics lat reg;
-      Parallel.Pool.export_metrics pool reg;
-      print_newline ();
-      print_metrics reg
-    end
+    Option.iter (Topology.Latency.export_metrics lat) registry
   in
-  let term = Term.(const run $ model_t $ nodes_t 2000 $ seed_t $ jobs_t $ backend_t $ metrics_t) in
+  let term = Term.(const run $ model_t $ nodes_t 2000 $ seed_t $ pool_metrics_t $ backend_t) in
   Cmd.v (Cmd.info "topology" ~doc:"Generate a topology and print statistics") term
 
 (* ---- cost ------------------------------------------------------------- *)
@@ -396,10 +396,10 @@ let cost_cmd =
 (* ---- lookup ----------------------------------------------------------- *)
 
 let lookup_cmd =
-  let run model nodes landmarks depth seed jobs backend trace_out trace_sample metrics =
+  let run model nodes landmarks depth seed pm backend trace_out trace_sample =
     check_trace_sample trace_sample;
     let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend in
-    with_jobs jobs @@ fun pool ->
+    with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
     let net = Experiments.Runner.chord_network env in
@@ -425,40 +425,37 @@ let lookup_cmd =
       r.Hieras.Hlookup.destination r.Hieras.Hlookup.hop_count r.Hieras.Hlookup.latency;
     Printf.printf "chord baseline: %d hops, %.1f ms\n" rc.Chord.Lookup.hop_count
       rc.Chord.Lookup.latency;
-    if metrics then begin
-      let reg = Obs.Metrics.create () in
-      let c name v = Obs.Metrics.set_counter (Obs.Metrics.counter reg name) v in
-      let g name v = Obs.Metrics.set (Obs.Metrics.gauge reg name) v in
-      c "lookup.hieras.hops" r.Hieras.Hlookup.hop_count;
-      g "lookup.hieras.latency_ms" r.Hieras.Hlookup.latency;
-      c "lookup.hieras.finished_at_layer" r.Hieras.Hlookup.finished_at_layer;
-      c "lookup.chord.hops" rc.Chord.Lookup.hop_count;
-      g "lookup.chord.latency_ms" rc.Chord.Lookup.latency;
-      Topology.Latency.export_metrics (Experiments.Runner.latency_oracle env) reg;
-      Parallel.Pool.export_metrics pool reg;
-      print_newline ();
-      print_metrics reg
-    end
+    Option.iter
+      (fun reg ->
+        let c name v = Obs.Metrics.set_counter (Obs.Metrics.counter reg name) v in
+        let g name v = Obs.Metrics.set (Obs.Metrics.gauge reg name) v in
+        c "lookup.hieras.hops" r.Hieras.Hlookup.hop_count;
+        g "lookup.hieras.latency_ms" r.Hieras.Hlookup.latency;
+        c "lookup.hieras.finished_at_layer" r.Hieras.Hlookup.finished_at_layer;
+        c "lookup.chord.hops" rc.Chord.Lookup.hop_count;
+        g "lookup.chord.latency_ms" rc.Chord.Lookup.latency;
+        Topology.Latency.export_metrics (Experiments.Runner.latency_oracle env) reg)
+      registry
   in
   let term =
     Term.(
-      const run $ model_t $ nodes_t 2000 $ landmarks_t $ depth_t $ seed_t $ jobs_t $ backend_t
-      $ trace_out_t $ trace_sample_t $ metrics_t)
+      const run $ model_t $ nodes_t 2000 $ landmarks_t $ depth_t $ seed_t $ pool_metrics_t
+      $ backend_t $ trace_out_t $ trace_sample_t)
   in
   Cmd.v (Cmd.info "lookup" ~doc:"Trace one HIERAS lookup hop by hop") term
 
 (* ---- trace ------------------------------------------------------------ *)
 
 let trace_cmd =
-  let run model nodes landmarks depth requests seed jobs backend trace_out trace_sample metrics =
+  let run model nodes landmarks depth requests seed pm backend trace_out trace_sample =
     check_trace_sample trace_sample;
     let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale:1.0 ~backend in
-    with_jobs jobs @@ fun pool ->
+    with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
     let net = Experiments.Runner.chord_network env in
     let lat = Experiments.Runner.latency_oracle env in
-    let reg = Obs.Metrics.create () in
+    let reg = Option.value registry ~default:(Obs.Metrics.create ()) in
     let lookups = Obs.Metrics.counter reg "trace.lookups" in
     let chord_hops = Obs.Metrics.counter reg "trace.chord.hops" in
     let hieras_hops = Obs.Metrics.counter reg "trace.hieras.hops" in
@@ -481,12 +478,7 @@ let trace_cmd =
       cfg.Experiments.Config.requests cfg.Experiments.Config.nodes
       (Topology.Model.name cfg.Experiments.Config.model)
       cfg.Experiments.Config.depth;
-    if metrics then begin
-      Topology.Latency.export_metrics lat reg;
-      Parallel.Pool.export_metrics pool reg;
-      print_newline ();
-      print_metrics reg
-    end
+    Option.iter (Topology.Latency.export_metrics lat) registry
   in
   let term =
     Term.(
@@ -495,7 +487,7 @@ let trace_cmd =
           value
           & opt int 100
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests to replay and trace.")
-      $ seed_t $ jobs_t $ backend_t $ trace_out_t $ trace_sample_t $ metrics_t)
+      $ seed_t $ pool_metrics_t $ backend_t $ trace_out_t $ trace_sample_t)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -597,197 +589,25 @@ let analyze_cmd =
           any metric regresses beyond the threshold or goes missing")
     Term.(const run $ args_t $ json_t $ top_t $ threshold_t)
 
-(* ---- churn ------------------------------------------------------------- *)
+(* ---- soak and cache ----------------------------------------------------- *)
 
-let churn_cmd =
-  let pool_t =
-    Arg.(value & opt int 48 & info [ "pool" ] ~docv:"N" ~doc:"Total node address pool.")
-  in
-  let initial_t =
-    Arg.(value & opt int 12 & info [ "initial" ] ~docv:"N" ~doc:"Nodes alive before churn starts.")
-  in
-  let horizon_t =
-    Arg.(value & opt float 60.0 & info [ "horizon" ] ~docv:"S" ~doc:"Churn window length, seconds.")
-  in
-  let join_rate_t =
-    Arg.(value & opt float 0.25 & info [ "join-rate" ] ~docv:"R" ~doc:"Expected joins per second.")
-  in
-  let fail_rate_t =
-    Arg.(
-      value
-      & opt float 0.08
-      & info [ "fail-rate" ] ~docv:"R" ~doc:"Expected silent failures per second.")
-  in
-  let leave_rate_t =
-    Arg.(
-      value
-      & opt float 0.04
-      & info [ "leave-rate" ] ~docv:"R" ~doc:"Expected graceful leaves per second.")
-  in
-  let loss_t =
-    Arg.(value & opt float 0.01 & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
-  in
-  let bucket_t =
-    Arg.(
-      value
-      & opt float 1000.0
-      & info [ "bucket-ms" ] ~docv:"MS" ~doc:"Time-series bucket width, simulated ms.")
-  in
-  let lookups_t =
-    Arg.(
-      value
-      & opt int 60
-      & info [ "lookups" ] ~docv:"N" ~doc:"Probe lookups fired at 1 s intervals during churn.")
-  in
-  let run pool initial horizon join_rate fail_rate leave_rate loss bucket_ms lookups landmarks
-      depth seed trace_out net_trace_out net_sample metrics =
-    let net_rate = net_sample_rate ~net_out:net_trace_out net_sample in
-    if pool < 2 then exit_usage (Printf.sprintf "--pool must be >= 2 (got %d)" pool);
-    if initial < 1 || initial > pool then
-      exit_usage (Printf.sprintf "--initial must be in 1..pool (got %d)" initial);
-    if depth < 2 || depth > 4 then
-      exit_usage (Printf.sprintf "--depth must be between 2 and 4 (got %d)" depth);
-    if landmarks < 1 then exit_usage (Printf.sprintf "--landmarks must be >= 1 (got %d)" landmarks);
-    if horizon <= 0.0 then exit_usage (Printf.sprintf "--horizon must be > 0 (got %g)" horizon);
-    if loss < 0.0 || loss >= 1.0 then
-      exit_usage (Printf.sprintf "--loss must be in [0, 1) (got %g)" loss);
-    if bucket_ms <= 0.0 then
-      exit_usage (Printf.sprintf "--bucket-ms must be > 0 (got %g)" bucket_ms);
-    let module Id = Hashid.Id in
-    let module Engine = Simnet.Engine in
-    let rng = Prng.Rng.create ~seed in
-    let lat = Topology.Transit_stub.generate ~hosts:pool rng in
-    let eng = Engine.create ~latency:(fun a b -> Topology.Latency.host_latency lat a b) ~nodes:pool in
-    if loss > 0.0 then Engine.set_loss eng ~rate:loss ~rng:(Prng.Rng.split rng);
-    let ts = Obs.Timeseries.create ~bucket_ms () in
-    Engine.attach_timeseries eng ts;
-    let net_oc = Option.map open_out net_trace_out in
-    let net_events = ref 0 in
-    Option.iter
-      (fun oc ->
-        Engine.attach_netspan eng
-          (Obs.Netspan.jsonl ~sample:net_rate (fun line ->
-               incr net_events;
-               output_string oc line)))
-      net_oc;
-    let space = Id.space ~bits:32 in
-    let lms = Binning.Landmark.choose_spread lat ~count:landmarks (Prng.Rng.split rng) in
-    let cfg = Hieras.Hprotocol.default_config space ~depth in
-    let p = Hieras.Hprotocol.create ~ts cfg eng ~lat ~landmarks:lms in
-    let id_of i = Id.of_hash space (Printf.sprintf "peer-%d" i) in
-    (* initial population joins sequentially, then settles *)
-    Hieras.Hprotocol.spawn p ~addr:0 ~id:(id_of 0);
-    for i = 1 to initial - 1 do
-      Engine.schedule eng ~delay:(float_of_int i *. 400.0) (fun () ->
-          Hieras.Hprotocol.join p ~addr:i ~id:(id_of i) ~bootstrap:0)
-    done;
-    let settle = (float_of_int initial *. 400.0) +. 15_000.0 in
-    Engine.run ~until:settle eng;
-    Printf.printf "t=%.0fs: %d members settled, global ring %d nodes\n" (settle /. 1000.0)
-      (List.length (Hieras.Hprotocol.live_members p))
-      (List.length (Hieras.Hprotocol.ring_from p 0 ~layer:1));
-    (* churn schedule (planned series) replayed against the protocol *)
-    let spec =
-      {
-        Workload.Churn.horizon = horizon *. 1000.0;
-        join_rate;
-        fail_rate;
-        leave_rate;
-      }
-    in
-    let events = Workload.Churn.generate ~ts spec ~initial ~pool (Prng.Rng.split rng) in
-    Printf.printf "replaying %d churn events over %gs...\n" (List.length events) horizon;
-    List.iter
-      (fun e ->
-        Engine.schedule eng ~delay:e.Workload.Churn.at (fun () ->
-            match e.Workload.Churn.kind with
-            | Workload.Churn.Join ->
-                if not (Hieras.Hprotocol.is_member p e.Workload.Churn.node) then begin
-                  match Hieras.Hprotocol.live_members p with
-                  | b :: _ ->
-                      Hieras.Hprotocol.join p ~addr:e.Workload.Churn.node
-                        ~id:(id_of e.Workload.Churn.node) ~bootstrap:b
-                  | [] -> ()
-                end
-            | Workload.Churn.Fail | Workload.Churn.Leave ->
-                if Hieras.Hprotocol.is_member p e.Workload.Churn.node then
-                  Hieras.Hprotocol.fail_node p e.Workload.Churn.node))
-      events;
-    (* probe lookups throughout the churn window *)
-    let issued = ref 0 and answered = ref 0 and correct = ref 0 in
-    let check_rng = Prng.Rng.split rng in
-    for k = 1 to lookups do
-      Engine.schedule eng ~delay:(float_of_int k *. 1000.0) (fun () ->
-          match Hieras.Hprotocol.live_members p with
-          | [] -> ()
-          | members ->
-              let arr = Array.of_list members in
-              let origin = arr.(Prng.Rng.int check_rng (Array.length arr)) in
-              let key = Id.random space check_rng in
-              incr issued;
-              Hieras.Hprotocol.lookup p ~origin ~key (fun r ->
-                  match r with
-                  | None -> ()
-                  | Some o ->
-                      incr answered;
-                      let live = Hieras.Hprotocol.live_members p in
-                      if
-                        List.exists
-                          (fun m -> Id.equal (Hieras.Hprotocol.node_id p m) o.Hieras.Hprotocol.owner_id)
-                          live
-                      then incr correct))
-    done;
-    Engine.run ~until:(settle +. (horizon *. 1000.0) +. 30_000.0) eng;
-    Printf.printf "t=%.0fs: %d members alive\n" (Engine.now eng /. 1000.0)
-      (List.length (Hieras.Hprotocol.live_members p));
-    Printf.printf "lookups: issued %d, answered %d, answered-by-live-member %d\n" !issued !answered
-      !correct;
-    Printf.printf "messages: sent %d, delivered %d, lost %d, to-dead %d\n" (Engine.sent eng)
-      (Engine.delivered eng) (Engine.dropped_loss eng) (Engine.dropped_dead eng);
-    (match trace_out with
-    | None -> ()
-    | Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc (Obs.Timeseries.to_json ts);
-            output_char oc '\n');
-        Printf.printf "wrote %d time series to %s\n"
-          (List.length (Obs.Timeseries.names ts))
-          file);
-    (match (net_oc, net_trace_out) with
-    | Some oc, Some file ->
-        close_out oc;
-        Printf.printf "wrote %d net span events to %s\n" !net_events file
-    | _ -> ());
-    if metrics then begin
-      let reg = Obs.Metrics.create () in
-      Engine.export_metrics eng reg;
-      Obs.Timeseries.export_metrics ts reg;
-      print_newline ();
-      print_metrics reg
-    end
-  in
-  let term =
-    Term.(
-      const run $ pool_t $ initial_t $ horizon_t $ join_rate_t $ fail_rate_t $ leave_rate_t
-      $ loss_t $ bucket_t $ lookups_t $ landmarks_t $ depth_t $ seed_t
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "trace-out" ] ~docv:"FILE"
-              ~doc:
-                "Write the bucketed time series (membership, per-layer ring \
-                 counts, joins/leaves/fails, network traffic) as one JSON \
-                 object to $(docv).")
-      $ net_trace_out_t $ net_sample_t $ metrics_t)
-  in
-  Cmd.v
-    (Cmd.info "churn"
-       ~doc:
-         "Run the message-level HIERAS protocol under churn with time-series \
-          telemetry (membership, ring counts, maintenance traffic)")
-    term
-
-(* ---- soak --------------------------------------------------------------- *)
+(* The tail the message-level experiments share: run the cells, print the
+   section, write the --out artifact and the cells' merged span stream. *)
+let run_experiment pm ~out ~net ~what ~cells ~section ~results_json ~net_trace run =
+  with_pool_metrics pm (fun pool registry ->
+      let r = run pool registry in
+      Experiments.Report.print (section r);
+      Option.iter
+        (fun file ->
+          write_json file ~what:(Printf.sprintf "%d %s cells" (cells r) what) (results_json r))
+        out;
+      Option.iter
+        (fun (file, _) ->
+          let tr = net_trace r in
+          Out_channel.with_open_text file (fun oc -> output_string oc tr);
+          let lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 tr in
+          Printf.printf "wrote %d net span events to %s\n" lines file)
+        net)
 
 let soak_cmd =
   let module Soak = Experiments.Soak in
@@ -866,9 +686,7 @@ let soak_cmd =
       & info [ "fault-frac" ] ~docv:"F" ~doc:"Fraction for crash/restart faults.")
   in
   let run pool_n initial horizon join_rate fail_rate leave_rate factors loss bucket_ms
-      probe_every adaptive fault fault_frac landmarks depth seed jobs out net_trace_out
-      net_sample metrics =
-    let net_rate = net_sample_rate ~net_out:net_trace_out net_sample in
+      probe_every adaptive fault fault_frac landmarks depth seed pm out net =
     let fault =
       match fault with
       | "none" -> None
@@ -896,40 +714,21 @@ let soak_cmd =
         adaptive;
         fault;
         fault_frac;
-        net_sample = Option.map (fun _ -> net_rate) net_trace_out;
+        net_sample = Option.map snd net;
         seed;
       }
     in
     (match Soak.validate spec with Ok () -> () | Error e -> exit_usage e);
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-        let r = Soak.run ~pool ?registry spec in
-        Experiments.Report.print (Soak.section r);
-        Option.iter
-          (fun file ->
-            write_json file ~what:(Printf.sprintf "%d soak cells" (List.length r.Soak.cells))
-              (Soak.results_json r))
-          out;
-        (match net_trace_out with
-        | None -> ()
-        | Some file ->
-            let tr = Soak.net_trace r in
-            Out_channel.with_open_text file (fun oc -> output_string oc tr);
-            let lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 tr in
-            Printf.printf "wrote %d net span events to %s\n" lines file);
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+    run_experiment pm ~out ~net ~what:"soak"
+      ~cells:(fun r -> List.length r.Soak.cells)
+      ~section:Soak.section ~results_json:Soak.results_json ~net_trace:Soak.net_trace
+      (fun pool registry -> Soak.run ~pool ?registry spec)
   in
   let term =
     Term.(
       const run $ pool_t $ initial_t $ horizon_t $ join_rate_t $ fail_rate_t $ leave_rate_t
       $ factors_t $ loss_t $ bucket_t $ probe_t $ adaptive_t $ fault_t $ fault_frac_t
-      $ landmarks_t $ depth_t $ seed_t $ jobs_t $ out_t "hieras-soak" $ net_trace_out_t
-      $ net_sample_t $ metrics_t)
+      $ landmarks_t $ depth_t $ seed_t $ pool_metrics_t $ out_t "hieras-soak" $ net_t)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -1017,8 +816,7 @@ let cache_cmd =
       & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
   in
   let run pool_n objects requests replication alphas fault fault_frac cache_entries
-      cache_bytes ttl loss landmarks depth seed jobs out net_trace_out net_sample metrics =
-    let net_rate = net_sample_rate ~net_out:net_trace_out net_sample in
+      cache_bytes ttl loss landmarks depth seed pm out net =
     let fault =
       match Cache.fault_of_name fault with
       | Some f -> f
@@ -1039,40 +837,21 @@ let cache_cmd =
         loss;
         depth;
         landmarks;
-        net_sample = Option.map (fun _ -> net_rate) net_trace_out;
+        net_sample = Option.map snd net;
         seed;
       }
     in
     (match Cache.validate spec with Ok () -> () | Error e -> exit_usage e);
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-        let r = Cache.run ~pool ?registry spec in
-        Experiments.Report.print (Cache.section r);
-        Option.iter
-          (fun file ->
-            write_json file ~what:(Printf.sprintf "%d cache cells" (List.length r.Cache.cells))
-              (Cache.results_json r))
-          out;
-        (match net_trace_out with
-        | None -> ()
-        | Some file ->
-            let tr = Cache.net_trace r in
-            Out_channel.with_open_text file (fun oc -> output_string oc tr);
-            let lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 tr in
-            Printf.printf "wrote %d net span events to %s\n" lines file);
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+    run_experiment pm ~out ~net ~what:"cache"
+      ~cells:(fun r -> List.length r.Cache.cells)
+      ~section:Cache.section ~results_json:Cache.results_json ~net_trace:Cache.net_trace
+      (fun pool registry -> Cache.run ~pool ?registry spec)
   in
   let term =
     Term.(
       const run $ pool_t $ objects_t $ requests_t $ replication_t $ alphas_t $ fault_t
       $ fault_frac_t $ cache_entries_t $ cache_bytes_t $ ttl_t $ loss_t $ landmarks_t
-      $ depth_t $ seed_t $ jobs_t $ out_t "hieras-cache" $ net_trace_out_t $ net_sample_t
-      $ metrics_t)
+      $ depth_t $ seed_t $ pool_metrics_t $ out_t "hieras-cache" $ net_t)
   in
   Cmd.v
     (Cmd.info "cache"
@@ -1128,14 +907,12 @@ let scale_cmd =
   let label_t =
     Arg.(value & opt string "scale" & info [ "label" ] ~docv:"S" ~doc:"Bench snapshot label.")
   in
-  let run nodes requests landmarks depth succ_list_len seed cross_check jobs out bench label
-      metrics =
+  let run nodes requests landmarks depth succ_list_len seed cross_check pm out bench label =
     let spec =
       { Scale.nodes; requests; landmarks; depth; succ_list_len; seed; cross_check }
     in
     (match Scale.validate spec with Ok () -> () | Error e -> exit_usage e);
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    with_pool_metrics pm (fun pool registry ->
         let r = Scale.run ~pool ?registry ~now:Unix.gettimeofday spec in
         Experiments.Report.print (Scale.section r);
         if r.Scale.cross_mismatches > 0 then
@@ -1145,18 +922,12 @@ let scale_cmd =
         Option.iter (fun file -> write_json file ~what:"scale results" (Scale.results_json r)) out;
         Option.iter
           (fun file -> write_json file ~what:"scale bench snapshot" (Scale.bench_json ~label r))
-          bench;
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+          bench)
   in
   let term =
     Term.(
       const run $ nodes_t $ requests_t $ landmarks_t $ depth_t $ succ_t $ seed_t $ cross_t
-      $ jobs_t $ out_t "hieras-scale" $ bench_t $ label_t $ metrics_t)
+      $ pool_metrics_t $ out_t "hieras-scale" $ bench_t $ label_t)
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1189,9 +960,8 @@ let resilience_cmd =
              (whole stub domains down) or restart (crash-restart, victims \
              still down at the sample instant).")
   in
-  let run model nodes landmarks depth requests seed scale jobs backend failures schedule
-      trace_out net_trace_out net_sample metrics timings folded =
-    let net_rate = net_sample_rate ~net_out:net_trace_out net_sample in
+  let run model nodes landmarks depth requests seed scale pm backend failures schedule
+      trace_out net timings folded =
     let kind =
       match Experiments.Resilience.schedule_of_name schedule with
       | Some k -> k
@@ -1208,23 +978,16 @@ let resilience_cmd =
           [ f ]
     in
     let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
-                with_net_trace_out ~sample:net_rate net_trace_out (fun net ->
+                with_net_trace_out net (fun net ->
                     let r =
                       Experiments.Resilience.run ~pool ?registry ~trace ~net ~timer ~fractions
                         ~kind cfg
                     in
                     Experiments.Report.print (Experiments.Resilience.section r)));
-            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry);
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
@@ -1233,8 +996,8 @@ let resilience_cmd =
           value
           & opt int 10_000
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests per sweep point.")
-      $ seed_t $ scale_t $ jobs_t $ backend_t $ failures_t $ schedule_t $ trace_out_t
-      $ net_trace_out_t $ net_sample_t $ metrics_t $ timings_t $ folded_t)
+      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ failures_t $ schedule_t $ trace_out_t
+      $ net_t $ timings_t $ folded_t)
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -1255,13 +1018,11 @@ let tournament_cmd =
       & info [ "fault-frac" ] ~docv:"F"
           ~doc:"Fault fraction in [0, 0.95] sizing both the crash and outage schedules.")
   in
-  let run model nodes landmarks depth requests seed scale jobs backend fault_frac out metrics
-      timings folded =
+  let run model nodes landmarks depth requests seed scale pm backend fault_frac out timings folded =
     if fault_frac < 0.0 || fault_frac > 0.95 then
       exit_usage (Printf.sprintf "--fault-frac must be in [0, 0.95] (got %g)" fault_frac);
     let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
-    with_jobs jobs (fun pool ->
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             let r = Tournament.run ~pool ?registry ~timer ~fault_fraction:fault_frac cfg in
             Experiments.Report.print (Tournament.section r);
@@ -1271,13 +1032,7 @@ let tournament_cmd =
                   ~what:(Printf.sprintf "%d tournament contestants" (List.length r.Tournament.entries))
                   (Tournament.results_json r))
               out;
-            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry);
-        match registry with
-        | None -> ()
-        | Some reg ->
-            Parallel.Pool.export_metrics pool reg;
-            print_newline ();
-            print_metrics reg)
+            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
@@ -1286,9 +1041,8 @@ let tournament_cmd =
           value
           & opt int 10_000
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests replayed per contestant.")
-      $ seed_t $ scale_t $ jobs_t $ backend_t $ fault_frac_t $ out_t "hieras-tournament" $ metrics_t
-      $ timings_t
-      $ folded_t)
+      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ fault_frac_t $ out_t "hieras-tournament"
+      $ timings_t $ folded_t)
   in
   Cmd.v
     (Cmd.info "tournament"
@@ -1329,7 +1083,6 @@ let main =
       lookup_cmd;
       trace_cmd;
       analyze_cmd;
-      churn_cmd;
       soak_cmd;
       cache_cmd;
       scale_cmd;

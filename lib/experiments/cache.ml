@@ -24,10 +24,6 @@ module Kv = Store.Kv
 module Ncache = Store.Cache
 module Webcache = Workload.Webcache
 
-type algo = Chord_ring | Hieras_rings
-
-let algo_name = function Chord_ring -> "chord" | Hieras_rings -> "hieras"
-
 type fault = No_fault | Crash | Spaced
 
 let fault_name = function No_fault -> "none" | Crash -> "crash" | Spaced -> "spaced"
@@ -96,17 +92,9 @@ let validate spec =
     Error (Printf.sprintf "--cache-entries must be >= 1 (got %d)" spec.cache_entries)
   else if spec.cache_bytes < 1 then
     Error (Printf.sprintf "--cache-bytes must be >= 1 (got %d)" spec.cache_bytes)
-  else if spec.loss < 0.0 || spec.loss >= 1.0 then
-    Error (Printf.sprintf "--loss must be in [0, 1) (got %g)" spec.loss)
-  else if spec.depth < 2 || spec.depth > 4 then
-    Error (Printf.sprintf "--depth must be between 2 and 4 (got %d)" spec.depth)
-  else if spec.landmarks < 1 then
-    Error (Printf.sprintf "--landmarks must be >= 1 (got %d)" spec.landmarks)
   else
-    match spec.net_sample with
-    | Some r when r < 0.0 || r > 1.0 ->
-        Error (Printf.sprintf "--net-sample must be in [0, 1] (got %g)" r)
-    | _ -> Ok ()
+    Overlay.validate ~pool:spec.pool ~loss:spec.loss ~depth:spec.depth
+      ~landmarks:spec.landmarks
 
 type cell = {
   algo : string;
@@ -140,7 +128,6 @@ type cell = {
 
 type results = { spec : spec; cells : cell list }
 
-let settle_ms spec = (float_of_int spec.pool *. 400.0) +. 15_000.0
 let put_every_ms = 150.0
 let read_every_ms = 40.0
 let heal_ms = 12_000.0
@@ -170,67 +157,19 @@ let spaced_victims ~members_by_id ~frac ~r =
     pick 0 k []
   end
 
-(* Uniform view of the two protocols: what the cache driver itself needs
-   beyond the store's substrate. *)
-type proto = {
-  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
-  fail : int -> unit;
-  sub : Kv.substrate;
-}
-
 (* One cell. [fi] is the (replication, alpha) pair index: every rng is
    seeded from (spec.seed, fi) only, so the chord and hieras cells of one
    pair see the identical topology, catalogue, origins and fault draw. *)
-let run_cell spec ~fi ~r ~alpha ~algo =
-  let space = Id.space ~bits:32 in
-  let id_of i = Id.of_hash space (Printf.sprintf "peer-%d" i) in
-  let lat = Topology.Transit_stub.generate ~hosts:spec.pool (Prng.Rng.create ~seed:spec.seed) in
-  let eng =
-    Engine.create ~latency:(fun a b -> Topology.Latency.host_latency lat a b) ~nodes:spec.pool
+let run_cell spec ~fi (r, alpha) algo =
+  let o =
+    Overlay.start ~succ_list_min:r ~pool:spec.pool ~initial:spec.pool ~loss:spec.loss
+      ~depth:spec.depth ~landmarks:spec.landmarks ~net_sample:spec.net_sample ~seed:spec.seed
+      ~fi
+      ~tag:(Printf.sprintf "r%d.a%s" r (Obs.Jsonu.float_repr alpha))
+      algo
   in
-  if spec.loss > 0.0 then
-    Engine.set_loss eng ~rate:spec.loss ~rng:(Prng.Rng.create ~seed:(spec.seed + 13 + fi));
-  let net_buf = Buffer.create (match spec.net_sample with Some _ -> 4096 | None -> 0) in
-  (match spec.net_sample with
-  | None -> ()
-  | Some rate ->
-      let ctx =
-        Printf.sprintf "%s.r%d.a%s" (algo_name algo) r (Obs.Jsonu.float_repr alpha)
-      in
-      Engine.attach_netspan eng (Obs.Netspan.jsonl ~ctx ~sample:rate (Buffer.add_string net_buf)));
-  let p =
-    match algo with
-    | Chord_ring ->
-        let cfg =
-          { (Chord.Protocol.default_config space) with succ_list_len = max 4 r }
-        in
-        let c = Chord.Protocol.create cfg eng in
-        Chord.Protocol.spawn c ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Chord.Protocol.join c ~addr ~id ~bootstrap);
-          fail = (fun a -> Chord.Protocol.fail_node c a);
-          sub = Kv.chord_substrate c;
-        }
-    | Hieras_rings ->
-        let lms =
-          Binning.Landmark.choose_spread lat ~count:spec.landmarks
-            (Prng.Rng.create ~seed:(spec.seed + 5))
-        in
-        let cfg =
-          { (Hieras.Hprotocol.default_config space ~depth:spec.depth) with succ_list_len = max 4 r }
-        in
-        let h = Hieras.Hprotocol.create cfg eng ~lat ~landmarks:lms in
-        Hieras.Hprotocol.spawn h ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Hieras.Hprotocol.join h ~addr ~id ~bootstrap);
-          fail = (fun a -> Hieras.Hprotocol.fail_node h a);
-          sub = Kv.hieras_substrate h;
-        }
-  in
-  for i = 1 to spec.pool - 1 do
-    Engine.schedule eng ~delay:(float_of_int i *. 400.0) (fun () ->
-        p.join ~addr:i ~id:(id_of i) ~bootstrap:0)
-  done;
+  let p = o.Overlay.proto in
+  let eng = p.sub.Kv.engine in
   let kv = Kv.create { Kv.default_config with replication = r } p.sub in
   for i = 0 to spec.pool - 1 do
     Kv.track kv i
@@ -247,8 +186,8 @@ let run_cell spec ~fi ~r ~alpha ~algo =
   let wspec =
     { Webcache.default_spec with count = spec.requests; objects = spec.objects; alpha }
   in
-  let cat = Webcache.catalogue wspec space in
-  let settle = settle_ms spec in
+  let cat = Webcache.catalogue wspec p.sub.Kv.space in
+  let settle = o.Overlay.settle_ms in
   (* populate: every object put once, from a random live origin *)
   let acked = Array.make spec.objects false in
   let puts_acked = ref 0 in
@@ -351,7 +290,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
   let evictions = Array.fold_left (fun acc c -> acc + Ncache.evictions c) 0 caches in
   let expirations = Array.fold_left (fun acc c -> acc + Ncache.expirations c) 0 caches in
   {
-    algo = algo_name algo;
+    algo = Overlay.algo_name algo;
     replication = r;
     alpha;
     sim_ms;
@@ -377,7 +316,7 @@ let run_cell spec ~fi ~r ~alpha ~algo =
     hot_objects = hot;
     killed = !killed;
     final_members = List.length (p.sub.Kv.live_members ());
-    net_trace = Buffer.contents net_buf;
+    net_trace = Buffer.contents o.Overlay.net_trace;
   }
 
 let cell_prefix cl =
@@ -420,24 +359,11 @@ let export_registry reg r =
 
 let run ?(pool = Pool.sequential) ?registry spec =
   (match validate spec with Ok () -> () | Error e -> invalid_arg ("Cache.run: " ^ e));
-  let inputs =
-    List.concat_map
-      (fun r ->
-        List.concat_map (fun a -> [ (r, a, Chord_ring); (r, a, Hieras_rings) ]) spec.alphas)
-      spec.replication
-    |> Array.of_list
+  let params =
+    List.concat_map (fun r -> List.map (fun a -> (r, a)) spec.alphas) spec.replication
   in
-  let parts =
-    Pool.map_chunks pool ~n:(Array.length inputs) ~chunk_size:1 (fun ~lo ~hi ->
-        let out = ref [] in
-        for i = lo to hi - 1 do
-          let r, alpha, algo = inputs.(i) in
-          out := run_cell spec ~fi:(i / 2) ~r ~alpha ~algo :: !out
-        done;
-        List.rev !out)
-  in
-  let r = { spec; cells = List.concat parts } in
-  (match registry with Some reg -> export_registry reg r | None -> ());
+  let r = { spec; cells = Overlay.run_cells pool params (run_cell spec) } in
+  Option.iter (fun reg -> export_registry reg r) registry;
   r
 
 (* ---- rendering --------------------------------------------------------- *)

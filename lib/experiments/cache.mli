@@ -23,10 +23,6 @@
     acknowledged object must remain reachable — measured availability
     100%, the acceptance gate this experiment exists to demonstrate. *)
 
-type algo = Chord_ring | Hieras_rings
-
-val algo_name : algo -> string
-
 type fault = No_fault | Crash | Spaced
 
 val fault_name : fault -> string

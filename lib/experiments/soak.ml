@@ -11,12 +11,9 @@
 module Pool = Parallel.Pool
 module Engine = Simnet.Engine
 module Id = Hashid.Id
+module Kv = Store.Kv
 module Churn = Workload.Churn
 module Faults = Workload.Faults
-
-type algo = Chord_ring | Hieras_rings
-
-let algo_name = function Chord_ring -> "chord" | Hieras_rings -> "hieras"
 
 type spec = {
   pool : int;
@@ -71,23 +68,15 @@ let validate spec =
   else if spec.factors = [] then Error "--factors must name at least one churn-rate factor"
   else if List.exists (fun f -> f < 0.0) spec.factors then
     Error "--factors must all be >= 0"
-  else if spec.loss < 0.0 || spec.loss >= 1.0 then
-    Error (Printf.sprintf "--loss must be in [0, 1) (got %g)" spec.loss)
   else if spec.bucket_ms <= 0.0 then
     Error (Printf.sprintf "--bucket-ms must be > 0 (got %g)" spec.bucket_ms)
   else if spec.probe_every_ms <= 0.0 then
     Error (Printf.sprintf "--probe-every must be > 0 (got %g)" spec.probe_every_ms)
-  else if spec.depth < 2 || spec.depth > 4 then
-    Error (Printf.sprintf "--depth must be between 2 and 4 (got %d)" spec.depth)
-  else if spec.landmarks < 1 then
-    Error (Printf.sprintf "--landmarks must be >= 1 (got %d)" spec.landmarks)
   else if spec.fault_frac < 0.0 || spec.fault_frac > 0.95 then
     Error (Printf.sprintf "--fault-frac must be in [0, 0.95] (got %g)" spec.fault_frac)
   else
-    match spec.net_sample with
-    | Some r when r < 0.0 || r > 1.0 ->
-        Error (Printf.sprintf "--net-sample must be in [0, 1] (got %g)" r)
-    | _ -> Ok ()
+    Overlay.validate ~pool:spec.pool ~loss:spec.loss ~depth:spec.depth
+      ~landmarks:spec.landmarks
 
 type cell = {
   algo : string;
@@ -113,34 +102,17 @@ type cell = {
 
 type results = { spec : spec; cells : cell list }
 
-let settle_ms spec = (float_of_int spec.initial *. 400.0) +. 15_000.0
 let cooldown_ms = 30_000.0
-
-(* Uniform view of the two protocols: only what the soak driver touches. *)
-type proto = {
-  join : addr:int -> id:Id.t -> bootstrap:int -> unit;
-  fail : int -> unit;
-  is_member : int -> bool;
-  live : unit -> int list;
-  node_id : int -> Id.t;
-  global_succ : int -> int option;
-  lookup : origin:int -> key:Id.t -> (Id.t option -> unit) -> unit;
-  maintenance_ops : unit -> int;
-  convergence_stats : unit -> int * int * float;
-      (* convergences, disturbances, total converging ms *)
-  converged : unit -> bool;
-}
 
 (* The global ring is correct when every live node's successor pointer is
    the next live node in identifier order — the ideal ring over the
    population alive at the audit instant. *)
-let ring_correct p =
-  match p.live () with
+let ring_correct (p : Overlay.proto) =
+  match p.sub.Kv.live_members () with
   | [] | [ _ ] -> true
   | members ->
-      let sorted =
-        List.sort (fun a b -> Id.compare (p.node_id a) (p.node_id b)) members
-      in
+      let node_id = p.sub.Kv.node_id in
+      let sorted = List.sort (fun a b -> Id.compare (node_id a) (node_id b)) members in
       let arr = Array.of_list sorted in
       let n = Array.length arr in
       let ok = ref true in
@@ -161,101 +133,19 @@ let fault_specs spec ~at =
 (* One soak cell. [fi] is the factor index: every rng in the cell is seeded
    from (spec.seed, fi) only, so the chord and hieras cells of one factor
    see the identical topology, churn trace, probe stream and fault draw. *)
-let run_cell spec ~fi ~factor ~algo =
-  let space = Id.space ~bits:32 in
-  let id_of i = Id.of_hash space (Printf.sprintf "peer-%d" i) in
-  let lat = Topology.Transit_stub.generate ~hosts:spec.pool (Prng.Rng.create ~seed:spec.seed) in
-  let eng =
-    Engine.create
-      ~latency:(fun a b -> Topology.Latency.host_latency lat a b)
-      ~nodes:spec.pool
-  in
-  if spec.loss > 0.0 then
-    Engine.set_loss eng ~rate:spec.loss ~rng:(Prng.Rng.create ~seed:(spec.seed + 13 + fi));
+let run_cell spec ~fi factor algo =
   let ts = Obs.Timeseries.create ~bucket_ms:spec.bucket_ms () in
-  Engine.attach_timeseries eng ts;
-  (* Net tracing buffers into the cell (one writer per engine — workers
-     never share a sink); the ctx tag is the cell's registry prefix sans
-     "soak.", so lines stay attributable after the driver concatenates the
-     cells in fixed order. *)
-  let net_buf = Buffer.create (match spec.net_sample with Some _ -> 4096 | None -> 0) in
-  (match spec.net_sample with
-  | None -> ()
-  | Some r ->
-      let ctx = Printf.sprintf "%s.x%s" (algo_name algo) (Obs.Jsonu.float_repr factor) in
-      Engine.attach_netspan eng (Obs.Netspan.jsonl ~ctx ~sample:r (Buffer.add_string net_buf)));
-  let p =
-    match algo with
-    | Chord_ring ->
-        let cfg =
-          { (Chord.Protocol.default_config space) with adaptive = spec.adaptive }
-        in
-        let c = Chord.Protocol.create ~ts cfg eng in
-        Chord.Protocol.spawn c ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Chord.Protocol.join c ~addr ~id ~bootstrap);
-          fail = (fun a -> Chord.Protocol.fail_node c a);
-          is_member = (fun a -> Chord.Protocol.is_member c a);
-          live = (fun () -> Chord.Protocol.live_members c);
-          node_id = (fun a -> Chord.Protocol.node_id c a);
-          global_succ = (fun a -> Chord.Protocol.successor_addr c a);
-          lookup =
-            (fun ~origin ~key k ->
-              Chord.Protocol.lookup c ~origin ~key (fun r ->
-                  k (Option.map (fun o -> o.Chord.Protocol.owner_id) r)));
-          maintenance_ops = (fun () -> Chord.Protocol.maintenance_ops c);
-          convergence_stats =
-            (fun () ->
-              let s = Chord.Protocol.stability c in
-              ( Simnet.Stability.convergences s,
-                Simnet.Stability.disturbances s,
-                Simnet.Stability.total_convergence_ms s ));
-          converged = (fun () -> Chord.Protocol.converged c);
-        }
-    | Hieras_rings ->
-        let lms =
-          Binning.Landmark.choose_spread lat ~count:spec.landmarks
-            (Prng.Rng.create ~seed:(spec.seed + 5))
-        in
-        let cfg =
-          {
-            (Hieras.Hprotocol.default_config space ~depth:spec.depth) with
-            adaptive = spec.adaptive;
-          }
-        in
-        let h = Hieras.Hprotocol.create ~ts cfg eng ~lat ~landmarks:lms in
-        Hieras.Hprotocol.spawn h ~addr:0 ~id:(id_of 0);
-        {
-          join = (fun ~addr ~id ~bootstrap -> Hieras.Hprotocol.join h ~addr ~id ~bootstrap);
-          fail = (fun a -> Hieras.Hprotocol.fail_node h a);
-          is_member = (fun a -> Hieras.Hprotocol.is_member h a);
-          live = (fun () -> Hieras.Hprotocol.live_members h);
-          node_id = (fun a -> Hieras.Hprotocol.node_id h a);
-          global_succ = (fun a -> Hieras.Hprotocol.successor_addr h a ~layer:1);
-          lookup =
-            (fun ~origin ~key k ->
-              Hieras.Hprotocol.lookup h ~origin ~key (fun r ->
-                  k (Option.map (fun o -> o.Hieras.Hprotocol.owner_id) r)));
-          maintenance_ops = (fun () -> Hieras.Hprotocol.maintenance_ops h);
-          convergence_stats =
-            (fun () ->
-              let c = ref 0 and d = ref 0 and total = ref 0.0 in
-              for layer = 1 to spec.depth do
-                let s = Hieras.Hprotocol.stability h ~layer in
-                c := !c + Simnet.Stability.convergences s;
-                d := !d + Simnet.Stability.disturbances s;
-                total := !total +. Simnet.Stability.total_convergence_ms s
-              done;
-              (!c, !d, !total));
-          converged = (fun () -> Hieras.Hprotocol.converged h);
-        }
+  let o =
+    Overlay.start ~ts ~adaptive:spec.adaptive ~pool:spec.pool ~initial:spec.initial
+      ~loss:spec.loss ~depth:spec.depth ~landmarks:spec.landmarks ~net_sample:spec.net_sample
+      ~seed:spec.seed ~fi
+      ~tag:("x" ^ Obs.Jsonu.float_repr factor)
+      algo
   in
-  (* initial population joins sequentially, then settles *)
-  for i = 1 to spec.initial - 1 do
-    Engine.schedule eng ~delay:(float_of_int i *. 400.0) (fun () ->
-        p.join ~addr:i ~id:(id_of i) ~bootstrap:0)
-  done;
-  let settle = settle_ms spec in
+  let p = o.Overlay.proto in
+  let eng = p.sub.Kv.engine in
+  let live = p.sub.Kv.live_members in
+  let settle = o.Overlay.settle_ms in
   Engine.run ~until:settle eng;
   (* churn schedule scaled by the factor, shared by both algos of [fi] *)
   let churn_spec =
@@ -273,22 +163,23 @@ let run_cell spec ~fi ~factor ~algo =
   List.iter
     (fun e ->
       Engine.schedule eng ~delay:e.Churn.at (fun () ->
+          let a = e.Churn.node in
           match e.Churn.kind with
           | Churn.Join ->
-              if not (p.is_member e.Churn.node) then begin
-                match p.live () with
-                | b :: _ -> p.join ~addr:e.Churn.node ~id:(id_of e.Churn.node) ~bootstrap:b
-                | [] -> ()
+              (* the fault schedule draws from the whole pool, so it may
+                 have killed an address before its join: a dead engine
+                 node cannot send the join *)
+              if Engine.is_alive eng a && not (p.sub.Kv.is_member a) then begin
+                match live () with b :: _ -> p.join ~addr:a ~bootstrap:b | [] -> ()
               end
-          | Churn.Fail | Churn.Leave ->
-              if p.is_member e.Churn.node then p.fail e.Churn.node))
+          | Churn.Fail | Churn.Leave -> if p.sub.Kv.is_member a then p.fail a))
     events;
   (* optional engine-level fault schedule, landing mid-horizon: the
      protocol is not told — the convergence probe must detect the damage *)
   (match fault_specs spec ~at:(settle +. (spec.horizon_ms /. 2.0)) with
   | [] -> ()
   | specs ->
-      let group_of node = Topology.Latency.router_of_host lat node in
+      let group_of node = Topology.Latency.router_of_host o.Overlay.lat node in
       let frng = Prng.Rng.create ~seed:(spec.seed + 90001 + fi) in
       let fevents = Faults.compile ~group_of ~nodes:spec.pool specs frng in
       Faults.apply eng ~rng:(Prng.Rng.split frng) fevents);
@@ -306,33 +197,29 @@ let run_cell spec ~fi ~factor ~algo =
         let correct = ring_correct p in
         if correct then incr ring_ok;
         Obs.Timeseries.set ts_ring ~at (if correct then 1.0 else 0.0);
-        match p.live () with
+        match live () with
         | [] -> ()
         | members ->
             let arr = Array.of_list members in
             let origin = arr.(Prng.Rng.int prng (Array.length arr)) in
-            let key = Id.random space prng in
+            let key = Id.random p.sub.Kv.space prng in
             incr issued;
             Obs.Timeseries.add ts_issued ~at 1.0;
-            p.lookup ~origin ~key (fun r ->
+            p.sub.Kv.lookup ~origin ~key (fun r ->
                 match r with
-                | None -> ()
-                | Some owner_id ->
-                    if
-                      List.exists (fun m -> Id.equal (p.node_id m) owner_id) (p.live ())
-                    then begin
-                      incr ok;
-                      Obs.Timeseries.add ts_ok ~at:(Engine.now eng) 1.0
-                    end))
+                | Some owner when List.mem owner (live ()) ->
+                    incr ok;
+                    Obs.Timeseries.add ts_ok ~at:(Engine.now eng) 1.0
+                | _ -> ()))
   done;
   let sim_ms = settle +. spec.horizon_ms +. cooldown_ms in
   Engine.run ~until:sim_ms eng;
   let messages = Engine.sent eng in
   let maint_ops = p.maintenance_ops () in
-  let convergences, disturbances, total_conv = p.convergence_stats () in
+  let convergences, disturbances, total_conv = p.convergence () in
   let per_s v = float_of_int v /. (sim_ms /. 1000.0) in
   {
-    algo = algo_name algo;
+    algo = Overlay.algo_name algo;
     factor;
     churn_events = List.length events;
     sim_ms;
@@ -349,9 +236,9 @@ let run_cell spec ~fi ~factor ~algo =
     mean_convergence_ms =
       (if convergences = 0 then 0.0 else total_conv /. float_of_int convergences);
     converged_at_end = p.converged ();
-    final_members = List.length (p.live ());
+    final_members = List.length (live ());
     series_json = Obs.Timeseries.to_json ts;
-    net_trace = Buffer.contents net_buf;
+    net_trace = Buffer.contents o.Overlay.net_trace;
   }
 
 let export_registry reg r =
@@ -385,21 +272,8 @@ let export_registry reg r =
 
 let run ?(pool = Pool.sequential) ?registry spec =
   (match validate spec with Ok () -> () | Error e -> invalid_arg ("Soak.run: " ^ e));
-  let inputs =
-    List.concat_map (fun f -> [ (f, Chord_ring); (f, Hieras_rings) ]) spec.factors
-    |> Array.of_list
-  in
-  let parts =
-    Pool.map_chunks pool ~n:(Array.length inputs) ~chunk_size:1 (fun ~lo ~hi ->
-        let out = ref [] in
-        for i = lo to hi - 1 do
-          let factor, algo = inputs.(i) in
-          out := run_cell spec ~fi:(i / 2) ~factor ~algo :: !out
-        done;
-        List.rev !out)
-  in
-  let r = { spec; cells = List.concat parts } in
-  (match registry with Some reg -> export_registry reg r | None -> ());
+  let r = { spec; cells = Overlay.run_cells pool spec.factors (run_cell spec) } in
+  Option.iter (fun reg -> export_registry reg r) registry;
   r
 
 (* ---- rendering --------------------------------------------------------- *)

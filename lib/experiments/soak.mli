@@ -81,10 +81,6 @@ type cell = {
 
 type results = { spec : spec; cells : cell list (** factor-major, chord then hieras *) }
 
-val settle_ms : spec -> float
-(** Settle instant: the churn window opens here ([initial * 400 ms] of
-    staggered joins plus 15 s of quiet stabilization). *)
-
 val run : ?pool:Parallel.Pool.t -> ?registry:Obs.Metrics.t -> spec -> results
 (** Raises [Invalid_argument] when {!validate} rejects the spec.
     [registry] receives {!export_registry}. *)

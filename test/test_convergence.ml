@@ -347,7 +347,55 @@ let test_soak_validate () =
   Alcotest.(check bool) "horizon" true (bad { d with Experiments.Soak.horizon_ms = 0.0 });
   Alcotest.(check bool) "factors" true (bad { d with Experiments.Soak.factors = [] });
   Alcotest.(check bool) "loss" true (bad { d with Experiments.Soak.loss = 1.0 });
-  Alcotest.(check bool) "depth" true (bad { d with Experiments.Soak.depth = 9 })
+  Alcotest.(check bool) "depth" true (bad { d with Experiments.Soak.depth = 9 });
+  Alcotest.(check bool) "landmarks above the router count" true
+    (bad { d with Experiments.Soak.landmarks = 89 })
+
+(* The fault schedules draw their victims from the whole pool, so a fault
+   can kill an address before churn joins it: every schedule must still
+   run each cell to the end. *)
+let test_soak_fault_schedules () =
+  List.iter
+    (fun fault ->
+      let spec =
+        {
+          Experiments.Soak.default_spec with
+          Experiments.Soak.pool = 24;
+          initial = 8;
+          horizon_ms = 20_000.0;
+          factors = [ 1.0; 2.0 ];
+          fault = Some fault;
+          seed = 1;
+        }
+      in
+      let r = Experiments.Soak.run spec in
+      Alcotest.(check int)
+        (Experiments.Resilience.schedule_name fault ^ ": every cell ran")
+        4 (List.length r.Experiments.Soak.cells))
+    Experiments.Resilience.[ Crash; Restart; Outage ]
+
+(* A HIERAS cell records the churn telemetry whole: the planned churn
+   series, the protocol's membership and lower-ring counts, and the
+   engine's traffic. *)
+let test_soak_series () =
+  let spec = { Obs_test_support.Golden.soak_spec with Experiments.Soak.factors = [ 0.5 ] } in
+  let r = Experiments.Soak.run spec in
+  let cell = List.find (fun c -> c.Experiments.Soak.algo = "hieras") r.Experiments.Soak.cells in
+  let series =
+    match Obs.Jsonu.parse cell.Experiments.Soak.series_json with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun name ->
+      let points =
+        Option.bind (Obs.Jsonu.member "series" series) (Obs.Jsonu.member name)
+        |> Fun.flip Option.bind (Obs.Jsonu.member "points")
+        |> Fun.flip Option.bind Obs.Jsonu.to_list
+      in
+      Alcotest.(check bool) (name ^ " recorded") true
+        (match points with Some (_ :: _) -> true | _ -> false))
+    [ "churn.live"; "churn.joins"; "churn.fails"; "hieras.members"; "hieras.layer2.rings"; "net.sent" ]
 
 let () =
   Alcotest.run "convergence"
@@ -373,5 +421,7 @@ let () =
           Alcotest.test_case "golden soak variants byte-identical" `Slow test_soak_variants_golden;
           Alcotest.test_case "parallel run deterministic" `Slow test_soak_parallel_deterministic;
           Alcotest.test_case "spec validation" `Quick test_soak_validate;
+          Alcotest.test_case "every fault schedule completes" `Quick test_soak_fault_schedules;
+          Alcotest.test_case "hieras cell records the churn series" `Quick test_soak_series;
         ] );
     ]
