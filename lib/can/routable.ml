@@ -30,7 +30,7 @@ module Base = struct
     done;
     if !best >= 0 then Some !best else None
 
-  let step t ~cur ~key = Route.next_hop t.net ~point:(Network.key_point t.net key) ~cur
+  let step t ~cur ~owner:_ ~key = Route.next_hop t.net ~point:(Network.key_point t.net key) ~cur
 
   (* strictly-improving neighbors, closest zone first (neighbor-list order on
      ties, so the head is exactly [Route.next_hop]'s first-minimal pick) *)
@@ -43,11 +43,11 @@ module Base = struct
     |> List.stable_sort (fun (da, _) (db, _) -> Float.compare da db)
     |> List.map snd
 
-  let candidates t ~cur ~key = improving t.net ~point:(Network.key_point t.net key) ~cur
+  let candidates t ~cur ~owner:_ ~key = improving t.net ~point:(Network.key_point t.net key) ~cur
 
   (* no heartbeat window: every dead contact is found by probing *)
   let window _ ~cur:_ = []
-  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+  let covers _ ~cur:_ ~upto:_ ~owner:_ ~key:_ = false
 
   (* A HIERAS ring over a CAN subset is CAN again: re-split the torus among
      the members' join points (their zones nest — fewer members, larger
@@ -82,14 +82,14 @@ module Base = struct
     { rings; ring_of; local }
 
   (* the walk stops in the ring zone that contains the key's point *)
-  let ring_step t layer ~cur ~key =
+  let ring_step t layer ~cur ~owner:_ ~key =
     let rg = layer.rings.(layer.ring_of.(cur)) in
     let point = Network.key_point t.net key in
     let local = layer.local.(cur) in
     if Zone.contains (Network.zone rg.r_net local) point then cur
     else rg.r_members.(Route.next_hop rg.r_net ~point ~cur:local)
 
-  let ring_candidates t layer ~cur ~key =
+  let ring_candidates t layer ~cur ~owner:_ ~key =
     let rg = layer.rings.(layer.ring_of.(cur)) in
     let point = Network.key_point t.net key in
     improving rg.r_net ~point ~cur:layer.local.(cur) |> List.map (fun v -> rg.r_members.(v))
@@ -98,7 +98,7 @@ module Base = struct
 
   (* the generic owner check after each ring walk IS the CAN early exit:
      the layer-k zone owner's global zone may already contain the point *)
-  let early_finish _t ~cur:_ ~key:_ = None
+  let early_finish _t ~cur:_ ~owner:_ ~key:_ = None
 end
 
 include Routing.Extend (Base)

@@ -1,5 +1,7 @@
 module Id = Hashid.Id
 
+type arena = { off : int array; exps : Bytes.t; nodes : int array }
+
 type t = {
   owner : int;
   exps : int array; (* ascending; exps.(k) is the first exponent of segment k *)
@@ -103,7 +105,22 @@ let pack sp ~owner_id ~member_ids ?member_pre ~member_nodes ~push () =
     i := !lo
   done
 
-let pack_arena sp ~size ~capacity ~owner_id ~members =
+(* A node among [m] members with random identifiers has about
+   log2 m + 1/3 distinct fingers, so one more than the bit length of [m]
+   sizes an arena without regrowth in practice; growth stays the
+   fallback. *)
+let segments_hint ~bits m =
+  let rec width k = if 1 lsl k >= m then k else width (k + 1) in
+  min bits (width 0 + 1)
+
+let pack_arena sp ~size ~owner_id ~members =
+  let bits = Id.bits sp in
+  let capacity = ref 0 in
+  for i = 0 to size - 1 do
+    let member_ids, _, _ = members i in
+    capacity := !capacity + segments_hint ~bits (Array.length member_ids)
+  done;
+  let capacity = !capacity in
   let off = Array.make (size + 1) 0 in
   let exp_buf = Buffer.create capacity in
   let node_buf = ref (Array.make (max 16 capacity) 0) in
@@ -124,7 +141,14 @@ let pack_arena sp ~size ~capacity ~owner_id ~members =
     pack sp ~owner_id:(owner_id i) ~member_ids ~member_pre ~member_nodes ~push ()
   done;
   off.(size) <- !count;
-  (off, Buffer.to_bytes exp_buf, Array.sub !node_buf 0 !count)
+  { off; exps = Buffer.to_bytes exp_buf; nodes = Array.sub !node_buf 0 !count }
+
+let arena_bytes a =
+  let word = Sys.word_size / 8 in
+  let arr len = (len + 1) * word in
+  arr (Array.length a.off)
+  + (word + ((Bytes.length a.exps / word) + 1) * word)
+  + arr (Array.length a.nodes)
 
 let build sp ~owner ~owner_id ~member_ids ~member_nodes =
   let bits = Id.bits sp in
@@ -141,11 +165,14 @@ let build sp ~owner ~owner_id ~member_ids ~member_nodes =
     bits;
   }
 
-let of_segments ~owner ~bits ~exps ~nodes =
-  if Array.length exps <> Array.length nodes then
-    invalid_arg "Finger_table.of_segments: misaligned arrays";
-  if Array.length exps = 0 then invalid_arg "Finger_table.of_segments: empty table";
-  { owner; exps; nodes; bits }
+let of_arena a ~bits i =
+  let lo = a.off.(i) and hi = a.off.(i + 1) in
+  {
+    owner = i;
+    exps = Array.init (hi - lo) (fun k -> Char.code (Bytes.get a.exps (lo + k)));
+    nodes = Array.sub a.nodes lo (hi - lo);
+    bits;
+  }
 
 let owner t = t.owner
 
@@ -174,30 +201,6 @@ let closest_preceding t ~id_of ~self ~key =
       if Id.in_oo id ~lo:self ~hi:key then Some node else go (k - 1)
   in
   go (Array.length t.nodes - 1)
-
-(* Arena variants of the two scans above: operate directly on a [lo, hi)
-   slice of a packed segment-node arena (see Network), so the lookup hot
-   path touches no intermediate [t]. Segment exponents are irrelevant to
-   both scans — only the node column is read. *)
-let closest_preceding_arena ~nodes ~lo ~hi ~id_of ~self ~key =
-  let rec go k =
-    if k < lo then -1
-    else
-      let node : int = Array.unsafe_get nodes k in
-      if Id.in_oo (id_of node) ~lo:self ~hi:key then node else go (k - 1)
-  in
-  go (hi - 1)
-
-let preceding_candidates_arena ~nodes ~lo ~hi ~id_of ~self ~key =
-  let rec go k acc taken =
-    if k < lo then List.rev acc
-    else
-      let node : int = nodes.(k) in
-      if (not (List.mem node taken)) && Id.in_oo (id_of node) ~lo:self ~hi:key then
-        go (k - 1) (node :: acc) (node :: taken)
-      else go (k - 1) acc taken
-  in
-  go (hi - 1) [] []
 
 let preceding_candidates t ~id_of ~self ~key =
   (* same scan, but keep every qualifying finger: the resilient route tries

@@ -42,25 +42,29 @@ val pack :
     column of [member_ids]: comparisons then resolve by one integer load
     except on (astronomically rare) prefix ties. *)
 
+type arena = { off : int array; exps : Bytes.t; nodes : int array }
+(** Every node's table in one shared arena: node [i]'s segments are
+    [exps/nodes.(off.(i) .. off.(i+1) - 1)], in ascending exponent order,
+    one exponent byte per segment (bits <= 255). *)
+
 val pack_arena :
   Hashid.Id.space ->
   size:int ->
-  capacity:int ->
   owner_id:(int -> Hashid.Id.t) ->
   members:(int -> Hashid.Id.t array * int array * int array) ->
-  int array * Bytes.t * int array
-(** Every node's table in one shared arena, filled in node order: node [i]'s
-    segments come from {!pack} over [members i] = [(member_ids, member_pre,
-    member_nodes)] of the ring it routes in. Returns [(off, exps, nodes)]:
-    node [i]'s segments are [exps/nodes.(off.(i) .. off.(i+1) - 1)], one
-    exponent byte per segment (bits <= 255). [capacity] is the initial
-    segment capacity; the buffers double past it. *)
+  arena
+(** The arena filled in node order: node [i]'s segments come from {!pack}
+    over [members i] = [(member_ids, member_pre, member_nodes)] of the ring
+    it routes in. The buffers start at about [log2 m + 1] segments per
+    node of a ring of [m] members, what random identifiers need, and
+    double past it. *)
 
-val of_segments :
-  owner:int -> bits:int -> exps:int array -> nodes:int array -> t
-(** Reconstruct a table from stored segments (a packed network's thin view).
-    [exps]/[nodes] must be a well-formed ascending segment list as produced
-    by {!pack}; only basic shape is validated. *)
+val of_arena : arena -> bits:int -> int -> t
+(** Node [i]'s table, materialized from its arena slice (a packed
+    network's thin view). *)
+
+val arena_bytes : arena -> int
+(** Heap footprint of the arena's three arrays, in bytes. *)
 
 val owner : t -> int
 
@@ -79,28 +83,6 @@ val closest_preceding :
 (** The farthest finger strictly inside [(self, key)] on the circle — the
     next hop of Chord's greedy routing. [None] when no finger makes
     progress. *)
-
-val closest_preceding_arena :
-  nodes:int array ->
-  lo:int ->
-  hi:int ->
-  id_of:(int -> Hashid.Id.t) ->
-  self:Hashid.Id.t ->
-  key:Hashid.Id.t ->
-  int
-(** {!closest_preceding} over the [\[lo, hi)] slice of a packed segment-node
-    arena; [-1] when no finger makes progress. The allocation-free form the
-    lookup hot paths use. *)
-
-val preceding_candidates_arena :
-  nodes:int array ->
-  lo:int ->
-  hi:int ->
-  id_of:(int -> Hashid.Id.t) ->
-  self:Hashid.Id.t ->
-  key:Hashid.Id.t ->
-  int list
-(** {!preceding_candidates} over an arena slice. *)
 
 val preceding_candidates :
   t -> id_of:(int -> Hashid.Id.t) -> self:Hashid.Id.t -> key:Hashid.Id.t -> int list

@@ -4,17 +4,14 @@ module Id = Hashid.Id
    i-th identifier in sorted order, so ring successor/predecessor are the
    implicit [(i ± 1) mod n] — and the successor list of [i] is the implicit
    run [i+1 .. i+r]: neither is materialized. All finger tables live in one
-   shared arena: node [i]'s run-length segments are
-   [f_exp/f_node.(f_off.(i) .. f_off.(i+1) - 1)]. *)
+   shared arena. *)
 type t = {
   space : Id.space;
   ids : Id.t array; (* sorted ascending; node i has ids.(i) *)
   pre : int array; (* aligned Id.prefix_int column: one-load comparisons *)
   hosts : int array;
   succ_len : int; (* r = min succ_list_len (n-1) *)
-  f_off : int array; (* n+1 segment offsets into the finger arena *)
-  f_exp : Bytes.t; (* first exponent of each segment (bits <= 255) *)
-  f_node : int array; (* finger node of each segment *)
+  fingers : Finger_table.arena;
 }
 
 let mk ~space ~ids ~hosts ~succ_list_len =
@@ -32,8 +29,8 @@ let mk ~space ~ids ~hosts ~succ_list_len =
   done;
   let member_nodes = Array.init n (fun i -> i) in
   let pre = Array.map Id.prefix_int sorted_ids in
-  let f_off, f_exp, f_node =
-    Finger_table.pack_arena space ~size:n ~capacity:(n * 12)
+  let fingers =
+    Finger_table.pack_arena space ~size:n
       ~owner_id:(fun i -> sorted_ids.(i))
       ~members:(fun _ -> (sorted_ids, pre, member_nodes))
   in
@@ -43,9 +40,7 @@ let mk ~space ~ids ~hosts ~succ_list_len =
     pre;
     hosts = sorted_hosts;
     succ_len = min succ_list_len (n - 1);
-    f_off;
-    f_exp;
-    f_node;
+    fingers;
   }
 
 let of_ids ~space ~ids ~hosts ?(succ_list_len = 8) () = mk ~space ~ids ~hosts ~succ_list_len
@@ -80,56 +75,46 @@ let successor_list t i =
   let n = Array.length t.ids in
   Array.init t.succ_len (fun k -> (i + k + 1) mod n)
 
-let finger_table t i =
-  let lo = t.f_off.(i) and hi = t.f_off.(i + 1) in
-  let exps = Array.init (hi - lo) (fun k -> Char.code (Bytes.get t.f_exp (lo + k))) in
-  let nodes = Array.sub t.f_node lo (hi - lo) in
-  Finger_table.of_segments ~owner:i ~bits:(Id.bits t.space) ~exps ~nodes
+let fingers t = t.fingers
+let finger_table t i = Finger_table.of_arena t.fingers ~bits:(Id.bits t.space) i
 
-(* Scan an arena slice for the farthest finger strictly inside (self, key) —
-   identical to [Finger_table.closest_preceding_arena] over this network's
-   ids, but the circular-interval class is computed once per call and every
-   membership test resolves through the prefix column (one integer load; the
-   full string compare runs only on a 56-bit prefix tie). Exposed so the
-   HIERAS layer arenas (whose nodes index this same network) share it. *)
-let closest_preceding_in_arena t ~nodes ~lo ~hi ~self ~key =
-  let ids = t.ids and pre = t.pre in
-  let key_pre = Id.prefix_int key in
-  let cmp_key j =
-    let p = Array.unsafe_get pre j in
-    if p < key_pre then -1
-    else if p > key_pre then 1
-    else Id.compare (Array.unsafe_get ids j) key
-  in
-  let self_pre = Array.unsafe_get pre self in
-  let above_self j =
-    let p = Array.unsafe_get pre j in
-    if p <> self_pre then p > self_pre
-    else Id.compare (Array.unsafe_get ids j) (Array.unsafe_get ids self) > 0
-  in
-  let c_lo = cmp_key self in
-  let rec go k =
-    if k < lo then -1
-    else
-      let j : int = Array.unsafe_get nodes k in
-      let inside =
-        if c_lo < 0 then above_self j && cmp_key j < 0
-        else if c_lo > 0 then above_self j || cmp_key j < 0
-        else j <> self (* degenerate self = key: the whole circle but self *)
-      in
-      if inside then j else go (k - 1)
-  in
-  go (hi - 1)
+(* The owner rule. Node indices are in identifier order, so the arcs of
+   the identifier circle that start at node [self] are decided by indices
+   alone, with d(x) = (x - self) mod n taken in (0, n] ([self] itself is n)
+   and [owner] the key's owner:
+   - node [j] lies strictly inside (id self, key) iff d(j) < d(owner);
+   - the key lies on (id self, id u] iff d(owner) <= d(u).
+   No identifier is read. The scans serve any finger arena whose entries
+   index this network — its own and every HIERAS layer's — from the
+   farthest finger down (segments ascend by exponent). *)
+let[@inline] dist n ~self x = if x > self then x - self else x - self + n
 
-let closest_preceding_finger t i ~key =
-  closest_preceding_in_arena t ~nodes:t.f_node ~lo:t.f_off.(i) ~hi:t.f_off.(i + 1) ~self:i
-    ~key
+let key_on_arc t self ~upto ~owner =
+  let n = Array.length t.ids in
+  dist n ~self owner <= dist n ~self upto
 
-let preceding_candidates t i ~key =
-  Finger_table.preceding_candidates_arena ~nodes:t.f_node ~lo:t.f_off.(i)
-    ~hi:t.f_off.(i + 1)
-    ~id_of:(fun j -> t.ids.(j))
-    ~self:t.ids.(i) ~key
+let rec closest nodes lo k ~n ~self ~lim =
+  if k < lo then -1
+  else
+    let j = Array.unsafe_get nodes k in
+    if dist n ~self j < lim then j else closest nodes lo (k - 1) ~n ~self ~lim
+
+(* every distinct such finger, farthest first; a node can recur only
+   non-adjacently, so each is checked against those already taken *)
+let rec gather nodes lo k ~n ~self ~lim acc =
+  if k < lo then List.rev acc
+  else
+    let j = nodes.(k) in
+    let acc = if dist n ~self j < lim && not (List.mem j acc) then j :: acc else acc in
+    gather nodes lo (k - 1) ~n ~self ~lim acc
+
+let closest_preceding_in t (a : Finger_table.arena) i ~owner =
+  let n = Array.length t.ids in
+  closest a.nodes a.off.(i) (a.off.(i + 1) - 1) ~n ~self:i ~lim:(dist n ~self:i owner)
+
+let preceding_candidates_in t (a : Finger_table.arena) i ~owner =
+  let n = Array.length t.ids in
+  gather a.nodes a.off.(i) (a.off.(i + 1) - 1) ~n ~self:i ~lim:(dist n ~self:i owner) []
 
 let successor_of_key t key =
   let n = Array.length t.ids in
@@ -144,11 +129,17 @@ let successor_of_key t key =
   done;
   if !lo = n then 0 else !lo
 
+let closest_preceding_finger t i ~key =
+  closest_preceding_in t t.fingers i ~owner:(successor_of_key t key)
+
+let preceding_candidates t i ~key =
+  preceding_candidates_in t t.fingers i ~owner:(successor_of_key t key)
+
 let find_node t key =
   let pos = successor_of_key t key in
   if Id.equal t.ids.(pos) key then Some pos else None
 
-let total_finger_segments t = Array.length t.f_node
+let total_finger_segments t = Array.length t.fingers.nodes
 
 let bytes_resident t =
   let word = Sys.word_size / 8 in
@@ -160,6 +151,4 @@ let bytes_resident t =
   let id_block = word + (((id_payload / word) + 1) * word) in
   arr n (* ids pointer array *) + (n * id_block) + arr n (* prefix column *)
   + arr n (* hosts *)
-  + arr (n + 1) (* f_off *)
-  + (word + ((Bytes.length t.f_exp / word) + 1) * word) (* f_exp *)
-  + arr (Array.length t.f_node)
+  + Finger_table.arena_bytes t.fingers

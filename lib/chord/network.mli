@@ -60,21 +60,38 @@ val finger_table : t -> int -> Finger_table.t
 (** A thin view materialized from the node's finger-arena slice. Prefer
     {!closest_preceding_finger} / {!preceding_candidates} on hot paths. *)
 
+val fingers : t -> Finger_table.arena
+(** The shared finger arena, entry [i] of [off] starting node [i]'s slice. *)
+
 val closest_preceding_finger : t -> int -> key:Hashid.Id.t -> int
 (** [Finger_table.closest_preceding] read straight off the packed arena:
     the farthest finger of node [i] strictly inside [(id i, key)], or [-1]
     when no finger makes progress. *)
 
-val closest_preceding_in_arena :
-  t -> nodes:int array -> lo:int -> hi:int -> self:int -> key:Hashid.Id.t -> int
-(** The same scan over an external segment-node arena slice whose entries
-    index {e this} network's nodes — what the HIERAS layer arenas use. The
-    circular-interval class is fixed once per call and membership tests
-    resolve through the id-prefix column, so a probe is one integer load
-    except on 56-bit prefix ties. *)
-
 val preceding_candidates : t -> int -> key:Hashid.Id.t -> int list
 (** [Finger_table.preceding_candidates] off the packed arena. *)
+
+(** {2 Deciding by the key's owner}
+
+    Node indices are in identifier order, so once the key's owner is known
+    ({!successor_of_key}) every arc test from node [i] is integer
+    arithmetic on indices, with no identifier read: with
+    [d x = (x - i) mod n] taken in [(0, n\]] ([d i = n]), node [j] lies
+    strictly inside [(id i, key)] iff [d j < d owner], and the key lies on
+    [(id i, id u\]] iff [d owner <= d u]. The routing walk resolves the
+    owner once per route and decides every hop this way. *)
+
+val closest_preceding_in : t -> Finger_table.arena -> int -> owner:int -> int
+(** {!closest_preceding_finger} over node [i]'s slice of an arena whose
+    entries index this network — {!fingers}, or a HIERAS layer's ring
+    arena — for the key whose owner is [owner]. Allocates nothing. *)
+
+val preceding_candidates_in : t -> Finger_table.arena -> int -> owner:int -> int list
+(** {!preceding_candidates} over node [i]'s slice of such an arena. *)
+
+val key_on_arc : t -> int -> upto:int -> owner:int -> bool
+(** [Id.in_oc key ~lo:(id i) ~hi:(id upto)] for the key whose owner is
+    [owner]. *)
 
 val find_node : t -> Hashid.Id.t -> int option
 (** Node with exactly this identifier. *)

@@ -29,16 +29,18 @@ module Base = struct
     go (Network.successor_of_key net key) 0
 
   (* the successor when it owns the key, otherwise the closest preceding
-     finger (successor fallback) *)
-  let step t ~cur ~key =
+     finger (successor fallback); every hop is decided by the owner's index
+     (Network's owner rule) *)
+  let step t ~cur ~owner ~key:_ =
     let net = t.net in
     let succ = Network.successor net cur in
-    if Id.in_oc key ~lo:(Network.id net cur) ~hi:(Network.id net succ) then succ
+    if owner = succ then succ
     else
-      let f = Network.closest_preceding_finger net cur ~key in
-      if f >= 0 && f <> cur then f else succ
+      let f = Network.closest_preceding_in net (Network.fingers net) cur ~owner in
+      if f >= 0 then f else succ
 
-  let candidates t ~cur ~key = Network.preceding_candidates t.net cur ~key
+  let candidates t ~cur ~owner ~key:_ =
+    Network.preceding_candidates_in t.net (Network.fingers t.net) cur ~owner
 
   (* [len] successors of [cur] along [next], stopping if they wrap back to
      [cur] *)
@@ -54,22 +56,14 @@ module Base = struct
   (* the successor list *)
   let window t ~cur = chain (Network.successor t.net) cur (Network.succ_list_len t.net)
 
-  let covers t ~cur ~upto ~key =
-    Id.in_oc key ~lo:(Network.id t.net cur) ~hi:(Network.id t.net upto)
+  let covers t ~cur ~upto ~owner ~key:_ = Network.key_on_arc t.net cur ~upto ~owner
 
   (* A HIERAS ring over a Chord member subset is Chord again. One layer
      packs all its rings (DESIGN.md §12): ring successor and predecessor as
      flat node-indexed arrays, and every ring-restricted finger table in one
-     shared arena — node [i]'s segments are
-     [f_exp/f_node.(f_off.(i) .. f_off.(i+1) - 1)]. The arenas index the
-     global network, so its prefix-accelerated scan applies unchanged. *)
-  type layer = {
-    ring_succ : int array;
-    ring_pred : int array;
-    f_off : int array; (* n+1 *)
-    f_exp : Bytes.t;
-    f_node : int array;
-  }
+     shared arena. The arena indexes the global network, so the network's
+     owner-rule scans apply unchanged. *)
+  type layer = { ring_succ : int array; ring_pred : int array; fingers : Finger_table.arena }
 
   (* Chord node indices are id-ordered, so members ascending by node index
      are ascending by identifier, as [Finger_table.pack] requires. *)
@@ -91,39 +85,31 @@ module Base = struct
              let ids = Array.map (Network.id net) members in
              (ids, Array.map Id.prefix_int ids, members))
     in
-    let f_off, f_exp, f_node =
-      Finger_table.pack_arena (Network.space net) ~size:n ~capacity:(n * 8)
+    let fingers =
+      Finger_table.pack_arena (Network.space net) ~size:n
         ~owner_id:(Network.id net)
         ~members:(fun i -> rings.(ring_of.(i)))
     in
-    { ring_succ; ring_pred; f_off; f_exp; f_node }
-
-  let closest_preceding t layer cur ~key =
-    Network.closest_preceding_in_arena t.net ~nodes:layer.f_node ~lo:layer.f_off.(cur)
-      ~hi:layer.f_off.(cur + 1) ~self:cur ~key
+    { ring_succ; ring_pred; fingers }
 
   (* the walk stops at the ring member that most closely precedes the key:
      no member lies strictly between it and the key *)
-  let ring_step t layer ~cur ~key =
+  let ring_step t layer ~cur ~owner ~key:_ =
     let succ = layer.ring_succ.(cur) in
-    if Id.in_oc key ~lo:(Network.id t.net cur) ~hi:(Network.id t.net succ) then cur
+    if Network.key_on_arc t.net cur ~upto:succ ~owner then cur
     else
-      let f = closest_preceding t layer cur ~key in
-      if f >= 0 && f <> cur then f else succ
+      let f = Network.closest_preceding_in t.net layer.fingers cur ~owner in
+      if f >= 0 then f else succ
 
-  let preceding_candidates t layer cur ~key =
-    Finger_table.preceding_candidates_arena ~nodes:layer.f_node ~lo:layer.f_off.(cur)
-      ~hi:layer.f_off.(cur + 1) ~id_of:(Network.id t.net) ~self:(Network.id t.net cur) ~key
-
-  let ring_candidates t layer ~cur ~key = preceding_candidates t layer cur ~key
+  let ring_candidates t layer ~cur ~owner ~key:_ =
+    Network.preceding_candidates_in t.net layer.fingers cur ~owner
 
   (* the ring-successor chain, as long as the successor list *)
   let ring_window t layer ~cur = chain (Array.get layer.ring_succ) cur (Network.succ_list_len t.net)
 
-  let early_finish t ~cur ~key =
+  let early_finish t ~cur ~owner ~key:_ =
     let succ = Network.successor t.net cur in
-    if Id.in_oc key ~lo:(Network.id t.net cur) ~hi:(Network.id t.net succ) then Some succ
-    else None
+    if owner = succ then Some succ else None
 end
 
 include Routing.Extend (Base)
@@ -133,22 +119,19 @@ let of_network net = { Base.net; lat = None }
 let network (t : t) = t.Base.net
 let layer_successor (layer : layer) node = layer.Base.ring_succ.(node)
 let layer_predecessor (layer : layer) node = layer.Base.ring_pred.(node)
-let layer_closest_preceding t layer node ~key = Base.closest_preceding t layer node ~key
-let layer_preceding_candidates t layer node ~key = Base.preceding_candidates t layer node ~key
-let layer_segments (layer : layer) = Array.length layer.Base.f_node
+let layer_closest_preceding t (layer : layer) node ~key =
+  Network.closest_preceding_in t.Base.net layer.fingers node ~owner:(owner_of_key t ~key)
+
+let layer_preceding_candidates t (layer : layer) node ~key =
+  Network.preceding_candidates_in t.Base.net layer.fingers node ~owner:(owner_of_key t ~key)
+
+let layer_segments (layer : layer) = Array.length layer.Base.fingers.nodes
 
 let layer_finger_table (t : t) (layer : layer) node =
-  let lo = layer.Base.f_off.(node) and hi = layer.f_off.(node + 1) in
-  Finger_table.of_segments ~owner:node
-    ~bits:(Id.bits (Network.space t.Base.net))
-    ~exps:(Array.init (hi - lo) (fun k -> Char.code (Bytes.get layer.f_exp (lo + k))))
-    ~nodes:(Array.sub layer.f_node lo (hi - lo))
+  Finger_table.of_arena layer.Base.fingers ~bits:(Id.bits (Network.space t.Base.net)) node
 
 let layer_bytes_resident (layer : layer) =
   let word = Sys.word_size / 8 in
   let arr len = (len + 1) * word in
   let n = Array.length layer.Base.ring_succ in
-  arr n (* ring_succ *) + arr n (* ring_pred *)
-  + arr (n + 1) (* f_off *)
-  + (word + ((Bytes.length layer.f_exp / word) + 1) * word)
-  + arr (Array.length layer.f_node)
+  arr n (* ring_succ *) + arr n (* ring_pred *) + Finger_table.arena_bytes layer.fingers

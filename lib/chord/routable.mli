@@ -5,7 +5,9 @@
     fingers as failover candidates, the successor list as the heartbeat
     window, and the packed rings of one HIERAS layer (ring
     successor/predecessor arrays and one shared finger arena, DESIGN.md
-    §12) with the ring-successor chain as their window. The entry points
+    §12) with the ring-successor chain as their window. Each primitive
+    decides by node indices and the key's owner ({!Network}'s owner rule),
+    so a hop reads no identifier and allocates nothing. The entry points
     are {!Routing.Walk} with no layers — flat Chord is HIERAS at depth 1 —
     and [Hieras.Make] runs the same walk over the layers. *)
 
@@ -33,7 +35,8 @@ val layer_predecessor : layer -> int -> int
 
 val layer_closest_preceding : t -> layer -> int -> key:Hashid.Id.t -> int
 (** [Finger_table.closest_preceding] on the node's ring-restricted table,
-    read straight off the arena; [-1] when no finger makes progress. *)
+    read straight off the arena after one owner lookup; [-1] when no finger
+    makes progress. *)
 
 val layer_preceding_candidates : t -> layer -> int -> key:Hashid.Id.t -> int list
 (** [Finger_table.preceding_candidates] off the arena. *)

@@ -63,7 +63,9 @@ val finger_table : t -> layer:int -> int -> Chord.Finger_table.t
 val closest_preceding_finger : t -> layer:int -> int -> key:Hashid.Id.t -> int
 (** [Chord.Finger_table.closest_preceding] on the node's layer-restricted
     table, read straight off the packed arena; [-1] when no finger makes
-    progress. Layer 1 delegates to the Chord network. *)
+    progress. Layer 1 delegates to the Chord network. The key's owner is
+    looked up once, and the scan decides each finger by its index
+    ([Chord.Network.closest_preceding_in]). *)
 
 val preceding_candidates : t -> layer:int -> int -> key:Hashid.Id.t -> int list
 (** [Chord.Finger_table.preceding_candidates] off the packed arena

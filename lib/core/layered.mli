@@ -70,12 +70,9 @@ module Make (R : Routing.BASE) : sig
       array is [into] itself, so a caller reusing it must consume it before
       the next call.
 
-      It is not allocation-free: the substrate's step functions allocate.
-      Over [Chord.Routable] on the paper's set-up (10,000 nodes, depth 2)
-      a call allocates about 160 minor words for 7.65 hops on average,
-      almost all in [Chord.Network.closest_preceding_in_arena], whose
-      three local closures take 23 words per call (about one call per
-      hop). *)
+      Over [Chord.Routable] a hop allocates nothing: every hop is decided
+      by node indices and the key's owner, looked up once per call. A call
+      with [into] then allocates only its result tuple (5 words). *)
 
   val route_hops_only : t -> origin:int -> key:Hashid.Id.t -> int * int
   (** [(hops, destination)] — the {!Routing.ROUTABLE} analytic form. *)

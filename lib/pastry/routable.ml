@@ -32,7 +32,7 @@ module Base = struct
       if !best >= 0 then Some !best else None
     end
 
-  let step t ~cur ~key = Route.next_hop t ~root:(Network.root_of_key t key) ~key ~cur
+  let step t ~cur ~owner ~key = Route.next_hop t ~root:owner ~key ~cur
 
   (* every contact the node knows: leaf set + all routing-table cells *)
   let known_contacts t cur =
@@ -62,8 +62,8 @@ module Base = struct
     |> List.filter (fun c -> c <> cur && keep c && Route.num_dist sp (Network.id t c) key < my)
     |> List.sort_uniq by_closeness
 
-  let candidates t ~cur ~key =
-    let next = step t ~cur ~key in
+  let candidates t ~cur ~owner ~key =
+    let next = step t ~cur ~owner ~key in
     let rest =
       closing_contacts t ~keep:(fun _ -> true) ~cur ~key |> List.filter (fun c -> c <> next)
     in
@@ -71,7 +71,7 @@ module Base = struct
 
   (* no heartbeat window: every dead contact is found by probing *)
   let window _ ~cur:_ = []
-  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+  let covers _ ~cur:_ ~upto:_ ~owner:_ ~key:_ = false
 
   (* A HIERAS ring over a Pastry subset: the members on the identifier
      circle, walked by numerical closeness — contact-list shortcuts when a
@@ -82,25 +82,24 @@ module Base = struct
   let make_layer t ~rings =
     Routing.Circle.make ~space:(Network.space t) ~id_of:(Network.id t) ~size:(Network.size t) ~rings
 
-  let ring_candidates t layer ~cur ~key =
+  let ring_candidates t layer ~cur ~owner:_ ~key =
     let cands = closing_contacts t ~keep:(Routing.Circle.same layer cur) ~cur ~key in
     let tw = Routing.Circle.toward layer ~cur ~key in
     if tw = cur || List.mem tw cands then cands else cands @ [ tw ]
 
   (* the walk stops at the member numerically closest to the key *)
-  let ring_step t layer ~cur ~key =
+  let ring_step t layer ~cur ~owner ~key =
     if Routing.Circle.root layer ~cur ~key = cur then cur
     else
-      match ring_candidates t layer ~cur ~key with
+      match ring_candidates t layer ~cur ~owner ~key with
       | next :: _ -> next
       | [] -> cur (* unreachable: [toward] makes progress off the root *)
 
   let ring_window _ _ ~cur:_ = []
 
-  let early_finish t ~cur ~key =
-    (* leaf-set delivery: the current node already knows the key's root *)
-    let root = Network.root_of_key t key in
-    if Array.exists (( = ) root) (Network.leaf_set t cur) then Some root else None
+  (* leaf-set delivery: the current node already knows the key's root *)
+  let early_finish t ~cur ~owner ~key:_ =
+    if Array.exists (( = ) owner) (Network.leaf_set t cur) then Some owner else None
 end
 
 include Routing.Extend (Base)

@@ -79,18 +79,18 @@ module type BASE = sig
   val guard : t -> int
   val owner_of_key : t -> key:Hashid.Id.t -> int
   val live_owner : t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option
-  val step : t -> cur:int -> key:Hashid.Id.t -> int
-  val candidates : t -> cur:int -> key:Hashid.Id.t -> int list
+  val step : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int
+  val candidates : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int list
   val window : t -> cur:int -> int list
-  val covers : t -> cur:int -> upto:int -> key:Hashid.Id.t -> bool
+  val covers : t -> cur:int -> upto:int -> owner:int -> key:Hashid.Id.t -> bool
 
   type layer
 
   val make_layer : t -> rings:int array list -> layer
-  val ring_step : t -> layer -> cur:int -> key:Hashid.Id.t -> int
-  val ring_candidates : t -> layer -> cur:int -> key:Hashid.Id.t -> int list
+  val ring_step : t -> layer -> cur:int -> owner:int -> key:Hashid.Id.t -> int
+  val ring_candidates : t -> layer -> cur:int -> owner:int -> key:Hashid.Id.t -> int list
   val ring_window : t -> layer -> cur:int -> int list
-  val early_finish : t -> cur:int -> key:Hashid.Id.t -> int option
+  val early_finish : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int option
 end
 
 module type S = sig
@@ -174,18 +174,18 @@ module Walk (B : BASE) = struct
 
   let rec global t per full ~key ~owner cur =
     if cur <> owner then begin
-      let next = B.step t ~cur ~key in
+      let next = B.step t ~cur ~owner ~key in
       note t per full ~layer:1 cur next;
       global t per full ~key ~owner next
     end
 
   (* one layer's ring loop; returns where it stops *)
-  let rec ring t per full lr ~layer ~key cur =
-    let next = B.ring_step t lr ~cur ~key in
+  let rec ring t per full lr ~layer ~key ~owner cur =
+    let next = B.ring_step t lr ~cur ~owner ~key in
     if next = cur then cur
     else begin
       note t per full ~layer cur next;
-      ring t per full lr ~layer ~key next
+      ring t per full lr ~layer ~key ~owner next
     end
 
   (* layers [layer .. 2], each followed by the owner check and the early
@@ -196,10 +196,10 @@ module Walk (B : BASE) = struct
       1
     end
     else
-      let stop = ring t per full layers.(layer - 2) ~layer ~key cur in
+      let stop = ring t per full layers.(layer - 2) ~layer ~key ~owner cur in
       if stop = owner then layer
       else
-        match B.early_finish t ~cur:stop ~key with
+        match B.early_finish t ~cur:stop ~owner ~key with
         | Some next ->
             note t per full ~layer:1 stop next;
             layer
@@ -313,7 +313,7 @@ module Walk (B : BASE) = struct
             Some s
         | None -> None)
 
-  let rec global_live t per r f ~key ~target ~guard cur steps =
+  let rec global_live t per r f ~key ~owner ~target ~guard cur steps =
     if cur = target then true
     else if steps >= guard then false
     else
@@ -321,43 +321,43 @@ module Walk (B : BASE) = struct
       let s = stand_in f win in
       let next =
         match s with
-        | Some s when B.covers t ~cur ~upto:s ~key ->
+        | Some s when B.covers t ~cur ~upto:s ~owner ~key ->
             forward t per r f ~layer:1 cur s win;
             Some s
-        | _ -> next_hop t per r f ~layer:1 cur s win (B.candidates t ~cur ~key)
+        | _ -> next_hop t per r f ~layer:1 cur s win (B.candidates t ~cur ~owner ~key)
       in
       match next with
-      | Some next -> global_live t per r f ~key ~target ~guard next (steps + 1)
+      | Some next -> global_live t per r f ~key ~owner ~target ~guard next (steps + 1)
       | None -> false (* locally partitioned: nothing live to forward to *)
 
   (* one layer's ring loop under failures; a ring with no live route (or
      past the step budget) is left early, a layer escape *)
-  let rec ring_live t per r f lr ~layer ~key ~guard cur steps =
+  let rec ring_live t per r f lr ~layer ~key ~owner ~guard cur steps =
     let win = B.ring_window t lr ~cur in
     let s = stand_in f win in
-    let covered = match s with Some s -> B.covers t ~cur ~upto:s ~key | None -> false in
-    if covered || B.ring_step t lr ~cur ~key = cur then cur
+    let covered = match s with Some s -> B.covers t ~cur ~upto:s ~owner ~key | None -> false in
+    if covered || B.ring_step t lr ~cur ~owner ~key = cur then cur
     else
       let next =
         if steps >= guard then None
-        else next_hop t per r f ~layer cur s win (B.ring_candidates t lr ~cur ~key)
+        else next_hop t per r f ~layer cur s win (B.ring_candidates t lr ~cur ~owner ~key)
       in
       match next with
-      | Some next -> ring_live t per r f lr ~layer ~key ~guard next (steps + 1)
+      | Some next -> ring_live t per r f lr ~layer ~key ~owner ~guard next (steps + 1)
       | None ->
           escape r f ~layer cur;
           cur
 
   (* the early exit from a ring stop: to the covering stand-in, else to the
      substrate's own exit if it is alive; returns the new position *)
-  let early_live t per r f ~key stop =
+  let early_live t per r f ~key ~owner stop =
     let win = B.window t ~cur:stop in
     match stand_in f win with
-    | Some s when B.covers t ~cur:stop ~upto:s ~key ->
+    | Some s when B.covers t ~cur:stop ~upto:s ~owner ~key ->
         forward t per r f ~layer:1 stop s win;
         s
     | _ -> (
-        match B.early_finish t ~cur:stop ~key with
+        match B.early_finish t ~cur:stop ~owner ~key with
         | Some next when f.is_alive next ->
             note t per (Some r) ~layer:1 stop next;
             next
@@ -366,15 +366,16 @@ module Walk (B : BASE) = struct
             stop
         | None -> stop)
 
-  let rec descend_live t layers per r f ~key ~target ~guard ~layer cur =
-    if layer = 1 then if global_live t per r f ~key ~target ~guard cur 0 then Some 1 else None
+  let rec descend_live t layers per r f ~key ~owner ~target ~guard ~layer cur =
+    if layer = 1 then
+      if global_live t per r f ~key ~owner ~target ~guard cur 0 then Some 1 else None
     else
-      let stop = ring_live t per r f layers.(layer - 2) ~layer ~key ~guard cur 0 in
+      let stop = ring_live t per r f layers.(layer - 2) ~layer ~key ~owner ~guard cur 0 in
       if stop = target then Some layer
       else
-        let next = early_live t per r f ~key stop in
+        let next = early_live t per r f ~key ~owner stop in
         if next = target then Some layer
-        else descend_live t layers per r f ~key ~target ~guard ~layer:(layer - 1) next
+        else descend_live t layers per r f ~key ~owner ~target ~guard ~layer:(layer - 1) next
 
   let route_resilient ?(trace = Obs.Trace.disabled) ?(policy = default_policy) t layers ~is_alive
       ~origin ~key =
@@ -391,7 +392,10 @@ module Walk (B : BASE) = struct
       | None -> None
       | Some target when target = origin -> Some depth
       | Some target ->
-          descend_live t layers per r f ~key ~target ~guard:(B.guard t) ~layer:depth origin
+          (* the liveness-blind primitives decide by the flat owner *)
+          let owner = B.owner_of_key t ~key in
+          descend_live t layers per r f ~key ~owner ~target ~guard:(B.guard t) ~layer:depth
+            origin
     in
     let pos = match r.path with h :: _ -> h.to_node | [] -> origin in
     let res =

@@ -106,9 +106,10 @@ module type ROUTABLE = sig
 
   val route_hops_only : t -> origin:int -> key:Hashid.Id.t -> int * int
   (** [(hop_count, destination)] — the analytic walk: no latency oracle, no
-      trace, no hop list, hop-for-hop identical to {!route}. It still
-      allocates whatever the substrate's step functions do: about 23
-      minor words per hop over Chord's packed arenas. *)
+      trace, no hop list, hop-for-hop identical to {!route}. It allocates
+      whatever the substrate's step functions do; over Chord's packed
+      arenas that is nothing per hop, only the per-layer tally and the
+      result. *)
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
@@ -128,7 +129,13 @@ end
 
 (** The provider contract: one greedy step, its failover alternatives, the
     heartbeat window, and ring-restricted variants of each over an
-    arbitrary member subset. *)
+    arbitrary member subset.
+
+    The per-hop primitives take the key together with its [owner]
+    ({!owner_of_key}), which the walk resolves once per route; a substrate
+    decides each hop from whichever of the two it needs. Chord's node
+    indices are in identifier order, so it decides every hop by integer
+    comparisons of indices (the owner rule, [Chord.Network]). *)
 module type BASE = sig
   type t
 
@@ -149,11 +156,11 @@ module type BASE = sig
   val owner_of_key : t -> key:Hashid.Id.t -> int
   val live_owner : t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option
 
-  val step : t -> cur:int -> key:Hashid.Id.t -> int
-  (** The substrate's next hop from [cur] towards [key]; precondition
-      [cur <> owner_of_key t ~key]. *)
+  val step : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int
+  (** The substrate's next hop from [cur] towards [key], whose owner is
+      [owner]; precondition [cur <> owner]. *)
 
-  val candidates : t -> cur:int -> key:Hashid.Id.t -> int list
+  val candidates : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int list
   (** Liveness-blind failover order for one step, probed in turn. With
       everyone alive, {!step}'s choice is the first {!window} entry when it
       {!covers} the key, else the head of this list, else the first window
@@ -165,7 +172,7 @@ module type BASE = sig
       order, whose death [cur] knows without probing — Chord's successor
       list; empty for CAN, Pastry and Tapestry. *)
 
-  val covers : t -> cur:int -> upto:int -> key:Hashid.Id.t -> bool
+  val covers : t -> cur:int -> upto:int -> owner:int -> key:Hashid.Id.t -> bool
   (** The key lies on the arc ([cur], [upto]]: were the window entry
       [upto] [cur]'s successor, it would own the key. Only asked of window
       entries. *)
@@ -179,11 +186,11 @@ module type BASE = sig
   (** [rings] partition the substrate's nodes (every node in exactly one
       ring); each ring's members are node indices in ascending order. *)
 
-  val ring_step : t -> layer -> cur:int -> key:Hashid.Id.t -> int
+  val ring_step : t -> layer -> cur:int -> owner:int -> key:Hashid.Id.t -> int
   (** Next member of [cur]'s ring towards [key], or [cur] itself where this
       layer can make no further progress — the ring walk's stop. *)
 
-  val ring_candidates : t -> layer -> cur:int -> key:Hashid.Id.t -> int list
+  val ring_candidates : t -> layer -> cur:int -> owner:int -> key:Hashid.Id.t -> int list
   (** Failover order within [cur]'s ring, as {!candidates} is on the global
       ring. *)
 
@@ -192,7 +199,7 @@ module type BASE = sig
       chain, as long as the successor list); empty for CAN, Pastry and
       Tapestry. *)
 
-  val early_finish : t -> cur:int -> key:Hashid.Id.t -> int option
+  val early_finish : t -> cur:int -> owner:int -> key:Hashid.Id.t -> int option
   (** The paper's between-layer early exit: [Some next] when [cur]'s global
       successor knowledge already names the key's owner — the layered walk
       then records one final layer-1 hop to [next] and stops. *)

@@ -20,12 +20,12 @@ module Base = struct
     if is_alive root then Some root else None
 
   let path_of t key = Array.of_list (Network.root_path t key)
-  let step t ~cur ~key = Network.next_on_path t ~path:(path_of t key) ~cur
-  let candidates t ~cur ~key = Network.path_candidates t ~path:(path_of t key) ~cur
+  let step t ~cur ~owner:_ ~key = Network.next_on_path t ~path:(path_of t key) ~cur
+  let candidates t ~cur ~owner:_ ~key = Network.path_candidates t ~path:(path_of t key) ~cur
 
   (* no heartbeat window: every dead contact is found by probing *)
   let window _ ~cur:_ = []
-  let covers _ ~cur:_ ~upto:_ ~key:_ = false
+  let covers _ ~cur:_ ~upto:_ ~owner:_ ~key:_ = false
 
   (* A HIERAS ring over a Tapestry subset: members on the identifier circle,
      with prefix-group shortcuts — in-ring nodes matching one more digit of
@@ -36,7 +36,7 @@ module Base = struct
   let make_layer t ~rings =
     Routing.Circle.make ~space:(Network.space t) ~id_of:(Network.id t) ~size:(Network.size t) ~rings
 
-  let ring_candidates t layer ~cur ~key =
+  let ring_candidates t layer ~cur ~owner:_ ~key =
     let sp = Network.space t in
     let r = Network.shared_digits t cur key in
     let my = Routing.num_dist sp (Network.id t cur) key in
@@ -56,16 +56,16 @@ module Base = struct
     if tw = cur || List.mem tw cands then cands else cands @ [ tw ]
 
   (* the walk stops at the member numerically closest to the key *)
-  let ring_step t layer ~cur ~key =
+  let ring_step t layer ~cur ~owner ~key =
     if Routing.Circle.root layer ~cur ~key = cur then cur
     else
-      match ring_candidates t layer ~cur ~key with
+      match ring_candidates t layer ~cur ~owner ~key with
       | next :: _ -> next
       | [] -> cur (* unreachable: [toward] makes progress off the root *)
 
   let ring_window _ _ ~cur:_ = []
 
-  let early_finish _t ~cur:_ ~key:_ = None
+  let early_finish _t ~cur:_ ~owner:_ ~key:_ = None
 end
 
 include Routing.Extend (Base)
