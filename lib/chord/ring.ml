@@ -258,26 +258,21 @@ let joined ?census:extra rings =
 
 (* Request/response with timeout. [service] runs at [dst] against its node
    state and its response travels back in a second message. A timer at the
-   requester fires [timeout] if the response has not arrived. [kind]
-   labels the request span for the netspan tracer; the response leg is
-   always a [Reply] (and a causal child of the request). *)
+   requester fires [timeout] if the response has not arrived; the response
+   cancels it. [kind] labels the request span for the netspan tracer; the
+   response leg is always a [Reply] (and a causal child of the request). *)
 let ask r ~kind ~src ~dst ~(service : state -> 'a) ~(ok : 'a -> unit) ~(timeout : unit -> unit) =
-  let settled = ref false in
+  let pending = ref Engine.no_timer in
   Engine.send r.sh.eng ~kind ~src ~dst (fun () ->
       match Hashtbl.find_opt r.nodes dst with
       | None -> ()
       | Some s ->
           let response = service s in
           Engine.send r.sh.eng ~kind:Netspan.Reply ~src:dst ~dst:src (fun () ->
-              if not !settled then begin
-                settled := true;
-                ok response
-              end));
-  Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
-      if not !settled then begin
-        settled := true;
-        timeout ()
-      end)
+              if Engine.settle r.sh.eng pending then ok response));
+  pending :=
+    Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
+        if Engine.settle r.sh.eng pending then timeout ())
 
 (* Split-ring healing: parallel rings (formed under heavy loss or
    simultaneous joins) never merge through stabilize alone, because no
@@ -362,20 +357,15 @@ let rec handle_find_successor r s ~kind ~key ~hops ~reply_to ~(reply : peer -> i
 (* find_successor issued from [src] with timeout/retry *)
 let find_successor r ~kind ~src ~key ~retries ~(ok : peer -> int -> unit) ~(failed : unit -> unit) =
   let rec attempt n =
-    let settled = ref false in
+    let pending = ref Engine.no_timer in
     (match Hashtbl.find_opt r.nodes src with
     | None -> ()
     | Some s ->
         handle_find_successor r s ~kind ~key ~hops:(-1) ~reply_to:src ~reply:(fun p h ->
-            if not !settled then begin
-              settled := true;
-              ok p h
-            end));
-    Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
-        if not !settled then begin
-          settled := true;
-          if n > 0 then attempt (n - 1) else failed ()
-        end)
+            if Engine.settle r.sh.eng pending then ok p h));
+    pending :=
+      Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
+          if Engine.settle r.sh.eng pending then if n > 0 then attempt (n - 1) else failed ())
   in
   attempt retries
 
@@ -485,9 +475,10 @@ let rec stabilize r s =
   end
 
 and schedule_stabilize r s =
-  Engine.timer r.sh.eng ~node:s.addr
-    ~delay:(r.sh.cfg.stabilize_every *. r.sh.scale)
-    (fun () -> stabilize r s)
+  ignore
+    (Engine.timer r.sh.eng ~node:s.addr
+       ~delay:(r.sh.cfg.stabilize_every *. r.sh.scale)
+       (fun () -> stabilize r s))
 
 let rec fix_fingers r s =
   let cfg = r.sh.cfg in
@@ -506,9 +497,10 @@ let rec fix_fingers r s =
            successor list until a later round re-resolves it *)
         s.fingers.(i) <- None)
   done;
-  Engine.timer r.sh.eng ~node:s.addr
-    ~delay:(cfg.fix_fingers_every *. r.sh.scale)
-    (fun () -> fix_fingers r s)
+  ignore
+    (Engine.timer r.sh.eng ~node:s.addr
+       ~delay:(cfg.fix_fingers_every *. r.sh.scale)
+       (fun () -> fix_fingers r s))
 
 let rec check_predecessor r s =
   (match s.pred with
@@ -524,35 +516,39 @@ let rec check_predecessor r s =
             | Some q when q.paddr = p.paddr -> s.pred <- None
             | _ -> ())
       end);
-  Engine.timer r.sh.eng ~node:s.addr
-    ~delay:(r.sh.cfg.check_pred_every *. r.sh.scale)
-    (fun () -> check_predecessor r s)
+  ignore
+    (Engine.timer r.sh.eng ~node:s.addr
+       ~delay:(r.sh.cfg.check_pred_every *. r.sh.scale)
+       (fun () -> check_predecessor r s))
 
 let start r s =
   let cfg = r.sh.cfg in
   schedule_stabilize r s;
-  Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.fix_fingers_every (fun () -> fix_fingers r s);
-  Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.check_pred_every (fun () -> check_predecessor r s)
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.fix_fingers_every (fun () -> fix_fingers r s));
+  ignore
+    (Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.check_pred_every (fun () ->
+         check_predecessor r s))
 
 let join r s ~bootstrap ~joined =
   let cfg = r.sh.cfg in
   let rec attempt n =
     (* route the join query through the bootstrap node *)
-    let settled = ref false in
+    let pending = ref Engine.no_timer in
     find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id
       ~reply:(fun p _ ->
-        if not !settled then begin
-          settled := true;
+        if Engine.settle r.sh.eng pending then begin
           s.succs <- [ p ];
           joined ()
         end);
-    Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.rpc_timeout (fun () ->
-        if not !settled then begin
-          settled := true;
-          (* a node that never joins is lost forever: keep retrying, with a
-             longer pause once the initial retry budget is spent *)
-          let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
-          Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () -> attempt (max 0 (n - 1)))
-        end)
+    pending :=
+      Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.rpc_timeout (fun () ->
+          if Engine.settle r.sh.eng pending then begin
+            (* a node that never joins is lost forever: keep retrying, with a
+               longer pause once the initial retry budget is spent *)
+            let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
+            ignore
+              (Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () ->
+                   attempt (max 0 (n - 1))))
+          end)
   in
   attempt cfg.lookup_retries

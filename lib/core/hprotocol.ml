@@ -257,9 +257,10 @@ let rec ring_table_duty t pn =
           end)
         ~failed:(fun () -> ()))
     tables;
-  Engine.timer t.eng ~node:pn.addr
-    ~delay:(t.cfg.ring_check_every *. Ring.scale g)
-    (fun () -> ring_table_duty t pn)
+  ignore
+    (Engine.timer t.eng ~node:pn.addr
+       ~delay:(t.cfg.ring_check_every *. Ring.scale g)
+       (fun () -> ring_table_duty t pn))
 
 (* Ring unification: concurrent joiners may read a stale ring table and boot
    a private one-node ring. Periodically every node re-reads its rings'
@@ -312,18 +313,22 @@ let rec ring_refresh t pn =
           ~timeout:(fun () -> ()))
       ~failed:(fun () -> ())
   done;
-  Engine.timer t.eng ~node:pn.addr
-    ~delay:(t.cfg.ring_check_every *. Ring.scale g)
-    (fun () -> ring_refresh t pn)
+  ignore
+    (Engine.timer t.eng ~node:pn.addr
+       ~delay:(t.cfg.ring_check_every *. Ring.scale g)
+       (fun () -> ring_refresh t pn))
 
 (* ---- lifecycle ---------------------------------------------------------- *)
 
 (* every layer's Chord timers in layer order, then the ring-table duties *)
 let start_maintenance t pn =
   Array.iteri (fun k r -> Ring.start r pn.layers.(k)) t.rings;
-  Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.ring_check_every (fun () -> ring_table_duty t pn);
-  Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. t.cfg.ring_check_every) (fun () ->
-      ring_refresh t pn)
+  ignore
+    (Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.ring_check_every (fun () ->
+         ring_table_duty t pn));
+  ignore
+    (Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. t.cfg.ring_check_every) (fun () ->
+         ring_refresh t pn))
 
 let measure_orders t ~addr =
   let dists = Binning.Landmark.measure t.lat t.landmarks ~host:addr in
@@ -397,11 +402,10 @@ let join_lower_layer t pn ~layer ~and_then =
           | first :: rest ->
               (* ask a recorded member for our ring-level successor *)
               let rec try_members m ms =
-                let settled = ref false in
+                let pending = ref Engine.no_timer in
                 Ring.find_successor_via r ~kind:Netspan.Join ~src:pn.addr ~via:m.Ring_table.node
                   ~key:pn.id ~reply:(fun succ _ ->
-                    if not !settled then begin
-                      settled := true;
+                    if Engine.settle t.eng pending then begin
                       s.succs <- [ succ ];
                       if
                         Ring_table.should_register
@@ -411,17 +415,16 @@ let join_lower_layer t pn ~layer ~and_then =
                       then register_with manager.paddr;
                       and_then ()
                     end);
-                Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.rpc_timeout (fun () ->
-                    if not !settled then begin
-                      settled := true;
-                      match ms with
-                      | next :: more -> try_members next more
-                      | [] ->
-                          (* everyone recorded is dead: start a fresh ring *)
-                          alone ();
-                          register_with manager.paddr;
-                          and_then ()
-                    end)
+                pending :=
+                  Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.rpc_timeout (fun () ->
+                      if Engine.settle t.eng pending then
+                        match ms with
+                        | next :: more -> try_members next more
+                        | [] ->
+                            (* everyone recorded is dead: start a fresh ring *)
+                            alone ();
+                            register_with manager.paddr;
+                            and_then ())
               in
               try_members first rest)
         ~timeout:(fun () ->
@@ -449,18 +452,19 @@ let join t ~addr ~id ~bootstrap =
     Ring.ask (global t) ~kind:Netspan.Join ~src:addr ~dst:bootstrap
       ~service:(fun _ -> ())
       ~ok:(fun () ->
-        Engine.timer t.eng ~node:addr ~delay:ping_delay (fun () ->
-            (* step 3: top-layer Chord join through the bootstrap, then
-               step 4: join each lower layer in turn *)
-            Ring.join (global t) pn.layers.(0) ~bootstrap ~joined:(fun () ->
-                let rec lower layer =
-                  if layer > t.cfg.depth then begin
-                    start_maintenance t pn;
-                    Ring.joined ~census:(ring_census t) t.rings
-                  end
-                  else join_lower_layer t pn ~layer ~and_then:(fun () -> lower (layer + 1))
-                in
-                lower 2)))
+        ignore
+          (Engine.timer t.eng ~node:addr ~delay:ping_delay (fun () ->
+               (* step 3: top-layer Chord join through the bootstrap, then
+                  step 4: join each lower layer in turn *)
+               Ring.join (global t) pn.layers.(0) ~bootstrap ~joined:(fun () ->
+                   let rec lower layer =
+                     if layer > t.cfg.depth then begin
+                       start_maintenance t pn;
+                       Ring.joined ~census:(ring_census t) t.rings
+                     end
+                     else join_lower_layer t pn ~layer ~and_then:(fun () -> lower (layer + 1))
+                   in
+                   lower 2))))
       ~timeout:(fun () -> fetch_landmark_table ())
   in
   fetch_landmark_table ()
@@ -511,22 +515,18 @@ let rec hroute t pn ~kind ~layer ~key ~hops ~lower_hops ~reply_to ~reply =
 
 let lookup t ~origin ~key k =
   let rec attempt budget =
-    let settled = ref false in
+    let pending = ref Engine.no_timer in
     (match Hashtbl.find_opt t.nodes origin with
     | None -> ()
     | Some pn ->
         hroute t pn ~kind:Netspan.Lookup ~layer:t.cfg.depth ~key ~hops:(-1) ~lower_hops:0
           ~reply_to:origin
           ~reply:(fun (p : Ring.peer) hops lower_hops ->
-            if not !settled then begin
-              settled := true;
-              k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops })
-            end));
-    Engine.timer t.eng ~node:origin ~delay:t.cfg.rpc_timeout (fun () ->
-        if not !settled then begin
-          settled := true;
-          if budget > 0 then attempt (budget - 1) else k None
-        end)
+            if Engine.settle t.eng pending then
+              k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops })));
+    pending :=
+      Engine.timer t.eng ~node:origin ~delay:t.cfg.rpc_timeout (fun () ->
+          if Engine.settle t.eng pending then if budget > 0 then attempt (budget - 1) else k None)
   in
   attempt t.cfg.lookup_retries
 

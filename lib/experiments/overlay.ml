@@ -12,9 +12,7 @@ let algo_name = function Chord_ring -> "chord" | Hieras_rings -> "hieras"
 (* Checked before any construction: Landmark.choose_spread cannot pick more
    landmarks than the topology has routers. *)
 let validate ~pool ~loss ~depth ~landmarks =
-  let routers =
-    Topology.Transit_stub.router_count (Topology.Transit_stub.default_params ~hosts:pool)
-  in
+  let routers = Topology.Model.routers Transit_stub ~hosts:pool in
   if loss < 0.0 || loss >= 1.0 then Error (Printf.sprintf "--loss must be in [0, 1) (got %g)" loss)
   else if depth < 2 || depth > 4 then
     Error (Printf.sprintf "--depth must be between 2 and 4 (got %d)" depth)

@@ -157,25 +157,20 @@ let accept_replica t dst ~owner ~key ~entry ~as_owner =
 
 (* One request/reply RPC leg with a client-side timeout, the protocols' own
    [ask] shape: the handler runs at [dst] on delivery and must call
-   [reply] exactly once; the response leg is a [Store_reply] send. *)
+   [reply] exactly once; the response leg is a [Store_reply] send, and
+   cancels the timeout. *)
 let rpc t ~kind ?timeout ~src ~dst ~handler ~on_reply ~on_timeout () =
   let eng = t.sub.engine in
-  let settled = ref false in
+  let pending = ref Engine.no_timer in
   Engine.send eng ~kind ~src ~dst (fun () ->
       handler ~reply:(fun resp ->
           if Engine.is_alive eng dst then
             Engine.send eng ~kind:Netspan.Store_reply ~src:dst ~dst:src (fun () ->
-                if not !settled then begin
-                  settled := true;
-                  on_reply resp
-                end)));
-  Engine.timer eng ~node:src
-    ~delay:(match timeout with Some d -> d | None -> t.cfg.rpc_timeout)
-    (fun () ->
-      if not !settled then begin
-        settled := true;
-        on_timeout ()
-      end)
+                if Engine.settle eng pending then on_reply resp)));
+  pending :=
+    Engine.timer eng ~node:src
+      ~delay:(match timeout with Some d -> d | None -> t.cfg.rpc_timeout)
+      (fun () -> if Engine.settle eng pending then on_timeout ())
 
 (* ---- put --------------------------------------------------------------- *)
 

@@ -19,13 +19,12 @@ let default_params =
     host_access_delay = 1.0;
   }
 
+let router_count p ~hosts = max 100 (min 1500 (int_of_float (p.routers_per_host *. float_of_int hosts)))
+
 let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   let p = params in
   if hosts < 1 then invalid_arg "Brite.generate: need at least one host";
-  let nr =
-    let raw = int_of_float (p.routers_per_host *. float_of_int hosts) in
-    max 100 (min 1500 raw)
-  in
+  let nr = router_count p ~hosts in
   let xs = Array.init nr (fun _ -> Prng.Rng.float rng p.plane_size) in
   let ys = Array.init nr (fun _ -> Prng.Rng.float rng p.plane_size) in
   let dist u v =

@@ -26,6 +26,10 @@ type params = {
 
 val default_params : params
 
+val router_count : params -> hosts:int -> int
+(** Routers {!generate} builds for [hosts] end-hosts: [routers_per_host]
+    of them, clamped to [100, 1500]. *)
+
 val generate :
   ?params:params ->
   ?backend:Latency.backend ->

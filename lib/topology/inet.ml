@@ -39,16 +39,15 @@ let link_delay p rng ~same_region =
     Float.min p.inter_delay_cap
       (p.inter_delay_floor +. Prng.Dist.pareto rng ~shape:p.delay_shape ~scale:p.inter_delay_scale)
 
+let router_count p ~hosts = max 200 (min 1500 (int_of_float (p.routers_per_host *. float_of_int hosts)))
+
 let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   let p = params in
   if hosts < min_hosts then
     invalid_arg
       (Printf.sprintf "Inet.generate: the Inet model needs at least %d hosts (got %d)" min_hosts
          hosts);
-  let nr =
-    let raw = int_of_float (p.routers_per_host *. float_of_int hosts) in
-    max 200 (min 1500 raw)
-  in
+  let nr = router_count p ~hosts in
   let region = Array.init nr (fun _ -> Prng.Rng.int rng p.regions) in
   let core = max 3 (p.min_degree + 1) in
   let b = Graph.builder nr in

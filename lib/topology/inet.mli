@@ -50,6 +50,9 @@ val generate :
 (** Raises [Invalid_argument] if [hosts < min_hosts]. [backend] selects the
     oracle's storage strategy (default eager). *)
 
+val router_count : params -> hosts:int -> int
+(** Routers {!generate} builds for [hosts] end-hosts. *)
+
 val degree_histogram : Graph.t -> (int * int) list
 (** [(degree, count)] pairs, ascending — used by tests to check the power-law
     tail (a handful of very-high-degree routers, many degree-[min_degree]

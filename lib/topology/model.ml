@@ -13,6 +13,12 @@ let of_name s =
 
 let min_hosts = function Inet -> Inet.min_hosts | Transit_stub | Brite -> 1
 
+let routers kind ~hosts =
+  match kind with
+  | Transit_stub -> Transit_stub.router_count (Transit_stub.default_params ~hosts)
+  | Inet -> Inet.router_count Inet.default_params ~hosts
+  | Brite -> Brite.router_count Brite.default_params ~hosts
+
 let build ?backend ?pool kind ~hosts rng =
   match kind with
   | Transit_stub -> Transit_stub.generate ?backend ?pool ~hosts rng

@@ -12,6 +12,10 @@ val of_name : string -> kind option
 val min_hosts : kind -> int
 (** 1 except for Inet (3000), matching the paper's simulation setup. *)
 
+val routers : kind -> hosts:int -> int
+(** Routers {!build} makes for [hosts] end-hosts — the most landmarks such a
+    network can hold. Never decreases as [hosts] grows. *)
+
 val build :
   ?backend:Latency.backend ->
   ?pool:Parallel.Pool.t ->

@@ -416,9 +416,13 @@ let engine_prop (seed, loss_centi, nodes, ops) =
     match Prng.Rng.int rng 5 with
     | 0 | 1 -> Simnet.Engine.send eng ~src:0 ~dst:(Prng.Rng.int rng nodes) (fun () -> ())
     | 2 ->
-        Simnet.Engine.timer eng ~node:(Prng.Rng.int rng nodes)
-          ~delay:(float_of_int (op mod 11))
-          (fun () -> ())
+        (* a cancelled timer still fires, as a no-op, and is counted *)
+        let h =
+          Simnet.Engine.timer eng ~node:(Prng.Rng.int rng nodes)
+            ~delay:(float_of_int (op mod 11))
+            (fun () -> ())
+        in
+        if op mod 3 = 0 then Simnet.Engine.cancel eng h
     | 3 ->
         if nodes > 1 then
           let victim = 1 + Prng.Rng.int rng (nodes - 1) in

@@ -474,6 +474,50 @@ let test_conformance_survives_healing () =
         (CP.successor_list_addrs p addr))
     live
 
+(* --- Settled requests ------------------------------------------------------------ *)
+
+(* A request whose reply has landed holds nothing: a block reachable only
+   from its timeout's continuation is collected while that timeout is still
+   queued. *)
+module Held = Obs_test_support.Held
+
+let check_released what eng ~issued ~timeout answered flag =
+  Held.run_until eng answered;
+  Alcotest.(check bool) (what ^ ": answered") true !answered;
+  Alcotest.(check bool) (what ^ ": its timeout still queued") true (Engine.now eng < issued +. timeout);
+  Alcotest.(check bool) (what ^ ": timeout continuation released") true (Held.released eng flag)
+
+let test_settled_ring_ask () =
+  let eng = Engine.create ~latency:(fun _ _ -> 10.0) ~nodes:2 in
+  let cfg = Chord.Ring.default_config space in
+  let r = (Chord.Ring.create ~prefix:"settled" ~rings:1 cfg eng).(0) in
+  let id = ids 2 in
+  ignore (Chord.Ring.add r ~addr:0 ~id:id.(0));
+  ignore (Chord.Ring.add r ~addr:1 ~id:id.(1));
+  let answered = ref false in
+  let flag, timeout = Held.watch (fun () -> ()) in
+  Chord.Ring.ask r ~kind:Obs.Netspan.Other ~src:0 ~dst:1
+    ~service:(fun _ -> ())
+    ~ok:(fun () -> answered := true)
+    ~timeout;
+  check_released "ask" eng ~issued:0.0 ~timeout:cfg.rpc_timeout answered flag
+
+let test_settled_chord_lookup () =
+  let eng, p = build_chord ~hosts:8 30 in
+  let answered = ref false in
+  let flag, k = Held.watch (fun r -> answered := Option.is_some r) in
+  let issued = Engine.now eng in
+  CP.lookup p ~origin:3 ~key:(Id.of_hash space "settled-chord") k;
+  check_released "chord lookup" eng ~issued ~timeout:(CP.config p).rpc_timeout answered flag
+
+let test_settled_hieras_lookup () =
+  let _, eng, p = build_hieras ~hosts:12 31 in
+  let answered = ref false in
+  let flag, k = Held.watch (fun r -> answered := Option.is_some r) in
+  let issued = Engine.now eng in
+  HP.lookup p ~origin:5 ~key:(Id.of_hash space "settled-hieras") k;
+  check_released "hieras lookup" eng ~issued ~timeout:(HP.config p).rpc_timeout answered flag
+
 let () =
   Alcotest.run "protocols"
     [
@@ -510,5 +554,11 @@ let () =
             (test_hieras_conforms_per_layer 3);
           Alcotest.test_case "healed ring matches survivor oracle" `Slow
             test_conformance_survives_healing;
+        ] );
+      ( "settled",
+        [
+          Alcotest.test_case "Ring.ask holds nothing" `Quick test_settled_ring_ask;
+          Alcotest.test_case "Chord lookup holds nothing" `Slow test_settled_chord_lookup;
+          Alcotest.test_case "HIERAS lookup holds nothing" `Slow test_settled_hieras_lookup;
         ] );
     ]

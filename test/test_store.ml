@@ -820,6 +820,24 @@ let test_cache_net_trace_audits_clean () =
       | Some c -> Alcotest.(check bool) "store traffic recorded" true (c.Analyze.c_msgs > 0)
       | None -> Alcotest.fail "no store class in the report")
 
+(* --- a settled put holds nothing ------------------------------------------------ *)
+
+(* Once the put's acknowledgement lands, a block reachable only from the
+   client's continuation is collected while the put's timeout is still
+   queued: the lookup, put and replica legs each cancelled theirs. *)
+let test_settled_put () =
+  let module Held = Obs_test_support.Held in
+  let eng, _, kv, _ = build_chord_store ~hosts:8 ~r:3 40 in
+  let answered = ref false in
+  let flag, k = Held.watch (fun r -> answered := Option.is_some r) in
+  let issued = Engine.now eng in
+  Kv.put kv ~origin:2 ~key:(Id.of_hash space "settled-put") ~value:"v" k;
+  Held.run_until eng answered;
+  Alcotest.(check bool) "acknowledged" true !answered;
+  Alcotest.(check bool) "the put's timeout still queued" true
+    (Engine.now eng < issued +. (2.0 *. Kv.default_config.Kv.rpc_timeout));
+  Alcotest.(check bool) "continuation released" true (Held.released eng flag)
+
 let () =
   Alcotest.run "store"
     [
@@ -832,6 +850,7 @@ let () =
         [
           test_replication_invariant;
           Alcotest.test_case "delete round-trip" `Slow test_delete_roundtrip;
+          Alcotest.test_case "a settled put holds nothing" `Slow test_settled_put;
         ] );
       ("availability", [ test_availability ]);
       ("read-repair", [ test_read_repair ]);

@@ -386,6 +386,23 @@ let test_model_facade () =
   Alcotest.(check int) "inet minimum" 3000 (Model.min_hosts Model.Inet);
   Alcotest.(check int) "ts minimum" 1 (Model.min_hosts Model.Transit_stub)
 
+(* the count the CLI checks --landmarks against is the count each build makes *)
+let test_model_routers () =
+  List.iter
+    (fun (kind, hosts) ->
+      let lat = Model.build ~backend:Latency.Lazy kind ~hosts (Prng.Rng.create ~seed:3) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s at %d hosts" (Model.name kind) hosts)
+        (Latency.routers lat) (Model.routers kind ~hosts))
+    [
+      (Model.Transit_stub, 64);
+      (Model.Transit_stub, 2000);
+      (Model.Transit_stub, 7000);
+      (Model.Brite, 64);
+      (Model.Brite, 4000);
+      (Model.Inet, 3000);
+    ]
+
 (* --- BRITE ---------------------------------------------------------------------- *)
 
 let test_brite_structure () =
@@ -532,7 +549,11 @@ let () =
           Alcotest.test_case "structure" `Quick test_brite_structure;
           Alcotest.test_case "mean latency" `Quick test_brite_mean_latency_reasonable;
         ] );
-      ("model", [ Alcotest.test_case "facade" `Quick test_model_facade ]);
+      ( "model",
+        [
+          Alcotest.test_case "facade" `Quick test_model_facade;
+          Alcotest.test_case "router counts" `Quick test_model_routers;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_dijkstra_triangle; prop_dijkstra_edge_bound; prop_dijkstra_path_valid ] );
