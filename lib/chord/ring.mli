@@ -97,7 +97,9 @@ val ask :
   unit
 (** Request/response with timeout: [service] runs at [dst] against its
     state on this ring and its result travels back in a [Reply]; a timer at
-    [src] fires [timeout] if no response arrived within [rpc_timeout]. *)
+    [src] fires [timeout] if no response arrived within [rpc_timeout]. The
+    response cancels that timer ({!Simnet.Engine.settle}), so [timeout]
+    and all it holds leave the event queue when the response lands. *)
 
 val find_successor :
   t ->
