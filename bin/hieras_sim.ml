@@ -268,7 +268,12 @@ let with_timer ~timings ~folded f =
     r
   end
 
-let config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend =
+(* what most commands build: one network, of the configured model and size *)
+let own_network cfg = [ (cfg.Experiments.Config.model, cfg.Experiments.Config.nodes) ]
+
+(* [networks cfg] lists the networks the command builds from the scaled
+   [cfg], for the landmark bound *)
+let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend =
   let cfg =
     {
       Experiments.Config.model;
@@ -285,9 +290,12 @@ let config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend =
   (* reject out-of-range parameters here, with exit code 2, instead of
      failing deep inside the pipeline; validate the raw flags (scaling
      clamps nodes/requests up to a working minimum and would mask them) *)
-  match Experiments.Config.validate cfg with
+  (match Experiments.Config.validate cfg with Error msg -> exit_usage msg | Ok () -> ());
+  let cfg = if scale = 1.0 then cfg else Experiments.Config.scaled cfg scale in
+  (* landmarks are routers: no network the command builds may have fewer *)
+  match Experiments.Config.check_landmarks cfg (networks cfg) with
   | Error msg -> exit_usage msg
-  | Ok () -> if scale = 1.0 then cfg else Experiments.Config.scaled cfg scale
+  | Ok () -> cfg
 
 (* ---- figure ----------------------------------------------------------- *)
 
@@ -305,7 +313,10 @@ let figure_cmd =
           (Printf.sprintf "unknown experiment %S; known: %s" id
              (String.concat " " Experiments.Figures.ids))
     | Some f ->
-        let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+        let cfg =
+          config_of ~networks:(Experiments.Figures.networks id) ~model ~nodes ~landmarks ~depth
+            ~requests ~seed ~scale ~backend
+        in
         with_pool_metrics pm (fun pool registry ->
             with_timer ~timings ~folded (fun timer ->
                 with_trace_out trace_out (fun trace ->
@@ -323,7 +334,10 @@ let figure_cmd =
 
 let all_cmd =
   let run model nodes landmarks depth requests seed scale pm backend trace_out timings folded =
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+    let networks cfg =
+      List.concat_map (fun id -> Experiments.Figures.networks id cfg) Experiments.Figures.ids
+    in
+    let cfg = config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
@@ -381,7 +395,9 @@ let topology_cmd =
 
 let cost_cmd =
   let run model nodes landmarks depth seed jobs backend =
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend
+    in
     with_jobs jobs @@ fun pool ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
@@ -398,7 +414,9 @@ let cost_cmd =
 let lookup_cmd =
   let run model nodes landmarks depth seed pm backend trace_out trace_sample =
     check_trace_sample trace_sample;
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend
+    in
     with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
@@ -449,7 +467,9 @@ let lookup_cmd =
 let trace_cmd =
   let run model nodes landmarks depth requests seed pm backend trace_out trace_sample =
     check_trace_sample trace_sample;
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale:1.0 ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale:1.0 ~backend
+    in
     with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
@@ -977,7 +997,9 @@ let resilience_cmd =
             exit_usage (Printf.sprintf "--failures must be in [0, 0.95] (got %g)" f);
           [ f ]
     in
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+    in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
@@ -1021,7 +1043,9 @@ let tournament_cmd =
   let run model nodes landmarks depth requests seed scale pm backend fault_frac out timings folded =
     if fault_frac < 0.0 || fault_frac > 0.95 then
       exit_usage (Printf.sprintf "--fault-frac must be in [0, 0.95] (got %g)" fault_frac);
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+    in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             let r = Tournament.run ~pool ?registry ~timer ~fault_fraction:fault_frac cfg in
@@ -1057,7 +1081,9 @@ let tournament_cmd =
 
 let extensions_cmd =
   let run model nodes landmarks depth requests seed scale jobs backend =
-    let cfg = config_of ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+    let cfg =
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+    in
     with_jobs jobs (fun pool ->
         Experiments.Report.print_all (Experiments.Extensions.all ~pool cfg))
   in

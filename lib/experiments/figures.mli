@@ -92,3 +92,10 @@ val by_id : string -> generator option
     both sections). *)
 
 val ids : string list
+
+val networks : string -> Config.t -> (Topology.Model.kind * int) list
+(** The (model, hosts) networks experiment [id] builds and picks
+    [cfg.landmarks] landmarks in, for {!Config.check_landmarks}: Table 1's
+    network, the figure 2–3 sweep over every model, and figures 4–5's own
+    network. Table 2 and figures 6–9 pick their own landmark counts, so
+    they list none, as does an unknown id. *)
