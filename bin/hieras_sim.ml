@@ -269,10 +269,17 @@ let with_timer ~timings ~folded f =
   end
 
 (* what most commands build: one network, of the configured model and size *)
-let own_network cfg = [ (cfg.Experiments.Config.model, cfg.Experiments.Config.nodes) ]
+let own_network cfg =
+  [
+    {
+      Experiments.Config.kind = cfg.Experiments.Config.model;
+      hosts = cfg.Experiments.Config.nodes;
+      own_landmarks = false;
+    };
+  ]
 
 (* [networks cfg] lists the networks the command builds from the scaled
-   [cfg], for the landmark bound *)
+   [cfg], for the model minimum and the landmark bound *)
 let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend =
   let cfg =
     {
@@ -292,8 +299,9 @@ let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~
      clamps nodes/requests up to a working minimum and would mask them) *)
   (match Experiments.Config.validate cfg with Error msg -> exit_usage msg | Ok () -> ());
   let cfg = if scale = 1.0 then cfg else Experiments.Config.scaled cfg scale in
-  (* landmarks are routers: no network the command builds may have fewer *)
-  match Experiments.Config.check_landmarks cfg (networks cfg) with
+  (* every network the command builds must meet its model's minimum size,
+     and landmarks are routers: none may have fewer *)
+  match Experiments.Config.check_networks cfg (networks cfg) with
   | Error msg -> exit_usage msg
   | Ok () -> cfg
 
@@ -1080,7 +1088,9 @@ let tournament_cmd =
 (* ---- extensions -------------------------------------------------------- *)
 
 let extensions_cmd =
-  let run model nodes landmarks depth requests seed scale jobs backend =
+  let run model nodes landmarks requests seed scale jobs backend =
+    (* the extensions fix their own hierarchy depths *)
+    let depth = Experiments.Config.paper_default.depth in
     let cfg =
       config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
     in
@@ -1089,7 +1099,7 @@ let extensions_cmd =
   in
   let term =
     Term.(
-      const run $ model_t $ nodes_t 2500 $ landmarks_t $ depth_t
+      const run $ model_t $ nodes_t 2500 $ landmarks_t
       $ Arg.(value & opt int 25_000 & info [ "requests" ] ~docv:"R" ~doc:"Routing requests per run.")
       $ seed_t $ scale_t $ jobs_t $ backend_t)
   in

@@ -15,30 +15,35 @@ let point t i = t.points.(i)
 let zone t i = t.zones.(i)
 let neighbors t i = t.neighbors.(i)
 
+(* the greedy step: the neighbor whose zone is torus-closest to [point],
+   first strictly-improving minimum in neighbor-list order; [cur] itself on
+   a greedy dead end *)
+let greedy_in ~zones ~neighbors ~point cur =
+  let best = ref cur and best_d = ref (Zone.torus_distance zones.(cur) point) in
+  List.iter
+    (fun v ->
+      let d = Zone.torus_distance zones.(v) point in
+      if d < !best_d then begin
+        best := v;
+        best_d := d
+      end)
+    neighbors.(cur);
+  !best
+
+let greedy t ~point ~cur = greedy_in ~zones:t.zones ~neighbors:t.neighbors ~point cur
+
 (* greedy descent to the zone containing [p], used both by the builder (to
    find the zone a joining point lands in) and by owner queries *)
-let locate ~zones ~neighbors ~alive start p =
-  let current = ref start in
-  let steps = ref 0 in
+let locate ~zones ~neighbors start p =
   let guard = 4 * (Array.length zones + 4) in
-  while not (Zone.contains zones.(!current) p) do
-    incr steps;
-    if !steps > guard then failwith "Can.Network.locate: lost in space";
-    let cur = !current in
-    let best = ref cur and best_d = ref (Zone.torus_distance zones.(cur) p) in
-    List.iter
-      (fun v ->
-        let d = Zone.torus_distance zones.(v) p in
-        if d < !best_d then begin
-          best := v;
-          best_d := d
-        end)
-      neighbors.(cur);
-    if !best = cur then failwith "Can.Network.locate: greedy dead end";
-    current := !best
-  done;
-  ignore alive;
-  !current
+  let rec go cur steps =
+    if Zone.contains zones.(cur) p then cur
+    else if steps >= guard then failwith "Can.Network.locate: lost in space"
+    else
+      let next = greedy_in ~zones ~neighbors ~point:p cur in
+      if next = cur then failwith "Can.Network.locate: greedy dead end" else go next (steps + 1)
+  in
+  go start 0
 
 let of_points ~hosts ~points =
   let n = Array.length hosts in
@@ -54,7 +59,7 @@ let of_points ~hosts ~points =
   let neighbors = Array.make n [] in
   (* sequential joins: node i splits the zone containing its point *)
   for i = 1 to n - 1 do
-    let owner = locate ~zones ~neighbors ~alive:i 0 points.(i) in
+    let owner = locate ~zones ~neighbors 0 points.(i) in
     let lower, upper = Zone.split zones.(owner) in
     (* the newcomer takes the half containing its own point, the previous
        owner the other half (real CAN: the zone, not the point, is a node's
@@ -112,7 +117,7 @@ let build ~space ~hosts ?(dims = 2) ?(salt = "can-peer") () =
 
 let owner_of_point t p =
   if Array.length p <> t.d then invalid_arg "Can.Network.owner_of_point: bad dimension";
-  locate ~zones:t.zones ~neighbors:t.neighbors ~alive:0 0 p
+  locate ~zones:t.zones ~neighbors:t.neighbors 0 p
 
 let key_point t key =
   Array.init t.d (fun k -> coord_of_hash ("key:" ^ Id.to_hex key) k)

@@ -39,6 +39,12 @@ val zone : t -> int -> Zone.t
 val neighbors : t -> int -> int list
 (** Zone-adjacent nodes. *)
 
+val greedy : t -> point:float array -> cur:int -> int
+(** CAN's greedy step: the neighbor whose zone is torus-closest to the
+    point (first strictly-improving minimum in neighbor-list order), or
+    [cur] itself on a greedy dead end. Routes ({!Routable}) and
+    {!owner_of_point} both descend by it. *)
+
 val owner_of_point : t -> float array -> int
 (** The node whose zone contains the point. *)
 

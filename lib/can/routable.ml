@@ -30,10 +30,10 @@ module Base = struct
     done;
     if !best >= 0 then Some !best else None
 
-  let step t ~cur ~owner:_ ~key = Route.next_hop t.net ~point:(Network.key_point t.net key) ~cur
+  let step t ~cur ~owner:_ ~key = Network.greedy t.net ~point:(Network.key_point t.net key) ~cur
 
   (* strictly-improving neighbors, closest zone first (neighbor-list order on
-     ties, so the head is exactly [Route.next_hop]'s first-minimal pick) *)
+     ties, so the head is exactly [Network.greedy]'s first-minimal pick) *)
   let improving net ~point ~cur =
     let my = Zone.torus_distance (Network.zone net cur) point in
     Network.neighbors net cur
@@ -87,7 +87,7 @@ module Base = struct
     let point = Network.key_point t.net key in
     let local = layer.local.(cur) in
     if Zone.contains (Network.zone rg.r_net local) point then cur
-    else rg.r_members.(Route.next_hop rg.r_net ~point ~cur:local)
+    else rg.r_members.(Network.greedy rg.r_net ~point ~cur:local)
 
   let ring_candidates t layer ~cur ~owner:_ ~key =
     let rg = layer.rings.(layer.ring_of.(cur)) in

@@ -44,7 +44,7 @@ let network_sizes t =
   |> List.filter (fun n -> n >= min_n)
   |> List.map (fun n -> max 64 (int_of_float (float_of_int n *. scale)))
 
-let table1_nodes t = min t.nodes 1000
+let table1_nodes t = max (Topology.Model.min_hosts t.model) (min t.nodes 1000)
 
 let validate t =
   if t.nodes < 2 then Error (Printf.sprintf "--nodes must be >= 2 (got %d)" t.nodes)
@@ -56,19 +56,32 @@ let validate t =
     Error (Printf.sprintf "succ_list_len must be >= 1 (got %d)" t.succ_list_len)
   else Ok ()
 
-let check_landmarks t networks =
-  let fewest best (m, hosts) =
-    let r = Topology.Model.routers m ~hosts in
-    match best with Some (r', _, _) when r' <= r -> best | _ -> Some (r, m, hosts)
+type network = { kind : Topology.Model.kind; hosts : int; own_landmarks : bool }
+
+let check_networks t networks =
+  let fewest_routers best n =
+    let r = Topology.Model.routers n.kind ~hosts:n.hosts in
+    match best with Some (r', _) when r' <= r -> best | _ -> Some (r, n)
   in
-  match List.fold_left fewest None networks with
-  | Some (routers, model, hosts) when t.landmarks > routers ->
+  match List.find_opt (fun n -> n.hosts < Topology.Model.min_hosts n.kind) networks with
+  | Some n ->
+      let name = Topology.Model.name n.kind in
       Error
         (Printf.sprintf
-           "--landmarks must not exceed the %d routers of the %d-host %s network these settings \
-            build (got %d)"
-           routers hosts (Topology.Model.name model) t.landmarks)
-  | _ -> Ok ()
+           "the %s model needs at least %d hosts, but these settings build a %d-host %s network \
+            (raise --nodes)"
+           name (Topology.Model.min_hosts n.kind) n.hosts name)
+  | None -> (
+      match
+        List.fold_left fewest_routers None (List.filter (fun n -> not n.own_landmarks) networks)
+      with
+      | Some (routers, n) when t.landmarks > routers ->
+          Error
+            (Printf.sprintf
+               "--landmarks must not exceed the %d routers of the %d-host %s network these \
+                settings build (got %d)"
+               routers n.hosts (Topology.Model.name n.kind) t.landmarks)
+      | _ -> Ok ())
 
 let pp fmt t =
   Format.fprintf fmt "%s n=%d lm=%d depth=%d req=%d seed=%d oracle=%s"

@@ -38,14 +38,24 @@ val validate : t -> (unit, string) result
     [succ_list_len >= 1]. The error message names the offending CLI flag —
     both CLIs print it and exit 2 before building anything. *)
 
-val check_landmarks : t -> (Topology.Model.kind * int) list -> (unit, string) result
-(** [check_landmarks t networks]: [Error] naming [--landmarks] when [t]
+type network = {
+  kind : Topology.Model.kind;
+  hosts : int;
+  own_landmarks : bool;
+      (** picks a fixed landmark count of its own rather than [landmarks] *)
+}
+(** One network a command builds, at its final (scaled) size. *)
+
+val check_networks : t -> network list -> (unit, string) result
+(** [check_networks t networks]: [Error] when a network has fewer hosts
+    than its model's minimum ({!Topology.Model.min_hosts}), or when [t]
     asks for more landmarks than the routers ({!Topology.Model.routers}) of
-    any (model, hosts) network in [networks] — the ones a command builds
-    and picks [t.landmarks] landmarks in, at their final (scaled) size. *)
+    a network that picks [t.landmarks] landmarks. The message names the
+    flag to change, for the CLIs to exit 2 before building anything. *)
 
 val table1_nodes : t -> int
-(** Hosts in Table 1's network: [nodes], capped at 1000. *)
+(** Hosts in Table 1's network: [nodes], capped at 1000 but never below
+    the model's minimum ({!Topology.Model.min_hosts}). *)
 
 val scaled : t -> float -> t
 (** [scaled cfg f] multiplies node and request counts by [f] (minimum 64

@@ -17,63 +17,53 @@ let algorithms ?pool cfg =
   let hosts = Array.init n (fun i -> i) in
   let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 7919) in
   let landmarks = Binning.Landmark.choose_spread lat ~count:cfg.Config.landmarks rng in
-  let h2 = Hieras.Hnetwork.build ~chord ~lat ~landmarks ~depth:2 () in
-  let h3 = Hieras.Hnetwork.build ~chord ~lat ~landmarks ~depth:3 () in
+  let rc = Chord.Routable.make ~net:chord ~lat in
+  let hieras depth = Tournament.LChord.build ~base:rc ~lat ~landmarks ~depth () in
   let pastry = Pastry.Network.build ~space ~hosts ~lat ~rng () in
   let tapestry = Tapestry.Network.build ~space ~hosts ~lat ~rng () in
-  let flat_can = Can.Network.build ~space ~hosts () in
-  let lcan =
-    Tournament.LCan.build ~base:(Can.Routable.make ~net:flat_can ~lat) ~lat ~landmarks ~depth:2 ()
+  let can = Can.Routable.make ~net:(Can.Network.build ~space ~hosts ()) ~lat in
+  let rows =
+    [
+      ("Chord", Tournament.C ((module Chord.Routable), rc));
+      ("HIERAS (2-layer, Chord)", Tournament.C ((module Tournament.LChord), hieras 2));
+      ("HIERAS (3-layer, Chord)", Tournament.C ((module Tournament.LChord), hieras 3));
+      ("Pastry (PNS)", Tournament.C ((module Pastry.Routable), Pastry.Routable.make pastry));
+      ( "Tapestry (PNS, surrogate roots)",
+        Tournament.C ((module Tapestry.Routable), Tapestry.Routable.make tapestry) );
+      ("CAN (flat, d=2)", Tournament.C ((module Can.Routable), can));
+      ( "HIERAS over CAN (2-layer)",
+        Tournament.C
+          ((module Tournament.LCan), Tournament.LCan.build ~base:can ~lat ~landmarks ~depth:2 ()) );
+    ]
   in
-  let mk () = (Summary.create (), Summary.create ()) in
-  let s_chord = mk () and s_pastry = mk () and s_tapestry = mk () in
-  let s_h2 = mk () and s_h3 = mk () in
-  let s_can = mk () and s_lcan = mk () in
-  let add (sh, sl) hops latency =
-    Summary.add sh (float_of_int hops);
-    Summary.add sl latency
-  in
+  let stats = List.map (fun _ -> (Summary.create (), Summary.create ())) rows in
   let rng2 = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let requests = max 100 (cfg.Config.requests / 4) in
-  for _ = 1 to requests do
+  for _ = 1 to max 100 (cfg.Config.requests / 4) do
     let key = Hashid.Id.random space rng2 in
     let origin = Prng.Rng.int rng2 n in
-    let rc = Chord.Lookup.route chord lat ~origin ~key in
-    add s_chord rc.Chord.Lookup.hop_count rc.Chord.Lookup.latency;
-    let rp = Pastry.Route.route pastry ~origin ~key in
-    add s_pastry rp.Pastry.Route.hop_count rp.Pastry.Route.latency;
-    let rt = Tapestry.Network.route tapestry ~origin ~key in
-    add s_tapestry rt.Tapestry.Network.hop_count rt.Tapestry.Network.latency;
-    let r2 = Hieras.Hlookup.route h2 ~origin ~key in
-    add s_h2 r2.Hieras.Hlookup.hop_count r2.Hieras.Hlookup.latency;
-    let r3 = Hieras.Hlookup.route h3 ~origin ~key in
-    add s_h3 r3.Hieras.Hlookup.hop_count r3.Hieras.Hlookup.latency;
-    let rcan = Can.Route.route_key flat_can lat ~origin ~key in
-    add s_can rcan.Can.Route.hop_count rcan.Can.Route.latency;
-    let rl = Tournament.LCan.route lcan ~origin ~key in
-    add s_lcan rl.Routing.hop_count rl.Routing.latency
+    List.iter2
+      (fun (_, Tournament.C ((module X), t)) (hops, latency) ->
+        let r = X.route t ~origin ~key in
+        Summary.add hops (float_of_int r.Routing.hop_count);
+        Summary.add latency r.Routing.latency)
+      rows stats
   done;
   let table = Table.create [ "Algorithm"; "Mean hops"; "Mean ms"; "vs Chord" ] in
-  let chord_lat = Summary.mean (snd s_chord) in
-  let row name (sh, sl) =
-    Table.add_row table
-      [
-        name;
-        f2 (Summary.mean sh);
-        ms (Summary.mean sl);
-        Expected.pct (Summary.mean sl /. chord_lat);
-      ]
-  in
-  row "Chord" s_chord;
-  row "HIERAS (2-layer, Chord)" s_h2;
-  row "HIERAS (3-layer, Chord)" s_h3;
-  row "Pastry (PNS)" s_pastry;
-  row "Tapestry (PNS, surrogate roots)" s_tapestry;
-  row "CAN (flat, d=2)" s_can;
-  row "HIERAS over CAN (2-layer)" s_lcan;
+  let chord_lat = Summary.mean (snd (List.hd stats)) in
+  List.iter2
+    (fun (name, _) (hops, latency) ->
+      Table.add_row table
+        [
+          name;
+          f2 (Summary.mean hops);
+          ms (Summary.mean latency);
+          Expected.pct (Summary.mean latency /. chord_lat);
+        ])
+    rows stats;
   {
     Report.id = "ext-algorithms";
-    title = "Routing algorithms compared (TS model)";
+    title =
+      Printf.sprintf "Routing algorithms compared (%s model)" (Topology.Model.name cfg.Config.model);
     table;
     notes =
       [

@@ -57,9 +57,11 @@ let table1 ?pool ?registry:_ ?trace:_ ?timer cfg =
 (* Table 2: two-layer finger tables of one node, 8-bit space          *)
 (* ----------------------------------------------------------------- *)
 
+let table2_nodes = 24
+
 let table2 ?pool ?registry:_ ?trace:_ ?timer:_ cfg =
   let space = Hashid.Id.space ~bits:8 in
-  let nodes = 24 in
+  let nodes = table2_nodes in
   let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 31) in
   let lat = Topology.Transit_stub.generate ?pool ~hosts:nodes rng in
   let hosts = Array.init nodes (fun i -> i) in
@@ -295,6 +297,7 @@ let fig4_and_fig5 ?pool ?registry ?trace ?timer cfg =
 (* ----------------------------------------------------------------- *)
 
 let fig6_and_fig7 ?pool ?registry ?trace ?timer cfg =
+  let model = Topology.Model.name cfg.Config.model in
   let env = Runner.build_env ?pool ?timer cfg in
   let hops_table =
     Table.create [ "Landmarks"; "Chord hops"; "HIERAS hops"; "Lower-layer hops"; "Overhead" ]
@@ -331,7 +334,9 @@ let fig6_and_fig7 ?pool ?registry ?trace ?timer cfg =
   let fig6 =
     {
       Report.id = "fig6";
-      title = "Average number of routing hops vs. number of landmark nodes (TS model)";
+      title =
+        Printf.sprintf "Average number of routing hops vs. number of landmark nodes (%s model)"
+          model;
       table = hops_table;
       notes =
         [
@@ -342,7 +347,8 @@ let fig6_and_fig7 ?pool ?registry ?trace ?timer cfg =
   let fig7 =
     {
       Report.id = "fig7";
-      title = "Average routing latency vs. number of landmark nodes (TS model)";
+      title =
+        Printf.sprintf "Average routing latency vs. number of landmark nodes (%s model)" model;
       table = lat_table;
       notes =
         [
@@ -364,13 +370,16 @@ let fig6_and_fig7 ?pool ?registry ?trace ?timer cfg =
 (* Figures 8 and 9: hierarchy depth sweep                             *)
 (* ----------------------------------------------------------------- *)
 
-let fig8_and_fig9 ?pool ?registry ?trace ?timer cfg =
-  let cfg = Config.with_landmarks cfg 6 in
+(* the paper's 5000..10000 sweep, scaled like [Config.network_sizes] *)
+let depth_sweep_sizes cfg =
   let scale = float_of_int cfg.Config.nodes /. 10_000.0 in
-  let sizes =
-    List.init 6 (fun i -> (i + 5) * 1000)
-    |> List.map (fun n -> max 64 (int_of_float (float_of_int n *. scale)))
-  in
+  List.init 6 (fun i -> (i + 5) * 1000)
+  |> List.map (fun n -> max 64 (int_of_float (float_of_int n *. scale)))
+
+let fig8_and_fig9 ?pool ?registry ?trace ?timer cfg =
+  let model = Topology.Model.name cfg.Config.model in
+  let cfg = Config.with_landmarks cfg 6 in
+  let sizes = depth_sweep_sizes cfg in
   let hops_table = Table.create [ "Nodes"; "depth 2"; "depth 3"; "depth 4"; "4 vs 2" ] in
   let lat_table =
     Table.create [ "Nodes"; "depth 2 ms"; "depth 3 ms"; "depth 4 ms"; "3 vs 2"; "4 vs 3" ]
@@ -420,7 +429,9 @@ let fig8_and_fig9 ?pool ?registry ?trace ?timer cfg =
   let fig8 =
     {
       Report.id = "fig8";
-      title = "HIERAS performance with different hierarchy depth (average hops, TS model)";
+      title =
+        Printf.sprintf "HIERAS performance with different hierarchy depth (average hops, %s model)"
+          model;
       table = hops_table;
       notes =
         [
@@ -432,7 +443,9 @@ let fig8_and_fig9 ?pool ?registry ?trace ?timer cfg =
   let fig9 =
     {
       Report.id = "fig9";
-      title = "HIERAS performance with different hierarchy depth (average latency, TS model)";
+      title =
+        Printf.sprintf
+          "HIERAS performance with different hierarchy depth (average latency, %s model)" model;
       table = lat_table;
       notes =
         [
@@ -460,15 +473,19 @@ let all ?pool ?registry ?trace ?timer cfg =
   let f8, f9 = sp "fig8+9" (fun () -> fig8_and_fig9 ?pool ?registry ?trace ?timer cfg) in
   [ t1; t2; f2; f3; f4; f5; f6; f7; f8; f9 ]
 
-(* Table 2 and figures 6-9 pick their own landmark counts *)
 let networks id cfg =
+  let net ?(own_landmarks = false) kind hosts = { Config.kind; hosts; own_landmarks } in
+  let model = cfg.Config.model in
   match id with
-  | "table1" -> [ (cfg.Config.model, Config.table1_nodes cfg) ]
+  | "table1" -> [ net model (Config.table1_nodes cfg) ]
+  | "table2" -> [ net ~own_landmarks:true Topology.Model.Transit_stub table2_nodes ]
   | "fig2" | "fig3" ->
       List.concat_map
-        (fun m -> List.map (fun n -> (m, n)) (sweep_sizes (Config.with_model cfg m)))
+        (fun m -> List.map (net m) (sweep_sizes (Config.with_model cfg m)))
         Topology.Model.all
-  | "fig4" | "fig5" -> [ (cfg.Config.model, cfg.Config.nodes) ]
+  | "fig4" | "fig5" -> [ net model cfg.Config.nodes ]
+  | "fig6" | "fig7" -> [ net ~own_landmarks:true model cfg.Config.nodes ]
+  | "fig8" | "fig9" -> List.map (net ~own_landmarks:true model) (depth_sweep_sizes cfg)
   | _ -> []
 
 let ids =

@@ -93,9 +93,9 @@ val by_id : string -> generator option
 
 val ids : string list
 
-val networks : string -> Config.t -> (Topology.Model.kind * int) list
-(** The (model, hosts) networks experiment [id] builds and picks
-    [cfg.landmarks] landmarks in, for {!Config.check_landmarks}: Table 1's
-    network, the figure 2–3 sweep over every model, and figures 4–5's own
-    network. Table 2 and figures 6–9 pick their own landmark counts, so
-    they list none, as does an unknown id. *)
+val networks : string -> Config.t -> Config.network list
+(** Every network experiment [id] builds, at the config's size, for
+    {!Config.check_networks}: Table 1's network, Table 2's fixed 24-host
+    TS network, the figure 2–3 sweep over every model, figures 4–7's own
+    network and the figure 8–9 size sweep. Table 2 and figures 6–9 pick
+    their own landmark counts. An unknown id lists none. *)

@@ -1,17 +1,17 @@
 (** Resilience experiment: lookup success rate and latency stretch versus
     the fraction of failed nodes, Chord against HIERAS.
 
-    Each sweep point compiles a {!Workload.Faults} schedule with a
-    point-specific seed, applies it to a {!Simnet.Engine}, runs the engine
-    to the sample instant and replays the standard paired request stream
-    through the failure-aware walk, flat Chord and HIERAS over Chord,
-    against the surviving population. A lookup succeeds when it reaches
-    the key's {e live owner} — the first live node clockwise from the key
-    ([Chord.Routable.live_owner]); dead
-    origins are deterministically remapped to their next live node so every
-    point scores the identical stream. Results are bit-identical for any
-    pool width (fault draws and merges happen on the calling domain; the
-    replay uses the fixed chunk layout of {!Runner.measure}). *)
+    It is the tournament's failure-aware replay over two contestants, flat
+    Chord and HIERAS over Chord: each sweep point compiles a
+    {!Workload.Faults} schedule with a point-specific seed and samples the
+    surviving population ({!Tournament.sample_liveness}), then replays the
+    standard request stream through both ({!Tournament.replay}). A lookup
+    succeeds when it reaches the key's {e live owner} — the first live
+    node clockwise from the key ([Chord.Routable.live_owner]); dead origins
+    are deterministically remapped to their next live node so every point
+    scores the identical stream. Results are bit-identical for any pool
+    width (fault draws happen on the calling domain; the replays use the
+    fixed chunk layout of {!Runner.measure}). *)
 
 type schedule =
   | Crash  (** permanent uniform crashes *)
@@ -27,23 +27,13 @@ val default_fractions : float list
 type point = {
   fraction : float;  (** requested failure fraction *)
   failed : int;  (** nodes actually dead at the sample instant *)
-  chord_issued : int;
-  chord_succeeded : int;
+  issued : int;  (** lookups replayed through each contestant *)
+  chord : Tournament.fault_point;
+  hieras : Tournament.fault_point;
   chord_stretch : float;
       (** mean successful-lookup latency (penalties included) over the
           all-alive plain-route baseline; 0 when nothing succeeded *)
-  chord_retries : int;
-  chord_timeouts : int;
-  chord_fallbacks : int;
-  chord_penalty_ms : float;
-  hieras_issued : int;
-  hieras_succeeded : int;
   hieras_stretch : float;
-  hieras_retries : int;
-  hieras_timeouts : int;
-  hieras_fallbacks : int;
-  hieras_layer_escapes : int;
-  hieras_penalty_ms : float;
 }
 
 type results = {

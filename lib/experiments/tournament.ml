@@ -1,13 +1,17 @@
 (* Cross-algorithm tournament: every substrate (Chord, Pastry, CAN,
    Tapestry), flat and HIERAS-layered through [Hieras.Make], replays one
    identical request stream over one identical topology — baseline plus the
-   PR 5 fault schedules — into a single deterministic comparison matrix.
+   crash and stub-domain-outage fault schedules — into a single
+   deterministic comparison matrix.
 
-   Determinism under --jobs follows the Resilience discipline: requests are
-   pre-generated sequentially from the config seed, fault schedules are
-   drawn once on the calling domain (shared by every contestant), and the
-   lookup replay is chunked over a layout fixed by request count alone with
-   per-chunk accumulators merged in chunk order. *)
+   The replays here are also the resilience experiment's: a fault schedule
+   is compiled and applied to a Simnet engine on the calling domain, the
+   liveness it leaves at [sample_at] is shared by every contestant, dead
+   origins are remapped, and each request is routed through every
+   contestant in turn. Requests are pre-generated from the config seed, and
+   each replay is chunked over a layout fixed by request count alone, with
+   per-chunk accumulators merged in chunk order — results are bit-identical
+   for any --jobs. *)
 
 module Summary = Stats.Summary
 module Pool = Parallel.Pool
@@ -23,9 +27,16 @@ type contestant = C : (module Routing.ROUTABLE with type t = 'a) * 'a -> contest
 let space = Hashid.Id.sha1_space
 let chunk_size = 4096
 
-(* the Resilience timeline: faults land, then lookups sample the network *)
+(* the fault timeline: faults land, then lookups sample the network *)
 let fault_at = 10.0
 let sample_at = 100.0
+
+type baseline = {
+  hops : Summary.t;
+  latency : Summary.t;
+  stretch : float;
+  owner_ok : int;
+}
 
 type fault_point = {
   succeeded : int;
@@ -91,8 +102,7 @@ let build_contestants env cfg =
     C ((module LTapestry), LTapestry.build ~base:tapestry ~lat ~landmarks ~depth ());
   ]
 
-(* whole stub domains covering ~fraction of the population, as in
-   Resilience.outage_domains *)
+(* whole stub domains covering ~fraction of the population *)
 let outage_domains lat hosts fraction =
   let module Iset = Set.Make (Int) in
   let groups =
@@ -103,17 +113,163 @@ let outage_domains lat hosts fraction =
   in
   max 1 (int_of_float ((fraction *. float_of_int groups) +. 0.5))
 
-(* one compiled-and-applied fault schedule, sampled at [sample_at]: the
-   liveness every contestant shares (indexed by host slot = chord node) *)
-let sample_liveness cfg lat hosts specs ~idx =
+let sample_liveness ?(net = Obs.Netspan.disabled) cfg lat hosts specs ~idx =
   let n = Array.length hosts in
   let srng = Prng.Rng.create ~seed:(cfg.Config.seed + 40009 + idx) in
   let group_of slot = Topology.Latency.router_of_host lat hosts.(slot) in
   let events = Faults.compile ~group_of ~nodes:n specs srng in
   let eng = Simnet.Engine.create ~latency:(fun _ _ -> 0.0) ~nodes:n in
+  if Obs.Netspan.enabled net then Simnet.Engine.attach_netspan eng net;
   Faults.apply eng ~rng:(Prng.Rng.split srng) events;
   Simnet.Engine.run ~until:sample_at eng;
   (Array.init n (Simnet.Engine.is_alive eng), n - Simnet.Engine.live_count eng)
+
+(* One pass over the request stream: each chunk routes every request
+   through every contestant in turn, [visits.(c) acc i] folding request [i]
+   into contestant [c]'s fresh accumulator; chunks merge in chunk order. *)
+let each_request pool requests ~fresh ~merge visits =
+  let k = Array.length visits in
+  Pool.map_chunks pool ~n:(Array.length requests) ~chunk_size (fun ~lo ~hi ->
+      let accs = Array.init k (fun _ -> fresh ()) in
+      for i = lo to hi - 1 do
+        Array.iteri (fun c visit -> visit accs.(c) i) visits
+      done;
+      accs)
+  |> List.fold_left (Array.map2 merge) (Array.init k (fun _ -> fresh ()))
+  |> Array.to_list
+
+(* one contestant's baseline sums over a chunk *)
+type route_acc = {
+  r_hops : Summary.t;
+  r_lat : Summary.t;
+  mutable stretch_sum : float;
+  mutable stretch_n : int;
+  mutable routed_ok : int;
+}
+
+let fresh_route () =
+  {
+    r_hops = Summary.create ();
+    r_lat = Summary.create ();
+    stretch_sum = 0.0;
+    stretch_n = 0;
+    routed_ok = 0;
+  }
+
+let merge_route a b =
+  {
+    r_hops = Summary.merge a.r_hops b.r_hops;
+    r_lat = Summary.merge a.r_lat b.r_lat;
+    stretch_sum = a.stretch_sum +. b.stretch_sum;
+    stretch_n = a.stretch_n + b.stretch_n;
+    routed_ok = a.routed_ok + b.routed_ok;
+  }
+
+let baseline ?(pool = Pool.sequential) lat contestants (requests : Workload.Requests.request array)
+    =
+  let visit (C ((module X), t)) acc i =
+    let { Workload.Requests.origin; key } = requests.(i) in
+    let r = X.route t ~origin ~key in
+    Summary.add acc.r_hops (float_of_int r.Routing.hop_count);
+    Summary.add acc.r_lat r.Routing.latency;
+    if r.Routing.destination = X.owner_of_key t ~key then acc.routed_ok <- acc.routed_ok + 1;
+    let direct =
+      Topology.Latency.host_latency lat (X.host t origin) (X.host t r.Routing.destination)
+    in
+    if direct > 0.0 then begin
+      acc.stretch_sum <- acc.stretch_sum +. (r.Routing.latency /. direct);
+      acc.stretch_n <- acc.stretch_n + 1
+    end
+  in
+  each_request pool requests ~fresh:fresh_route ~merge:merge_route
+    (Array.of_list (List.map visit contestants))
+  |> List.map (fun a ->
+         {
+           hops = a.r_hops;
+           latency = a.r_lat;
+           stretch = (if a.stretch_n = 0 then 0.0 else a.stretch_sum /. float_of_int a.stretch_n);
+           owner_ok = a.routed_ok;
+         })
+
+(* one contestant's failure-aware sums over a chunk *)
+type fault_acc = {
+  mutable ok : int;
+  mutable f_retries : int;
+  mutable f_timeouts : int;
+  mutable f_fallbacks : int;
+  mutable escapes : int;
+  mutable penalty : float;
+  ok_lat : Summary.t;
+}
+
+let fresh_fault () =
+  {
+    ok = 0;
+    f_retries = 0;
+    f_timeouts = 0;
+    f_fallbacks = 0;
+    escapes = 0;
+    penalty = 0.0;
+    ok_lat = Summary.create ();
+  }
+
+let merge_fault a b =
+  {
+    ok = a.ok + b.ok;
+    f_retries = a.f_retries + b.f_retries;
+    f_timeouts = a.f_timeouts + b.f_timeouts;
+    f_fallbacks = a.f_fallbacks + b.f_fallbacks;
+    escapes = a.escapes + b.escapes;
+    penalty = a.penalty +. b.penalty;
+    ok_lat = Summary.merge a.ok_lat b.ok_lat;
+  }
+
+let replay ?(pool = Pool.sequential) ?(trace = Obs.Trace.disabled) contestants ~hosts ~alive
+    (requests : Workload.Requests.request array) =
+  let pool = if Obs.Trace.enabled trace then Pool.sequential else pool in
+  let slot_of_host = Hashtbl.create (Array.length hosts) in
+  Array.iteri (fun slot h -> Hashtbl.replace slot_of_host h slot) hosts;
+  let visit (C ((module X), t)) =
+    let n = X.size t in
+    let alive = Array.init n (fun i -> alive.(Hashtbl.find slot_of_host (X.host t i))) in
+    let is_alive i = alive.(i) in
+    (* a dead origin cannot issue a lookup: deterministically remap it to
+       the first live node by index, so every contestant and every fault
+       schedule replays the same stream; with nobody alive, it fails *)
+    let rec live_origin o steps =
+      if steps >= n then None
+      else if alive.(o) then Some o
+      else live_origin ((o + 1) mod n) (steps + 1)
+    in
+    fun acc i ->
+      let { Workload.Requests.origin; key } = requests.(i) in
+      match live_origin origin 0 with
+      | None -> ()
+      | Some origin -> (
+          let a = X.route_resilient ~trace t ~is_alive ~origin ~key in
+          acc.f_retries <- acc.f_retries + a.Routing.retries;
+          acc.f_timeouts <- acc.f_timeouts + a.Routing.timeouts;
+          acc.f_fallbacks <- acc.f_fallbacks + a.Routing.fallbacks;
+          acc.escapes <- acc.escapes + a.Routing.layer_escapes;
+          acc.penalty <- acc.penalty +. a.Routing.penalty_ms;
+          match (a.Routing.outcome, X.live_owner t ~is_alive ~key) with
+          | Some r, Some o when r.Routing.destination = o ->
+              acc.ok <- acc.ok + 1;
+              Summary.add acc.ok_lat r.Routing.latency
+          | _ -> ())
+  in
+  each_request pool requests ~fresh:fresh_fault ~merge:merge_fault
+    (Array.of_list (List.map visit contestants))
+  |> List.map (fun a ->
+         {
+           succeeded = a.ok;
+           retries = a.f_retries;
+           timeouts = a.f_timeouts;
+           fallbacks = a.f_fallbacks;
+           layer_escapes = a.escapes;
+           penalty_ms = a.penalty;
+           ok_latency_ms = (if Summary.count a.ok_lat = 0 then 0.0 else Summary.mean a.ok_lat);
+         })
 
 let export_registry reg r =
   let open Obs.Metrics in
@@ -158,130 +314,44 @@ let run ?(pool = Pool.sequential) ?registry ?(timer = Obs.Timer.disabled)
     Obs.Timer.span timer "gen-requests" (fun () ->
         Workload.Requests.to_array spec ~nodes:n ~space rng)
   in
-  let issued = Array.length requests in
-  (* one liveness sample per schedule, shared by all contestants; host slots
-     are chord node indices, translated per contestant through [X.host] *)
-  let slot_of_host = Hashtbl.create n in
-  Array.iteri (fun i h -> Hashtbl.replace slot_of_host h i) hosts;
-  let crash_alive, crash_failed =
-    sample_liveness cfg lat hosts [ Faults.Crash { at = fault_at; frac = fault_fraction } ] ~idx:0
+  let baselines =
+    Obs.Timer.span timer "baseline" (fun () -> baseline ~pool lat contestants requests)
   in
-  let outage_alive, outage_failed =
-    sample_liveness cfg lat hosts
-      [
-        Faults.Domain_outage
-          { at = fault_at; domains = outage_domains lat hosts fault_fraction; down_ms = None };
-      ]
-      ~idx:1
+  (* one liveness sample per schedule, shared by all contestants *)
+  let faulted label ~idx fault =
+    let alive, failed = sample_liveness cfg lat hosts [ fault ] ~idx in
+    (failed, Obs.Timer.span timer label (fun () -> replay ~pool contestants ~hosts ~alive requests))
   in
-  let entry_of (C ((module X), t)) =
-    let baseline =
-      Obs.Timer.span timer (Printf.sprintf "baseline-%s" X.name) (fun () ->
-          let parts =
-            Pool.map_chunks pool ~n:issued ~chunk_size (fun ~lo ~hi ->
-                let hops = Summary.create () and latm = Summary.create () in
-                let stretch_sum = ref 0.0 and stretch_n = ref 0 and owner_ok = ref 0 in
-                for i = lo to hi - 1 do
-                  let { Workload.Requests.origin; key } = requests.(i) in
-                  let r = X.route t ~origin ~key in
-                  Summary.add hops (float_of_int r.Routing.hop_count);
-                  Summary.add latm r.Routing.latency;
-                  if r.Routing.destination = X.owner_of_key t ~key then incr owner_ok;
-                  let direct =
-                    Topology.Latency.host_latency lat (X.host t origin)
-                      (X.host t r.Routing.destination)
-                  in
-                  if direct > 0.0 then begin
-                    stretch_sum := !stretch_sum +. (r.Routing.latency /. direct);
-                    incr stretch_n
-                  end
-                done;
-                (hops, latm, !stretch_sum, !stretch_n, !owner_ok))
-          in
-          List.fold_left
-            (fun (h, l, ss, sn, ok) (h', l', ss', sn', ok') ->
-              (Summary.merge h h', Summary.merge l l', ss +. ss', sn + sn', ok + ok'))
-            (Summary.create (), Summary.create (), 0.0, 0, 0)
-            parts)
-    in
-    let fault_point label (alive, _failed) =
-      Obs.Timer.span timer (Printf.sprintf "%s-%s" label X.name) (fun () ->
-          let is_alive node = alive.(Hashtbl.find slot_of_host (X.host t node)) in
-          (* a dead origin cannot issue a lookup: deterministically remap to
-             the first live node by index so every contestant replays the
-             same stream *)
-          let live_origin o =
-            let rec go o steps =
-              if steps > n then failwith "Tournament.run: no live node to originate from"
-              else if is_alive o then o
-              else go ((o + 1) mod n) (steps + 1)
-            in
-            go o 0
-          in
-          let parts =
-            Pool.map_chunks pool ~n:issued ~chunk_size (fun ~lo ~hi ->
-                let ok = ref 0
-                and retries = ref 0
-                and timeouts = ref 0
-                and fallbacks = ref 0
-                and escapes = ref 0
-                and penalty = ref 0.0
-                and ok_lat = Summary.create () in
-                for i = lo to hi - 1 do
-                  let { Workload.Requests.origin; key } = requests.(i) in
-                  let origin = live_origin origin in
-                  let a = X.route_resilient t ~is_alive ~origin ~key in
-                  retries := !retries + a.Routing.retries;
-                  timeouts := !timeouts + a.Routing.timeouts;
-                  fallbacks := !fallbacks + a.Routing.fallbacks;
-                  escapes := !escapes + a.Routing.layer_escapes;
-                  penalty := !penalty +. a.Routing.penalty_ms;
-                  match (a.Routing.outcome, X.live_owner t ~is_alive ~key) with
-                  | Some r, Some o when r.Routing.destination = o ->
-                      incr ok;
-                      Summary.add ok_lat r.Routing.latency
-                  | _ -> ()
-                done;
-                (!ok, !retries, !timeouts, !fallbacks, !escapes, !penalty, ok_lat))
-          in
-          let ok, retries, timeouts, fallbacks, escapes, penalty, ok_lat =
-            List.fold_left
-              (fun (a, b, c, d, e, f, s) (a', b', c', d', e', f', s') ->
-                (a + a', b + b', c + c', d + d', e + e', f +. f', Summary.merge s s'))
-              (0, 0, 0, 0, 0, 0.0, Summary.create ())
-              parts
-          in
-          {
-            succeeded = ok;
-            retries;
-            timeouts;
-            fallbacks;
-            layer_escapes = escapes;
-            penalty_ms = penalty;
-            ok_latency_ms = (if Summary.count ok_lat = 0 then 0.0 else Summary.mean ok_lat);
-          })
-    in
-    let hops, latm, stretch_sum, stretch_n, owner_ok = baseline in
+  let crash_failed, crash =
+    faulted "crash" ~idx:0 (Faults.Crash { at = fault_at; frac = fault_fraction })
+  in
+  let outage_failed, outage =
+    faulted "outage" ~idx:1
+      (Faults.Domain_outage
+         { at = fault_at; domains = outage_domains lat hosts fault_fraction; down_ms = None })
+  in
+  let entry_of (C ((module X), _)) ((b : baseline), (crash, outage)) =
     {
       algo = X.name;
-      hops_mean = Summary.mean hops;
-      hops_max = (if Summary.count hops = 0 then 0.0 else Summary.max_value hops);
-      latency_mean = Summary.mean latm;
-      latency_max = (if Summary.count latm = 0 then 0.0 else Summary.max_value latm);
-      stretch = (if stretch_n = 0 then 0.0 else stretch_sum /. float_of_int stretch_n);
-      owner_ok;
-      crash = fault_point "crash" (crash_alive, crash_failed);
-      outage = fault_point "outage" (outage_alive, outage_failed);
+      hops_mean = Summary.mean b.hops;
+      hops_max = (if Summary.count b.hops = 0 then 0.0 else Summary.max_value b.hops);
+      latency_mean = Summary.mean b.latency;
+      latency_max = (if Summary.count b.latency = 0 then 0.0 else Summary.max_value b.latency);
+      stretch = b.stretch;
+      owner_ok = b.owner_ok;
+      crash;
+      outage;
     }
   in
   let r =
     {
       config = cfg;
-      lookups = issued;
+      lookups = Array.length requests;
       fault_fraction;
       crash_failed;
       outage_failed;
-      entries = List.map entry_of contestants;
+      entries =
+        List.map2 entry_of contestants (List.combine baselines (List.combine crash outage));
     }
   in
   Option.iter (fun reg -> export_registry reg r) registry;

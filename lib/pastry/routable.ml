@@ -22,7 +22,7 @@ module Base = struct
       let best = ref (-1) and best_d = ref infinity in
       for i = 0 to n - 1 do
         if is_alive i then begin
-          let d = Route.num_dist sp (Network.id t i) key in
+          let d = Routing.num_dist sp (Network.id t i) key in
           if d < !best_d then begin
             best := i;
             best_d := d
@@ -32,7 +32,46 @@ module Base = struct
       if !best >= 0 then Some !best else None
     end
 
-  let step t ~cur ~owner ~key = Route.next_hop t ~root:owner ~key ~cur
+  (* Pastry's routing procedure, towards the key's root [owner]: leaf-set
+     delivery, then the routing-table cell for the key's next digit, then
+     the "rare case" (any known node sharing at least as long a prefix and
+     numerically closer), then the numerically closest leaf, which always
+     makes progress along the circle *)
+  let step t ~cur ~owner ~key =
+    let sp = Network.space t in
+    let id_of = Network.id t in
+    let leaves = Network.leaf_set t cur in
+    if Array.exists (( = ) owner) leaves then owner
+    else begin
+      let row = Network.shared_prefix_len t (id_of cur) key in
+      match Network.table_entry t cur ~row ~col:(Id.digit4 sp key row) with
+      | Some entry -> entry
+      | None ->
+          let best = ref (-1) and best_d = ref (Routing.num_dist sp (id_of cur) key) in
+          let consider cand =
+            if cand <> cur && Network.shared_prefix_len t (id_of cand) key >= row then begin
+              let d = Routing.num_dist sp (id_of cand) key in
+              if d < !best_d then begin
+                best := cand;
+                best_d := d
+              end
+            end
+          in
+          Array.iter consider leaves;
+          for r = 0 to Network.rows t - 1 do
+            for c = 0 to 15 do
+              Option.iter consider (Network.table_entry t cur ~row:r ~col:c)
+            done
+          done;
+          if !best >= 0 then !best
+          else
+            Array.fold_left
+              (fun acc cand ->
+                if Routing.num_dist sp (id_of cand) key < Routing.num_dist sp (id_of acc) key then
+                  cand
+                else acc)
+              cur leaves
+    end
 
   (* every contact the node knows: leaf set + all routing-table cells *)
   let known_contacts t cur =
@@ -52,14 +91,14 @@ module Base = struct
      next hop *)
   let closing_contacts t ~keep ~cur ~key =
     let sp = Network.space t in
-    let my = Route.num_dist sp (Network.id t cur) key in
+    let my = Routing.num_dist sp (Network.id t cur) key in
     let by_closeness a b =
-      let da = Route.num_dist sp (Network.id t a) key
-      and db = Route.num_dist sp (Network.id t b) key in
+      let da = Routing.num_dist sp (Network.id t a) key
+      and db = Routing.num_dist sp (Network.id t b) key in
       if da <> db then Float.compare da db else Int.compare a b
     in
     known_contacts t cur
-    |> List.filter (fun c -> c <> cur && keep c && Route.num_dist sp (Network.id t c) key < my)
+    |> List.filter (fun c -> c <> cur && keep c && Routing.num_dist sp (Network.id t c) key < my)
     |> List.sort_uniq by_closeness
 
   let candidates t ~cur ~owner ~key =

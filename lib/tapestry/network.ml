@@ -174,7 +174,7 @@ let path_sample t ~path ~cur =
 
 let next_on_path t ~path ~cur =
   let cands = path_sample t ~path ~cur in
-  if Array.length cands = 0 then failwith "Tapestry.route: root path group vanished";
+  if Array.length cands = 0 then failwith "Tapestry.next_on_path: root path group vanished";
   let best = ref cands.(0) and best_d = ref infinity in
   Array.iter
     (fun cand ->
@@ -195,45 +195,3 @@ let path_candidates t ~path ~cur =
   |> List.sort (fun (da, ka, _) (db, kb, _) ->
          if da <> db then Float.compare da db else Int.compare ka kb)
   |> List.map (fun (_, _, cand) -> cand)
-
-type hop = { from_node : int; to_node : int; latency : float }
-
-type result = {
-  origin : int;
-  key : Hashid.Id.t;
-  destination : int;
-  hops : hop list;
-  hop_count : int;
-  latency : float;
-}
-
-let route t ~origin ~key =
-  let path = Array.of_list (root_path t key) in
-  let plen = Array.length path in
-  let hops = ref [] in
-  let count = ref 0 in
-  let total = ref 0.0 in
-  let record from_node to_node =
-    let l = link_latency t from_node to_node in
-    hops := { from_node; to_node; latency = l } :: !hops;
-    incr count;
-    total := !total +. l
-  in
-  let current = ref origin in
-  let steps = ref 0 in
-  while matched_of_path t ~path !current < plen do
-    incr steps;
-    if !steps > plen + 4 then failwith "Tapestry.route: did not terminate";
-    let cur = !current in
-    let best = next_on_path t ~path ~cur in
-    record cur best;
-    current := best
-  done;
-  {
-    origin;
-    key;
-    destination = !current;
-    hops = List.rev !hops;
-    hop_count = !count;
-    latency = !total;
-  }

@@ -11,9 +11,9 @@
     root is therefore a pure function of the id set, which this oracle
     computes directly.
 
-    Routing walks the root's digit path: each hop moves to the
-    topologically nearest node matching one more digit of that path, so a
-    route takes at most [log16 n] hops. *)
+    A route walks the root's digit path ({!Routable} runs the walk): each
+    hop, {!next_on_path}, moves to the topologically nearest node matching
+    one more digit of that path, so a route takes at most [log16 n] hops. *)
 
 type t
 
@@ -67,18 +67,3 @@ val path_candidates : t -> path:int array -> cur:int -> int list
     failover order for resilient routing. A pure function of the id set:
     routes never consult the build rng, so they are deterministic and safe
     to issue from parallel workers. *)
-
-type hop = { from_node : int; to_node : int; latency : float }
-
-type result = {
-  origin : int;
-  key : Hashid.Id.t;
-  destination : int;
-  hops : hop list;
-  hop_count : int;
-  latency : float;
-}
-
-val route : t -> origin:int -> key:Hashid.Id.t -> result
-(** Ends at {!root_of_key}; each hop matches at least one more digit of the
-    root path. *)

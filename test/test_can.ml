@@ -1,9 +1,12 @@
 (* Tests for the CAN substrate: zones, the join-built partition, greedy
-   routing, and HIERAS over CAN (paper §3.2) as [Hieras.Make (Can.Routable)]. *)
+   routing, and HIERAS over CAN (paper §3.2) as [Hieras.Make (Can.Routable)].
+   Flat routes are [Can.Routable]'s walk; the conformance suite
+   (test_routing.ml) checks that every route ends in the zone that owns the
+   key's point, with exact hop and latency accounting. *)
 
 module Zone = Can.Zone
 module Net = Can.Network
-module Route = Can.Route
+module R = Can.Routable
 module LCan = Experiments.Tournament.LCan
 module Id = Hashid.Id
 
@@ -135,32 +138,20 @@ let test_dims_parameter () =
   Alcotest.(check int) "3 dimensions" 3 (Net.dims net3);
   Alcotest.(check bool) "partition holds in 3d" true (Net.zones_partition_space net3)
 
-(* --- Route --------------------------------------------------------------------- *)
-
-let test_route_reaches_owner () =
-  let lat, net = make ~hosts:200 7 in
-  let rng = Prng.Rng.create ~seed:8 in
-  for _ = 1 to 300 do
-    let key = Id.random Id.sha1_space rng in
-    let origin = Prng.Rng.int rng 200 in
-    let r = Route.route_key net lat ~origin ~key in
-    Alcotest.(check int) "destination owns the key point" (Net.owner_of_key net key)
-      r.Route.destination;
-    Alcotest.(check bool) "destination zone contains point" true
-      (Zone.contains (Net.zone net r.Route.destination) r.Route.point)
-  done
+(* --- routing --------------------------------------------------------------------- *)
 
 let test_route_hop_scaling () =
   (* O(sqrt n) for d=2: hops must grow clearly slower than n *)
   let lat128, net128 = make ~hosts:128 9 in
   let lat512, net512 = make ~hosts:512 10 in
   let mean net lat n =
+    let r = R.make ~net ~lat in
     let rng = Prng.Rng.create ~seed:11 in
     let acc = ref 0 in
     for _ = 1 to 200 do
       let key = Id.random Id.sha1_space rng in
       let origin = Prng.Rng.int rng n in
-      acc := !acc + (Route.route_key net lat ~origin ~key).Route.hop_count
+      acc := !acc + (R.route r ~origin ~key).Routing.hop_count
     done;
     float_of_int !acc /. 200.0
   in
@@ -179,7 +170,7 @@ let make_layered ?(hosts = 200) ?(depth = 2) seed =
       ~salt:(Printf.sprintf "lc%d" seed) ()
   in
   let lm = Binning.Landmark.choose_spread lat ~count:4 rng in
-  (lat, net, LCan.build ~base:(Can.Routable.make ~net ~lat) ~lat ~landmarks:lm ~depth ())
+  (lat, net, LCan.build ~base:(R.make ~net ~lat) ~lat ~landmarks:lm ~depth ())
 
 let test_layered_structure () =
   let _, net, lcan = make_layered 12 in
@@ -202,7 +193,7 @@ let test_layered_validation () =
   let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init 16 (fun i -> i)) () in
   let lm = Binning.Landmark.choose_spread lat ~count:2 rng in
   Alcotest.check_raises "depth 1" (Invalid_argument "Hieras.Make: depth must be >= 2") (fun () ->
-      ignore (LCan.build ~base:(Can.Routable.make ~net ~lat) ~lat ~landmarks:lm ~depth:1 ()))
+      ignore (LCan.build ~base:(R.make ~net ~lat) ~lat ~landmarks:lm ~depth:1 ()))
 
 let test_layered_route_correct () =
   let _, net, lcan = make_layered 14 in
@@ -243,12 +234,13 @@ let test_layered_depth3 () =
 
 let test_layered_beats_flat_on_latency () =
   let lat, net, lcan = make_layered ~hosts:600 18 in
+  let r = R.make ~net ~lat in
   let rng = Prng.Rng.create ~seed:19 in
   let flat = Stats.Summary.create () and layered = Stats.Summary.create () in
   for _ = 1 to 1500 do
     let key = Id.random Id.sha1_space rng in
     let origin = Prng.Rng.int rng 600 in
-    Stats.Summary.add flat (Route.route_key net lat ~origin ~key).Route.latency;
+    Stats.Summary.add flat (R.route r ~origin ~key).Routing.latency;
     Stats.Summary.add layered (LCan.route lcan ~origin ~key).Routing.latency
   done;
   Alcotest.(check bool) "hierarchy helps CAN" true
@@ -266,12 +258,12 @@ let prop_route_owner =
         Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i))
           ~salt:(string_of_int seed) ()
       in
+      let r = R.make ~net ~lat in
       let ok = ref true in
       for _ = 1 to 20 do
         let key = Id.random Id.sha1_space rng in
         let origin = Prng.Rng.int rng n in
-        let r = Route.route_key net lat ~origin ~key in
-        if r.Route.destination <> Net.owner_of_key net key then ok := false
+        if (R.route r ~origin ~key).Routing.destination <> Net.owner_of_key net key then ok := false
       done;
       !ok)
 
@@ -309,7 +301,6 @@ let () =
         ] );
       ( "route",
         [
-          Alcotest.test_case "reaches owner" `Quick test_route_reaches_owner;
           Alcotest.test_case "hop scaling" `Slow test_route_hop_scaling;
         ] );
       ( "layered",

@@ -358,29 +358,18 @@ let res_cfg =
   Config.with_landmarks c 4 |> fun c -> Config.with_seed c 31
 
 let check_point (a : Experiments.Resilience.point) (b : Experiments.Resilience.point) =
-  let name = Printf.sprintf "fraction %g" a.Experiments.Resilience.fraction in
-  check_bits (name ^ " fraction") a.Experiments.Resilience.fraction
-    b.Experiments.Resilience.fraction;
-  Alcotest.(check int) (name ^ " failed") a.Experiments.Resilience.failed
-    b.Experiments.Resilience.failed;
-  Alcotest.(check int) (name ^ " chord ok") a.Experiments.Resilience.chord_succeeded
-    b.Experiments.Resilience.chord_succeeded;
-  Alcotest.(check int) (name ^ " hieras ok") a.Experiments.Resilience.hieras_succeeded
-    b.Experiments.Resilience.hieras_succeeded;
-  check_bits (name ^ " chord stretch") a.Experiments.Resilience.chord_stretch
-    b.Experiments.Resilience.chord_stretch;
-  check_bits (name ^ " hieras stretch") a.Experiments.Resilience.hieras_stretch
-    b.Experiments.Resilience.hieras_stretch;
-  Alcotest.(check int) (name ^ " chord retries") a.Experiments.Resilience.chord_retries
-    b.Experiments.Resilience.chord_retries;
-  Alcotest.(check int) (name ^ " hieras retries") a.Experiments.Resilience.hieras_retries
-    b.Experiments.Resilience.hieras_retries;
-  Alcotest.(check int) (name ^ " escapes") a.Experiments.Resilience.hieras_layer_escapes
-    b.Experiments.Resilience.hieras_layer_escapes;
-  check_bits (name ^ " chord penalty") a.Experiments.Resilience.chord_penalty_ms
-    b.Experiments.Resilience.chord_penalty_ms;
-  check_bits (name ^ " hieras penalty") a.Experiments.Resilience.hieras_penalty_ms
-    b.Experiments.Resilience.hieras_penalty_ms
+  let name = Printf.sprintf "fraction %g" a.fraction in
+  check_bits (name ^ " fraction") a.fraction b.fraction;
+  Alcotest.(check int) (name ^ " failed") a.failed b.failed;
+  Alcotest.(check int) (name ^ " chord ok") a.chord.succeeded b.chord.succeeded;
+  Alcotest.(check int) (name ^ " hieras ok") a.hieras.succeeded b.hieras.succeeded;
+  check_bits (name ^ " chord stretch") a.chord_stretch b.chord_stretch;
+  check_bits (name ^ " hieras stretch") a.hieras_stretch b.hieras_stretch;
+  Alcotest.(check int) (name ^ " chord retries") a.chord.retries b.chord.retries;
+  Alcotest.(check int) (name ^ " hieras retries") a.hieras.retries b.hieras.retries;
+  Alcotest.(check int) (name ^ " escapes") a.hieras.layer_escapes b.hieras.layer_escapes;
+  check_bits (name ^ " chord penalty") a.chord.penalty_ms b.chord.penalty_ms;
+  check_bits (name ^ " hieras penalty") a.hieras.penalty_ms b.hieras.penalty_ms
 
 let test_resilience_jobs1_equals_jobs4 () =
   let run jobs =

@@ -1,9 +1,11 @@
 (* Tests for the Pastry substrate: digit machinery, routing tables with
-   proximity neighbor selection, leaf sets and prefix routing. *)
+   proximity neighbor selection, leaf sets and prefix routing. Routes are
+   [Pastry.Routable]'s walk; the conformance suite (test_routing.ml) checks
+   that every route ends at the root with exact hop and latency accounting. *)
 
 module Id = Hashid.Id
 module Net = Pastry.Network
-module Route = Pastry.Route
+module R = Pastry.Routable
 
 let space16 = Id.space ~bits:16
 
@@ -116,48 +118,27 @@ let test_root_of_key () =
 
 (* --- routing ------------------------------------------------------------------- *)
 
-let test_route_reaches_root () =
-  let _, net = make ~hosts:200 ~space:Id.sha1_space 8 in
-  let rng = Prng.Rng.create ~seed:9 in
-  for _ = 1 to 500 do
-    let key = Id.random Id.sha1_space rng in
-    let origin = Prng.Rng.int rng 200 in
-    let r = Route.route net ~origin ~key in
-    Alcotest.(check int) "ends at the root" (Net.root_of_key net key) r.Route.destination;
-    Alcotest.(check int) "hop bookkeeping" r.Route.hop_count (List.length r.Route.hops)
-  done
-
 let test_route_zero_hops_at_root () =
   let _, net = make 10 in
   let node = 3 in
-  let r = Route.route net ~origin:node ~key:(Net.id net node) in
-  Alcotest.(check int) "stays" node r.Route.destination;
-  Alcotest.(check int) "no hops" 0 r.Route.hop_count
+  let r = R.route (R.make net) ~origin:node ~key:(Net.id net node) in
+  Alcotest.(check int) "stays" node r.Routing.destination;
+  Alcotest.(check int) "no hops" 0 r.Routing.hop_count
 
 let test_route_logarithmic_hops () =
   let _, net = make ~hosts:1024 ~space:Id.sha1_space 11 in
+  let r = R.make net in
   let rng = Prng.Rng.create ~seed:12 in
   let acc = ref 0 in
   let trials = 400 in
   for _ = 1 to trials do
     let key = Id.random Id.sha1_space rng in
     let origin = Prng.Rng.int rng 1024 in
-    acc := !acc + (Route.route net ~origin ~key).Route.hop_count
+    acc := !acc + (R.route r ~origin ~key).Routing.hop_count
   done;
   let mean = float_of_int !acc /. float_of_int trials in
   (* log16(1024) = 2.5; generous band *)
   Alcotest.(check bool) "hops ~ log16 n" true (mean > 1.2 && mean < 4.5)
-
-let test_route_latency_consistent () =
-  let _, net = make ~hosts:150 ~space:Id.sha1_space 13 in
-  let rng = Prng.Rng.create ~seed:14 in
-  for _ = 1 to 200 do
-    let key = Id.random Id.sha1_space rng in
-    let origin = Prng.Rng.int rng 150 in
-    let r = Route.route net ~origin ~key in
-    let total = List.fold_left (fun acc (h : Route.hop) -> acc +. h.Route.latency) 0.0 r.Route.hops in
-    Alcotest.(check (float 1e-6)) "latency = sum of hops" total r.Route.latency
-  done
 
 (* --- qcheck --------------------------------------------------------------------- *)
 
@@ -171,12 +152,12 @@ let prop_route_correct =
         Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat ~rng
           ~salt:(string_of_int seed) ()
       in
+      let r = R.make net in
       let ok = ref true in
       for _ = 1 to 25 do
         let key = Id.random Id.sha1_space rng in
         let origin = Prng.Rng.int rng n in
-        let r = Route.route net ~origin ~key in
-        if r.Route.destination <> Net.root_of_key net key then ok := false
+        if (R.route r ~origin ~key).Routing.destination <> Net.root_of_key net key then ok := false
       done;
       !ok)
 
@@ -199,10 +180,8 @@ let () =
         ] );
       ( "routing",
         [
-          Alcotest.test_case "reaches the root" `Quick test_route_reaches_root;
           Alcotest.test_case "zero hops at root" `Quick test_route_zero_hops_at_root;
           Alcotest.test_case "logarithmic hops" `Slow test_route_logarithmic_hops;
-          Alcotest.test_case "latency accounting" `Quick test_route_latency_consistent;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_route_correct ]);
     ]

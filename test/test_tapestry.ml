@@ -1,8 +1,9 @@
 (* Tests for the Tapestry substrate: surrogate root resolution and prefix
-   routing with proximity selection. *)
+   routing with proximity selection. Routes are [Tapestry.Routable]'s walk. *)
 
 module Id = Hashid.Id
 module Net = Tapestry.Network
+module R = Tapestry.Routable
 
 let make ?(hosts = 150) ?(space = Id.sha1_space) seed =
   let rng = Prng.Rng.create ~seed in
@@ -54,46 +55,51 @@ let test_root_path_matches_root () =
 
 let test_route_reaches_root_from_everywhere () =
   let _, net = make ~hosts:80 7 in
+  let r = R.make net in
   let rng = Prng.Rng.create ~seed:8 in
   for _ = 1 to 30 do
     let key = Id.random Id.sha1_space rng in
     let root = Net.root_of_key net key in
     for origin = 0 to Net.size net - 1 do
-      let r = Net.route net ~origin ~key in
-      Alcotest.(check int) "path-independent destination" root r.Net.destination
+      Alcotest.(check int) "path-independent destination" root
+        (R.route r ~origin ~key).Routing.destination
     done
   done
 
 let test_route_accounting () =
   let _, net = make 9 in
+  let rt = R.make net in
   let rng = Prng.Rng.create ~seed:10 in
   for _ = 1 to 200 do
     let key = Id.random Id.sha1_space rng in
     let origin = Prng.Rng.int rng (Net.size net) in
-    let r = Net.route net ~origin ~key in
-    Alcotest.(check int) "hop count" r.Net.hop_count (List.length r.Net.hops);
-    let total = List.fold_left (fun acc (h : Net.hop) -> acc +. h.Net.latency) 0.0 r.Net.hops in
-    Alcotest.(check (float 1e-6)) "latency sums" total r.Net.latency;
+    let r = R.route rt ~origin ~key in
+    Alcotest.(check int) "hop count" r.Routing.hop_count (List.length r.Routing.hops);
+    let total =
+      List.fold_left (fun acc (h : Routing.hop) -> acc +. h.Routing.latency) 0.0 r.Routing.hops
+    in
+    Alcotest.(check (float 1e-6)) "latency sums" total r.Routing.latency;
     Alcotest.(check bool) "hops bounded by path length" true
-      (r.Net.hop_count <= List.length (Net.root_path net key) + 1)
+      (r.Routing.hop_count <= List.length (Net.root_path net key) + 1)
   done
 
 let test_route_zero_hops_at_root () =
   let _, net = make 11 in
   let key = Net.id net 5 in
-  let r = Net.route net ~origin:5 ~key in
-  Alcotest.(check int) "no hops" 0 r.Net.hop_count;
-  Alcotest.(check int) "stays" 5 r.Net.destination
+  let r = R.route (R.make net) ~origin:5 ~key in
+  Alcotest.(check int) "no hops" 0 r.Routing.hop_count;
+  Alcotest.(check int) "stays" 5 r.Routing.destination
 
 let test_logarithmic_hops () =
   let _, net = make ~hosts:1024 12 in
+  let r = R.make net in
   let rng = Prng.Rng.create ~seed:13 in
   let acc = ref 0 in
   let trials = 300 in
   for _ = 1 to trials do
     let key = Id.random Id.sha1_space rng in
     let origin = Prng.Rng.int rng 1024 in
-    acc := !acc + (Net.route net ~origin ~key).Net.hop_count
+    acc := !acc + (R.route r ~origin ~key).Routing.hop_count
   done;
   let mean = float_of_int !acc /. float_of_int trials in
   Alcotest.(check bool) "hops ~ log16 n" true (mean > 1.2 && mean < 4.5)
@@ -104,7 +110,7 @@ let test_single_node () =
   let net = Net.build ~space:Id.sha1_space ~hosts:[| 0 |] ~lat ~rng () in
   let key = Id.of_hash Id.sha1_space "anything" in
   Alcotest.(check int) "root" 0 (Net.root_of_key net key);
-  Alcotest.(check int) "route" 0 (Net.route net ~origin:0 ~key).Net.destination
+  Alcotest.(check int) "route" 0 (R.route (R.make net) ~origin:0 ~key).Routing.destination
 
 let prop_route_ends_at_root =
   QCheck.Test.make ~name:"tapestry routes end at the surrogate root" ~count:20
@@ -116,12 +122,12 @@ let prop_route_ends_at_root =
         Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat ~rng
           ~salt:(string_of_int seed) ()
       in
+      let r = R.make net in
       let ok = ref true in
       for _ = 1 to 20 do
         let key = Id.random Id.sha1_space rng in
         let origin = Prng.Rng.int rng n in
-        if (Net.route net ~origin ~key).Net.destination <> Net.root_of_key net key then
-          ok := false
+        if (R.route r ~origin ~key).Routing.destination <> Net.root_of_key net key then ok := false
       done;
       !ok)
 
