@@ -345,19 +345,20 @@ let micro_state pool =
   let origins = Array.init 4096 (fun _ -> Prng.Rng.int rng n) in
   (lat, chord, hnet, keys, origins)
 
-(* An engine holding 20,000 pending far-future timers, so that each
-   measured send -> deliver pays for pushing into and taking from a queue of
-   realistic depth *)
+(* An engine holding 20,000 pending far-future events at distinct times,
+   so that each measured send -> deliver pays for pushing into and taking
+   from a heap of realistic depth. They are god events: timers of one delay
+   would wait in one lane, leaving the heap empty. *)
 let engine_event_state () =
   let eng = Simnet.Engine.create ~latency:(fun _ _ -> 1.0) ~nodes:2 in
-  for _ = 1 to 20_000 do
-    ignore (Simnet.Engine.timer eng ~node:1 ~delay:1e15 ignore)
+  for i = 1 to 20_000 do
+    Simnet.Engine.schedule eng ~delay:(1e15 +. float_of_int i) ignore
   done;
   eng
 
 (* One request, its reply and its timeout, which the reply cancels: the
    three events the run takes are the request, the reply and the cancelled
-   timeout *)
+   timeout, which waits in its lane beside the 20,000 heap events *)
 let engine_rpc eng =
   let pending = ref Simnet.Engine.no_timer in
   Simnet.Engine.send eng ~src:0 ~dst:1 (fun () ->

@@ -5,10 +5,10 @@ type t = {
   ids : Id.t array; (* sorted ascending; node i has ids.(i) *)
   hosts : int array;
   lat : Topology.Latency.t;
-  leaf_radius : int;
   rows : int;
   (* tables.(node).((row * 16) + col) = node index, or -1 for empty *)
   tables : int array array;
+  leaves : int array array; (* leaves.(node) = its leaf set *)
 }
 
 let space t = t.space
@@ -22,9 +22,10 @@ let shared_prefix_len t a b =
   let rec go i = if i < n && Id.digit4 t.space a i = Id.digit4 t.space b i then go (i + 1) else i in
   go 0
 
-let leaf_set t i =
-  let n = Array.length t.ids in
-  let r = min t.leaf_radius ((n - 1) / 2) in
+(* The set's order is the [Hashtbl]'s, which the routing steps' scans and
+   fallbacks read. *)
+let compute_leaf_set ~n ~leaf_radius i =
+  let r = min leaf_radius ((n - 1) / 2) in
   let acc = ref [] in
   for k = 1 to r do
     acc := ((i + k) mod n) :: ((i + n - k) mod n) :: !acc
@@ -35,6 +36,8 @@ let leaf_set t i =
     (fun v -> if v <> i && not (Hashtbl.mem seen v) then Hashtbl.replace seen v ())
     !acc;
   Array.of_seq (Hashtbl.to_seq_keys seen)
+
+let leaf_set t i = t.leaves.(i)
 
 let table_entry t i ~row ~col =
   if row < 0 || row >= t.rows || col < 0 || col > 15 then None
@@ -150,7 +153,8 @@ let build ~space ~hosts ~lat ~rng ?(leaf_radius = 8) ?(candidates_per_cell = 16)
          with Exit -> ());
         table)
   in
-  { space; ids; hosts; lat; leaf_radius; rows; tables }
+  let leaves = Array.init n (compute_leaf_set ~n ~leaf_radius) in
+  { space; ids; hosts; lat; rows; tables; leaves }
 
 let link_latency t a b = Topology.Latency.host_latency t.lat t.hosts.(a) t.hosts.(b)
 

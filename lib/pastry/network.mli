@@ -37,7 +37,8 @@ val host : t -> int -> int
 
 val leaf_set : t -> int -> int array
 (** Numerically adjacent nodes (up to [2 * leaf_radius], fewer in tiny
-    networks), unordered. *)
+    networks), unordered; computed once per node at build. Do not mutate the
+    returned array. *)
 
 val table_entry : t -> int -> row:int -> col:int -> int option
 (** The routing-table cell: a node sharing the first [row] digits with the

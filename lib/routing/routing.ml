@@ -109,6 +109,10 @@ module type S = sig
     attempt
 end
 
+(* a fault-free walk past its step budget, [BASE.guard] *)
+let diverged algo ~layer =
+  failwith (Printf.sprintf "%s: walk exceeded its step budget in layer %d" algo layer)
+
 module Walk (B : BASE) = struct
   let algo layers = if Array.length layers = 0 then B.name else B.layered_name
 
@@ -172,42 +176,47 @@ module Walk (B : BASE) = struct
 
   (* ---- the fault-free walk ---------------------------------------------- *)
 
-  let rec global t per full ~key ~owner cur =
+  (* Each loop takes at most [guard] steps: a step that never reaches the
+     owner, or a ring loop that cycles, would otherwise spin forever. *)
+  let rec global t layers per full ~key ~owner ~guard cur steps =
     if cur <> owner then begin
+      if steps >= guard then diverged (algo layers) ~layer:1;
       let next = B.step t ~cur ~owner ~key in
       note t per full ~layer:1 cur next;
-      global t per full ~key ~owner next
+      global t layers per full ~key ~owner ~guard next (steps + 1)
     end
 
   (* one layer's ring loop; returns where it stops *)
-  let rec ring t per full lr ~layer ~key ~owner cur =
+  let rec ring t layers per full lr ~layer ~key ~owner ~guard cur steps =
     let next = B.ring_step t lr ~cur ~owner ~key in
     if next = cur then cur
     else begin
+      if steps >= guard then diverged (algo layers) ~layer;
       note t per full ~layer cur next;
-      ring t per full lr ~layer ~key ~owner next
+      ring t layers per full lr ~layer ~key ~owner ~guard next (steps + 1)
     end
 
   (* layers [layer .. 2], each followed by the owner check and the early
      exit, then the global loop; returns the layer that finished *)
-  let rec descend t layers per full ~key ~owner ~layer cur =
+  let rec descend t layers per full ~key ~owner ~guard ~layer cur =
     if layer = 1 then begin
-      global t per full ~key ~owner cur;
+      global t layers per full ~key ~owner ~guard cur 0;
       1
     end
     else
-      let stop = ring t per full layers.(layer - 2) ~layer ~key ~owner cur in
+      let stop = ring t layers per full layers.(layer - 2) ~layer ~key ~owner ~guard cur 0 in
       if stop = owner then layer
       else
         match B.early_finish t ~cur:stop ~owner ~key with
         | Some next ->
             note t per full ~layer:1 stop next;
             layer
-        | None -> descend t layers per full ~key ~owner ~layer:(layer - 1) stop
+        | None -> descend t layers per full ~key ~owner ~guard ~layer:(layer - 1) stop
 
   let walk t layers per full ~origin ~key ~owner =
     let depth = Array.length layers + 1 in
-    if origin = owner then depth else descend t layers per full ~key ~owner ~layer:depth origin
+    if origin = owner then depth
+    else descend t layers per full ~key ~owner ~guard:(B.guard t) ~layer:depth origin
 
   let route ?(trace = Obs.Trace.disabled) t layers ~origin ~key =
     let owner = B.owner_of_key t ~key in

@@ -151,7 +151,9 @@ module type BASE = sig
   (** Latency of one overlay edge (host-to-host through the oracle). *)
 
   val guard : t -> int
-  (** Step budget after which a (plain) walk is declared divergent. *)
+  (** Step budget of each loop of a walk — the global loop and each ring
+      loop. A fault-free walk that exceeds it raises [Failure] naming the
+      substrate; a failure-aware one gives the loop up. *)
 
   val owner_of_key : t -> key:Hashid.Id.t -> int
   val live_owner : t -> is_alive:(int -> bool) -> key:Hashid.Id.t -> int option

@@ -181,7 +181,7 @@ let no_timer = Event_heap.none
 let timer t ~node ~delay f =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
   t.timers_set <- t.timers_set + 1;
-  Event_heap.push t.heap ~now:t.clock ~delay ~tag:(tag_for timer_on node) f
+  Event_heap.push_timer t.heap ~now:t.clock ~delay ~tag:(tag_for timer_on node) f
 
 let cancel t h = Event_heap.cancel t.heap h
 

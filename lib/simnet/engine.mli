@@ -59,7 +59,9 @@ val timer : t -> node:int -> delay:float -> (unit -> unit) -> handle
 (** Local timer: fires after [delay] ms unless the node is dead by then
     (then it counts into {!dropped_dead}). Sets and fires are counted
     ({!timers_set} / {!timers_fired}) so the conservation law stays
-    checkable in runs that use timers. *)
+    checkable in runs that use timers. Timers wait in a FIFO lane per
+    distinct delay beside the event heap (see {!Event_heap}); that changes
+    nothing about when they fire. *)
 
 val cancel : t -> handle -> unit
 (** Drop the timer's closure, and everything only it holds, at once. The
@@ -67,8 +69,9 @@ val cancel : t -> handle -> unit
     into {!timers_fired} or {!dropped_dead} as before — so the fire order,
     the counters, [pending_events] and the conservation law are exactly
     those of a run that never cancels. A timer that a [run ~until]
-    boundary re-queued is still cancelled. A stale handle — its timer
-    already fired or dropped — is a no-op. *)
+    boundary re-queued, moving it from its lane into the heap, is still
+    cancelled. A stale handle — its timer already fired or dropped — is a
+    no-op. *)
 
 val no_timer : handle
 (** Never returned by {!timer}; cancelling it does nothing. *)

@@ -4,37 +4,58 @@
     stamp, so events with equal times fire in insertion order, which keeps
     protocol simulations deterministic.
 
-    The heap's arrays hold only unboxed keys — time, stamp and slot index —
-    in a 4-ary layout. Each event's closure and int tag sit in a slot table
-    and stay put while the event is queued, so sifts move plain numbers and
-    never hit the write barrier; taking the earliest event allocates
-    nothing. Because the closure stays put, a queued event can be cancelled
-    in O(1) through the {!handle} its push returned. *)
+    Most events sit in a 4-ary heap whose arrays hold only unboxed keys —
+    time, stamp and slot index. Each event's closure and int tag sit in a
+    slot table and stay put while the event is queued, so sifts move plain
+    numbers and never hit the write barrier; taking the earliest event
+    allocates nothing.
+
+    Timers ({!push_timer}) go instead to a FIFO lane kept for their delay.
+    A lane entry holds its time, stamp, closure and tag, 4 words against a
+    heap event's 7. The caller's clock never moves back, so a lane is
+    already in (time, stamp) order and costs no sifting; the earliest event
+    is the least of the heap root and the lane heads. Where an event waits
+    changes nothing about when it fires. Every push returns a {!handle}
+    that cancels its event in O(1). *)
 
 type t
 
 type handle
-(** Names one queued event, for {!cancel}: its slot and the slot's
-    generation, which moves on when the event is taken. *)
+(** Names one queued event, for {!cancel}. In the heap it is the event's
+    slot and the slot's generation, which moves on when the event is taken;
+    in a lane, the lane and the entry's sequence number in it. *)
 
 val none : handle
-(** Never returned by {!push}; cancelling it does nothing. *)
+(** Never returned by a push; cancelling it does nothing. *)
+
+val max_lanes : int
+(** How many timer delays have a lane at once (16). A lane that empties is
+    handed to the next delay that finds none; a timer whose delay finds
+    neither its own lane nor an empty one goes to the heap. *)
 
 val create : unit -> t
 
 val push : t -> now:float -> delay:float -> tag:int -> (unit -> unit) -> handle
-(** Queue a thunk at [now +. delay] under the next stamp. [tag] is the
-    caller's: the queue only stores it ({!Engine} uses it to say who the
-    event is for). The sum is taken here, so the caller boxes no float for
-    it. Fails once more than 2{^26} events are queued at once. *)
+(** Queue a thunk in the heap at [now +. delay] under the next stamp. [tag]
+    is the caller's: the queue only stores it ({!Engine} uses it to say who
+    the event is for). The sum is taken here, so the caller boxes no float
+    for it. Fails once more than 2{^26} events are queued in the heap at
+    once. *)
+
+val push_timer : t -> now:float -> delay:float -> tag:int -> (unit -> unit) -> handle
+(** {!push}, into the lane of [delay]. [now] must never be earlier than at
+    an earlier push: a lane relies on it, and an entry that would fall
+    before its lane's last one goes to the heap instead, as does one whose
+    delay finds no lane. *)
 
 val cancel : t -> handle -> unit
 (** Replace the queued closure with a no-op, dropping what only it held.
     The event stays queued, with its time, stamp and tag, and is taken in
-    its turn like any other; {!requeue_min} does not change its handle. A
-    stale handle — its event already taken — is a no-op: the slot's
-    generation has moved on, and it names no event until the same slot has
-    been taken from another 2{^36} times. *)
+    its turn like any other; after {!requeue_min} too, which moves a lane
+    head into the heap. A stale handle — its event already taken — is a
+    no-op: a heap slot's generation has moved on, and names no event until
+    the slot has been taken from another 2{^36} times; a lane's sequence
+    numbers never repeat. *)
 
 val min_time : t -> float
 (** Time of the earliest event. Raises [Invalid_argument] when empty, as do
@@ -48,10 +69,10 @@ val take : t -> (unit -> unit)
 
 val requeue_min : t -> unit
 (** Put the earliest event back under a fresh stamp — exactly as if it had
-    been taken and pushed again — so it now fires after every other event
-    at its time. *)
+    been taken and pushed again with {!push} — so it now fires after every
+    other event at its time. A lane head moves into the heap. *)
 
 val size : t -> int
-(** Queued events, cancelled ones included. *)
+(** Queued events, heap and lanes together, cancelled ones included. *)
 
 val is_empty : t -> bool

@@ -10,6 +10,7 @@ type t = {
   (* levels.(r) maps an r+1-digit prefix (as a raw byte string of digit
      values) to the nodes whose identifiers start with it *)
   levels : (string, int array) Hashtbl.t array;
+  paths : int array array; (* paths.(node) = the root path of the keys it is the root of *)
 }
 
 let space t = t.space
@@ -72,6 +73,18 @@ let build ~space ~hosts ~lat ~rng ?(candidates_per_hop = 16) ?(salt = "tapestry-
     end
     else continue := false
   done;
+  (* A root's path is its own digits up to the first singleton prefix
+     group. Ids are sorted, so that is one digit past the longest prefix it
+     shares with a neighbour. *)
+  let shared a b =
+    let rec go r = if Id.digit4 space ids.(a) r = Id.digit4 space ids.(b) r then go (r + 1) else r in
+    if b < 0 || b >= n then 0 else go 0
+  in
+  let paths =
+    Array.init n (fun i ->
+        if n = 1 then [||]
+        else Array.init (1 + max (shared i (i - 1)) (shared i (i + 1))) (Id.digit4 space ids.(i)))
+  in
   {
     space;
     ids;
@@ -80,6 +93,7 @@ let build ~space ~hosts ~lat ~rng ?(candidates_per_hop = 16) ?(salt = "tapestry-
     rng;
     candidates_per_hop;
     levels = Array.of_list (List.rev !levels);
+    paths;
   }
 
 (* surrogate digit resolution: at level r with resolved prefix [prefix], try
@@ -120,6 +134,8 @@ let root_path t key =
     end
   in
   go 0 "" []
+
+let root_path_of t node = t.paths.(node)
 
 let group_at t path_prefix =
   let level = String.length path_prefix - 1 in

@@ -42,6 +42,12 @@ val root_path : t -> Hashid.Id.t -> int list
 (** The digit sequence surrogate routing resolves for this key (diagnostic;
     its length bounds every route's hop count). *)
 
+val root_path_of : t -> int -> int array
+(** The root path of every key the node is the root of: its own digits up
+    to the first singleton prefix group, so [root_path t key] as an array
+    is [root_path_of t (root_of_key t key)]. Computed once per node at
+    build; do not mutate the returned array. *)
+
 val link_latency : t -> int -> int -> float
 (** Latency between two nodes' hosts (from the embedded oracle). *)
 

@@ -19,9 +19,11 @@ module Base = struct
     let root = Network.root_of_key t key in
     if is_alive root then Some root else None
 
-  let path_of t key = Array.of_list (Network.root_path t key)
-  let step t ~cur ~owner:_ ~key = Network.next_on_path t ~path:(path_of t key) ~cur
-  let candidates t ~cur ~owner:_ ~key = Network.path_candidates t ~path:(path_of t key) ~cur
+  (* the key's root path is its owner's *)
+  let step t ~cur ~owner ~key:_ = Network.next_on_path t ~path:(Network.root_path_of t owner) ~cur
+
+  let candidates t ~cur ~owner ~key:_ =
+    Network.path_candidates t ~path:(Network.root_path_of t owner) ~cur
 
   (* no heartbeat window: every dead contact is found by probing *)
   let window _ ~cur:_ = []

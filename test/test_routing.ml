@@ -208,6 +208,65 @@ let test_walk_digests () =
       Alcotest.(check string) (Printf.sprintf "depth %d walk digest" depth) want (walk_digest ~depth))
     walk_digests
 
+(* --- the step budget ------------------------------------------------------------ *)
+
+(* A substrate whose steps never reach the owner, node 3: the global step
+   stays put and the ring step cycles through 0, 1 and 2. Every step counts
+   its calls and raises [Exit] past ten budgets, so a walk that ignores the
+   budget fails the test instead of hanging it. *)
+module Stuck = struct
+  type t = { mutable calls : int }
+
+  let name = "stuck"
+  let layered_name = "hieras-stuck"
+  let size _ = 4
+  let host _ i = i
+  let link_latency _ _ _ = 1.0
+  let guard _ = 16
+  let owner_of_key _ ~key:_ = 3
+  let live_owner _ ~is_alive:_ ~key:_ = Some 3
+
+  let tick t =
+    t.calls <- t.calls + 1;
+    if t.calls > 10 * guard t then raise Exit
+
+  let step t ~cur ~owner:_ ~key:_ =
+    tick t;
+    cur
+
+  let candidates _ ~cur:_ ~owner:_ ~key:_ = []
+  let window _ ~cur:_ = []
+  let covers _ ~cur:_ ~upto:_ ~owner:_ ~key:_ = false
+
+  type layer = unit
+
+  let make_layer _ ~rings:_ = ()
+
+  let ring_step t () ~cur ~owner:_ ~key:_ =
+    tick t;
+    (cur + 1) mod 3
+
+  let ring_candidates _ () ~cur:_ ~owner:_ ~key:_ = []
+  let ring_window _ () ~cur:_ = []
+  let early_finish _ ~cur:_ ~owner:_ ~key:_ = None
+end
+
+module WStuck = Routing.Walk (Stuck)
+
+let test_walk_guard () =
+  let key = Hashid.Id.random space (Prng.Rng.create ~seed:1) in
+  let diverges loop algo layers =
+    match WStuck.route_hops_only { Stuck.calls = 0 } layers ~origin:0 ~key with
+    | _ -> Alcotest.failf "%s: the walk returned" loop
+    | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" loop msg algo)
+          true
+          (String.starts_with ~prefix:(algo ^ ":") msg)
+  in
+  diverges "global loop" "stuck" [||];
+  diverges "ring loop" "hieras-stuck" [| () |]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -226,4 +285,5 @@ let () =
             test_functor_golden_trace;
           Alcotest.test_case "walk digests at depths 2-4" `Quick test_walk_digests;
         ] );
+      ("guard", [ Alcotest.test_case "a walk that never arrives fails" `Quick test_walk_guard ]);
     ]

@@ -423,10 +423,12 @@ let prop_event_order =
 (* --- Cancellation ------------------------------------------------------------- *)
 
 (* A program over the queue: pushes at any delay from the clock, timers on
-   the program's 1-4 fixed delays, [run ~until] boundaries, single takes,
-   and cancels of the [i]-th timer armed so far, whether it is still
-   queued, re-stamped by a boundary, or already fired (its slot then free
-   or holding a later push). *)
+   the program's fixed delays, [run ~until] boundaries, single takes, and
+   cancels of the [i]-th timer armed so far, whether it is still queued,
+   re-stamped by a boundary, or already fired (its slot then free or
+   holding a later push). Timers wait in lanes: most programs have 1-4
+   delays, the rest more than there are lanes, so that some delays find
+   none and lanes that empty pass to other delays. *)
 type cancel_op = C_push of float | C_timer of int | C_until of float | C_take | C_cancel of int
 
 let show_cancel_op = function
@@ -446,12 +448,16 @@ let cancel_program_arb =
         (String.concat "; " (List.map string_of_float delays))
         (String.concat "; " (List.map show_cancel_op ops)))
     (pair
-       (list_size (int_range 1 4) step)
+       (frequency
+          [
+            (3, list_size (int_range 1 4) step);
+            (1, list_size (int_range 12 24) (map (fun k -> float_of_int k *. 0.5) (int_bound 30)));
+          ])
        (list_size (int_bound 120)
           (frequency
              [
                (3, map (fun d -> C_push d) step);
-               (5, map (fun k -> C_timer k) (int_bound 3));
+               (5, map (fun k -> C_timer k) (int_bound 23));
                (2, map (fun d -> C_until d) step);
                (3, return C_take);
                (3, map (fun i -> C_cancel i) (int_bound 1000));
@@ -554,7 +560,8 @@ let prop_cancel_queue =
               Qmodel.push m ~delay:d ~id ~timer:false
           | C_timer k ->
               let delay = delays.(k mod Array.length delays) in
-              handles := Array.append !handles [| Heap.push h ~now:!clock ~delay ~tag:id record |];
+              handles :=
+                Array.append !handles [| Heap.push_timer h ~now:!clock ~delay ~tag:id record |];
               ids := Array.append !ids [| id |];
               Qmodel.push m ~delay ~id ~timer:true
           | C_until d -> until (!clock +. d)
@@ -647,6 +654,111 @@ let test_cancel_stale_and_requeued () =
   drain h;
   Alcotest.(check (list string)) "c cancelled after its requeue" [ "b"; "a" ] !ran
 
+let test_lane_requeued_then_cancelled () =
+  (* a lane head that a boundary re-stamps moves into the heap behind its
+     equal, where its lane handle still cancels it, through a second
+     re-stamp too; once it has fired, the handle no longer reaches the
+     heap slot it left *)
+  let h = Heap.create () in
+  let ran = ref [] in
+  let timer name = Heap.push_timer h ~now:0.0 ~delay:5.0 ~tag:0 (fun () -> ran := name :: !ran) in
+  let a = timer "a" in
+  let b = timer "b" in
+  Heap.requeue_min h;
+  Heap.requeue_min h;
+  Heap.requeue_min h;
+  Heap.cancel h a;
+  Alcotest.(check int) "both queued" 2 (Heap.size h);
+  drain h;
+  Alcotest.(check (list string)) "b ran, a cancelled" [ "b" ] !ran;
+  Heap.cancel h b;
+  let c = timer "c" in
+  Heap.requeue_min h;
+  Heap.take h ();
+  ignore (Heap.push h ~now:5.0 ~delay:1.0 ~tag:0 (fun () -> ran := "d" :: !ran));
+  Heap.cancel h c;
+  drain h;
+  Alcotest.(check (list string)) "c ran, then d" [ "d"; "c"; "b" ] !ran;
+  (* the same through the engine's [run ~until] *)
+  let eng = Engine.create ~latency:(const_latency 1.0) ~nodes:1 in
+  let ran = ref false in
+  let t = Engine.timer eng ~node:0 ~delay:5.0 (fun () -> ran := true) in
+  Engine.run ~until:5.0 eng;
+  Engine.cancel eng t;
+  Engine.run eng;
+  Alcotest.(check bool) "cancelled after its boundary" false !ran;
+  Alcotest.(check int) "fired as a no-op" 1 (Engine.timers_fired eng)
+
+(* timers on [delays] (armed in that order, from a clock at 0) with every
+   [cancel]-th one cancelled: the survivors' tags in fire order *)
+let fire_timers ?(cancel = max_int) delays =
+  let h = Heap.create () in
+  let fired = ref [] in
+  List.iteri
+    (fun i d ->
+      let t = Heap.push_timer h ~now:0.0 ~delay:d ~tag:i (fun () -> fired := i :: !fired) in
+      if i mod cancel = cancel - 1 then Heap.cancel h t)
+    delays;
+  drain h;
+  List.rev !fired
+
+(* the tags of [delays] in (time, stamp) order, [cancel] as above *)
+let expected ?(cancel = max_int) delays =
+  List.mapi (fun i d -> (d, i)) delays
+  |> List.stable_sort compare
+  |> List.filter_map (fun (_, i) -> if i mod cancel = cancel - 1 then None else Some i)
+
+let test_more_delays_than_lanes () =
+  (* every lane busy: the delays past the last lane wait in the heap, and
+     cancel as well there *)
+  let delays = List.init (3 * Heap.max_lanes) (fun i -> float_of_int ((7 * i) mod 20)) in
+  Alcotest.(check (list int)) "(time, stamp) order" (expected delays) (fire_timers delays);
+  Alcotest.(check (list int))
+    "every third cancelled" (expected ~cancel:3 delays) (fire_timers ~cancel:3 delays)
+
+let test_one_off_lanes_reused () =
+  (* one-off delays, each taken before the next is armed: each one's lane
+     empties and passes to the next delay, and a stale handle from an
+     earlier delay does not cancel the entry that took its place *)
+  let h = Heap.create () in
+  let ran = ref 0 in
+  let stale = ref Heap.none in
+  for i = 1 to 3 * Heap.max_lanes do
+    let t = Heap.push_timer h ~now:0.0 ~delay:(float_of_int i) ~tag:i (fun () -> incr ran) in
+    Heap.cancel h !stale;
+    Alcotest.(check int) "its own tag" i (Heap.min_tag h);
+    Heap.take h ();
+    stale := t
+  done;
+  Alcotest.(check int) "none cancelled" (3 * Heap.max_lanes) !ran;
+  Alcotest.(check bool) "empty" true (Heap.is_empty h)
+
+let test_lane_heap_ties () =
+  (* equal times across the heap and the lanes fire in push order *)
+  let h = Heap.create () in
+  let fired = ref [] in
+  let record i () = fired := i :: !fired in
+  ignore (Heap.push h ~now:0.0 ~delay:4.0 ~tag:0 (record 0));
+  ignore (Heap.push_timer h ~now:0.0 ~delay:4.0 ~tag:1 (record 1));
+  ignore (Heap.push_timer h ~now:0.0 ~delay:4.0 ~tag:2 (record 2));
+  ignore (Heap.push h ~now:1.0 ~delay:3.0 ~tag:3 (record 3));
+  ignore (Heap.push_timer h ~now:2.0 ~delay:2.0 ~tag:4 (record 4));
+  ignore (Heap.push h ~now:3.0 ~delay:1.0 ~tag:5 (record 5));
+  ignore (Heap.push_timer h ~now:3.0 ~delay:1.0 ~tag:6 (record 6));
+  drain h;
+  Alcotest.(check (list int)) "push order" [ 0; 1; 2; 3; 4; 5; 6 ] (List.rev !fired);
+  (* two lane heads tie at 2.0 when a third lane's head is taken: the one
+     pushed first, on the later lane, goes first *)
+  let h = Heap.create () in
+  fired := [];
+  ignore (Heap.push_timer h ~now:0.0 ~delay:1.0 ~tag:0 (record 0));
+  ignore (Heap.push_timer h ~now:0.0 ~delay:2.0 ~tag:1 (record 1));
+  Heap.take h ();
+  ignore (Heap.push_timer h ~now:1.0 ~delay:1.0 ~tag:2 (record 2));
+  ignore (Heap.push_timer h ~now:1.0 ~delay:0.5 ~tag:3 (record 3));
+  drain h;
+  Alcotest.(check (list int)) "lane ties in push order" [ 0; 3; 1; 2 ] (List.rev !fired)
+
 let test_cancel_counts () =
   (* a cancelled timer fires as a counted no-op, on a dead node it is
      dropped as before, and a second cancel or one after the fire does
@@ -725,6 +837,11 @@ let () =
       ( "cancel",
         [
           Alcotest.test_case "stale and requeued handles" `Quick test_cancel_stale_and_requeued;
+          Alcotest.test_case "lane head re-stamped, then cancelled" `Quick
+            test_lane_requeued_then_cancelled;
+          Alcotest.test_case "more delays than lanes" `Quick test_more_delays_than_lanes;
+          Alcotest.test_case "one-off delays reuse lanes" `Quick test_one_off_lanes_reused;
+          Alcotest.test_case "lane and heap ties" `Quick test_lane_heap_ties;
           Alcotest.test_case "cancelled timers are counted" `Quick test_cancel_counts;
           Alcotest.test_case "settle once" `Quick test_settle_once;
         ]

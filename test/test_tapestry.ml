@@ -53,6 +53,22 @@ let test_root_path_matches_root () =
       path
   done
 
+(* the path each node keeps for the keys it roots is the one surrogate
+   routing resolves for any of those keys, from a single node up *)
+let test_root_path_of_root () =
+  List.iter
+    (fun hosts ->
+      let _, net = make ~hosts (20 + hosts) in
+      let rng = Prng.Rng.create ~seed:hosts in
+      for _ = 1 to 200 do
+        let key = Id.random Id.sha1_space rng in
+        Alcotest.(check (array int))
+          (Printf.sprintf "%d nodes" hosts)
+          (Array.of_list (Net.root_path net key))
+          (Net.root_path_of net (Net.root_of_key net key))
+      done)
+    [ 1; 2; 17; 150; 1024 ]
+
 let test_route_reaches_root_from_everywhere () =
   let _, net = make ~hosts:80 7 in
   let r = R.make net in
@@ -140,6 +156,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_root_deterministic;
           Alcotest.test_case "own id" `Quick test_root_of_own_id;
           Alcotest.test_case "path matches root" `Quick test_root_path_matches_root;
+          Alcotest.test_case "root's own path" `Quick test_root_path_of_root;
         ] );
       ( "routing",
         [
