@@ -25,6 +25,7 @@ let create ?ts cfg eng =
 
 let engine t = t.eng
 let config t = t.cfg
+let rings t = t.rings
 let stability t = Ring.stability t.ring
 let converged t = Simnet.Stability.is_stable (stability t)
 let interval_scale t = Ring.scale t.ring
@@ -63,16 +64,14 @@ let fail_node t addr =
   Engine.kill t.eng addr;
   Ring.lifecycle t.rings `Fail
 
-type lookup_outcome = { owner_addr : int; owner_id : Id.t; hops : int; retries : int }
+type lookup_outcome = Ring.outcome = {
+  owner_addr : int;
+  owner_id : Id.t;
+  hops : int;
+  lower_hops : int;
+}
 
-let lookup t ~origin ~key k =
-  let rec attempt budget tries =
-    Ring.find_successor t.ring ~kind:Obs.Netspan.Lookup ~src:origin ~key ~retries:0
-      ~ok:(fun (p : Ring.peer) hops ->
-        k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; retries = tries }))
-      ~failed:(fun () -> if budget > 0 then attempt (budget - 1) (tries + 1) else k None)
-  in
-  attempt t.cfg.lookup_retries 0
+let lookup t ~origin ~key k = Ring.lookup t.rings ~origin ~key k
 
 let export_metrics ?(prefix = "chord.protocol") t m =
   let c name v = Obs.Metrics.set_counter (Obs.Metrics.counter m (prefix ^ "." ^ name)) v in

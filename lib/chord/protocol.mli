@@ -9,8 +9,9 @@
     timeout and route around).
 
     The ring itself — per-node state, the three maintenance timers, the
-    join retry loop and the convergence probe — is one {!Ring}; this module
-    adds the node lifecycle, lookups and metrics.
+    join retry loop, the convergence probe and the lookup walk — is one
+    {!Ring}, of which flat Chord is the one-ring case; this module adds the
+    node lifecycle and metrics.
 
     Tests assert that a protocol-built ring converges to exactly the
     fixpoint {!Network.build} computes directly, and that lookups keep
@@ -53,6 +54,8 @@ val create : ?ts:Obs.Timeseries.t -> config -> Simnet.Engine.t -> t
 
 val engine : t -> Simnet.Engine.t
 val config : t -> config
+val rings : t -> Ring.t array
+(** The one ring, as {!Ring.create} returned it. *)
 
 val spawn : t -> addr:int -> id:Hashid.Id.t -> unit
 (** Create the first node: a one-node ring (its own successor), maintenance
@@ -65,17 +68,16 @@ val join : t -> addr:int -> id:Hashid.Id.t -> bootstrap:int -> unit
 val fail_node : t -> int -> unit
 (** Silent fail: the node stops responding (engine-level kill). *)
 
-type lookup_outcome = {
+type lookup_outcome = Ring.outcome = {
   owner_addr : int;
   owner_id : Hashid.Id.t;
-  hops : int;  (** overlay forwarding steps, as counted in the paper *)
-  retries : int;
+  hops : int;
+  lower_hops : int;  (** always 0: one ring *)
 }
 
 val lookup :
   t -> origin:int -> key:Hashid.Id.t -> (lookup_outcome option -> unit) -> unit
-(** Asynchronous lookup; the callback gets [None] after all retries time
-    out. *)
+(** {!Ring.lookup} over the one ring. *)
 
 (** {2 Introspection (tests and examples)} *)
 

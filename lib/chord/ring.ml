@@ -54,6 +54,7 @@ type state = {
 type shared = {
   cfg : config;
   eng : Engine.t;
+  mutable rings : t array; (* every ring, index 0 the global one; set by [create] *)
   mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
   mutable probing : bool; (* fingerprint probe loop started *)
   mutable maint_stabilize : int;
@@ -71,7 +72,7 @@ type shared = {
   ts_stable : Obs.Timeseries.series;
 }
 
-type t = { sh : shared; nodes : (int, state) Hashtbl.t; stab : Simnet.Stability.t }
+and t = { sh : shared; nodes : (int, state) Hashtbl.t; stab : Simnet.Stability.t; index : int }
 
 let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
   if cfg.stability_k < 1 then invalid_arg "Chord.Ring.create: stability_k must be >= 1";
@@ -81,6 +82,7 @@ let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
     {
       cfg;
       eng;
+      rings = [||];
       scale = 1.0;
       probing = false;
       maint_stabilize = 0;
@@ -98,8 +100,10 @@ let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
       ts_stable = series Obs.Timeseries.gauge "stable";
     }
   in
-  Array.init rings (fun _ ->
-      { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:cfg.stability_k () })
+  sh.rings <-
+    Array.init rings (fun index ->
+        { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:cfg.stability_k (); index });
+  sh.rings
 
 let add r ~addr ~id =
   let s =
@@ -120,6 +124,8 @@ let add r ~addr ~id =
 
 let find r addr = Hashtbl.find r.nodes addr
 let mem r addr = Hashtbl.mem r.nodes addr
+let engine r = r.sh.eng
+let config r = r.sh.cfg
 let stability r = r.stab
 let scale r = r.sh.scale
 
@@ -330,51 +336,99 @@ let closest_preceding s ~key =
   let best = closer_in s ~key !best s.succs in
   if best == no_peer then current_successor s else best
 
-(* --- find_successor: recursive forwarding with direct reply ----------- *)
+(* --- the walk: recursive forwarding with direct reply ------------------ *)
 
-(* [kind] is the span kind of the next message this cascade sends: the
-   initiating site's RPC kind on the first send (so the tree's root always
-   carries it, even when the cascade is a single direct reply), [Forward]
-   on every recursive hop after that, [Reply] on the response leg. *)
-let rec handle_find_successor r s ~kind ~key ~hops ~reply_to ~(reply : peer -> int -> unit) =
+type outcome = { owner_addr : int; owner_id : Id.t; hops : int; lower_hops : int }
+
+(* One attempt to resolve [key] for [src], first forwarded to [via] unless
+   that is -1. It walks [ring] from ring [top] down to ring [floor]. After
+   it [retries] attempts are left; a negative count times none out. *)
+type query = {
+  mutable ring : t;
+  kind : Netspan.kind;
+  src : int;
+  via : int;
+  key : Id.t;
+  top : int;
+  floor : int;
+  retries : int;
+  ok : peer -> int -> int -> unit;
+  failed : unit -> unit;
+  mutable hops : int;
+  mutable lower_hops : int;
+  mutable timeout : Engine.handle;
+}
+
+(* the first send names the initiating site; later ones forward or reply *)
+let kind_after q later = if q.hops = 0 then q.kind else later
+
+(* the reply and the timeout each settle the query; the first acts *)
+let settled q =
+  q.retries < 0
+  || (q.timeout != Engine.no_timer
+     && (Engine.cancel q.ring.sh.eng q.timeout; q.timeout <- Engine.no_timer; true))
+
+let answer q s p =
+  Engine.send q.ring.sh.eng ~kind:(kind_after q Netspan.Reply) ~src:s.addr ~dst:q.src (fun () ->
+      if settled q then q.ok p q.hops q.lower_hops)
+
+(* At [s]: forward to the closest preceding peer until the key lies in
+   (s, successor] on the current ring. There, answer with that successor on
+   the floor ring; above it, answer early with s's global successor when
+   that owns the key, else descend one ring at s. *)
+let rec route q s =
   let succ = current_successor s in
-  if Id.in_oc key ~lo:s.id ~hi:succ.pid || succ.paddr = s.addr then
-    (* reply travels straight back to the requester *)
-    Engine.send r.sh.eng
-      ~kind:(match kind with Netspan.Forward -> Netspan.Reply | k -> k)
-      ~src:s.addr ~dst:reply_to
-      (fun () -> reply succ (hops + 1))
-  else begin
-    let next = closest_preceding s ~key in
-    Engine.send r.sh.eng ~kind ~src:s.addr ~dst:next.paddr (fun () ->
-        match Hashtbl.find_opt r.nodes next.paddr with
-        | None -> ()
-        | Some s' ->
-            handle_find_successor r s' ~kind:Netspan.Forward ~key ~hops:(hops + 1) ~reply_to
-              ~reply)
+  if Id.in_oc q.key ~lo:s.id ~hi:succ.pid || succ.paddr = s.addr then begin
+    if q.ring.index = q.floor then answer q s succ
+    else
+      let g = current_successor (Hashtbl.find q.ring.sh.rings.(0).nodes s.addr) in
+      if g.paddr <> s.addr && Id.in_oc q.key ~lo:s.id ~hi:g.pid then answer q s g
+      else begin
+        q.ring <- q.ring.sh.rings.(q.ring.index - 1);
+        route q (Hashtbl.find q.ring.nodes s.addr)
+      end
   end
+  else forward q ~from:s.addr (closest_preceding s ~key:q.key).paddr
 
-(* find_successor issued from [src] with timeout/retry *)
-let find_successor r ~kind ~src ~key ~retries ~(ok : peer -> int -> unit) ~(failed : unit -> unit) =
-  let rec attempt n =
-    let pending = ref Engine.no_timer in
-    (match Hashtbl.find_opt r.nodes src with
-    | None -> ()
-    | Some s ->
-        handle_find_successor r s ~kind ~key ~hops:(-1) ~reply_to:src ~reply:(fun p h ->
-            if Engine.settle r.sh.eng pending then ok p h));
-    pending :=
-      Engine.timer r.sh.eng ~node:src ~delay:r.sh.cfg.rpc_timeout (fun () ->
-          if Engine.settle r.sh.eng pending then if n > 0 then attempt (n - 1) else failed ())
-  in
-  attempt retries
-
-let find_successor_via r ~kind ~src ~via ~key ~reply =
-  Engine.send r.sh.eng ~kind ~src ~dst:via (fun () ->
-      match Hashtbl.find_opt r.nodes via with
+and forward q ~from dst =
+  if q.ring.index > 0 then q.lower_hops <- q.lower_hops + 1;
+  Engine.send q.ring.sh.eng ~kind:(kind_after q Netspan.Forward) ~src:from ~dst (fun () ->
+      match Hashtbl.find_opt q.ring.nodes dst with
       | None -> ()
-      | Some vs ->
-          handle_find_successor r vs ~kind:Netspan.Forward ~key ~hops:0 ~reply_to:src ~reply)
+      | Some s ->
+          q.hops <- q.hops + 1;
+          route q s)
+
+(* Start the walk, then arm [src]'s timeout: it re-issues the query from
+   the top ring or gives up. *)
+let rec attempt q =
+  let r = q.ring in
+  (if q.via >= 0 then forward q ~from:q.src q.via
+   else match Hashtbl.find_opt r.nodes q.src with None -> () | Some s -> route q s);
+  if q.retries >= 0 then
+    q.timeout <-
+      Engine.timer r.sh.eng ~node:q.src ~delay:r.sh.cfg.rpc_timeout (fun () ->
+          if settled q then
+            if q.retries = 0 then q.failed ()
+            else
+              let ring = q.ring.sh.rings.(q.top) in
+              attempt { q with ring; retries = q.retries - 1; hops = 0; lower_hops = 0 })
+
+let issue ring ~kind ~src ~via ~key ~floor ~retries ~ok ~failed =
+  let top = ring.index and timeout = Engine.no_timer in
+  attempt { ring; kind; src; via; key; top; floor; retries; ok; failed; hops = 0; lower_hops = 0; timeout }
+
+let lookup rings ~origin ~key k =
+  let top = rings.(Array.length rings - 1) in
+  issue top ~kind:Netspan.Lookup ~src:origin ~via:(-1) ~key ~floor:0 ~retries:top.sh.cfg.lookup_retries
+    ~ok:(fun p hops lower_hops -> k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops }))
+    ~failed:(fun () -> k None)
+
+let find_successor r ~kind ~src ~key ~retries ~ok ~failed =
+  issue r ~kind ~src ~via:(-1) ~key ~floor:r.index ~retries ~ok ~failed
+
+let find_successor_via r ~kind ~src ~via ~key ~retries ~ok ~failed =
+  issue r ~kind ~src ~via ~key ~floor:r.index ~retries ~ok ~failed
 
 (* --- periodic maintenance --------------------------------------------- *)
 
@@ -415,7 +469,7 @@ let rec stabilize r s =
         if s.anchor <> s.addr && Engine.is_alive sh.eng s.anchor then begin
           maint sh `Stabilize;
           find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
-            ~reply:(fun p _ ->
+            ~retries:(-1) ~failed:ignore ~ok:(fun p _ _ ->
               if (current_successor s).paddr = s.addr && p.paddr <> s.addr then s.succs <- [ p ])
         end);
     schedule_stabilize r s
@@ -441,7 +495,7 @@ let rec stabilize r s =
         then begin
           maint sh `Stabilize;
           find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
-            ~reply:(fun p _ ->
+            ~retries:(-1) ~failed:ignore ~ok:(fun p _ _ ->
               let cur = current_successor s in
               if
                 p.paddr <> s.addr
@@ -489,7 +543,7 @@ let rec fix_fingers r s =
     let start = Id.add_pow2 cfg.space s.id i in
     maint r.sh `Fix;
     find_successor r ~kind:Netspan.Fix_fingers ~src:s.addr ~key:start ~retries:0
-      ~ok:(fun p _ -> s.fingers.(i) <- Some p)
+      ~ok:(fun p _ _ -> s.fingers.(i) <- Some p)
       ~failed:(fun () ->
         (* unresolvable finger: clear it rather than keep a possibly-dead
            entry steering closest_preceding into a black hole — with the
@@ -533,22 +587,14 @@ let join r s ~bootstrap ~joined =
   let cfg = r.sh.cfg in
   let rec attempt n =
     (* route the join query through the bootstrap node *)
-    let pending = ref Engine.no_timer in
-    find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id
-      ~reply:(fun p _ ->
-        if Engine.settle r.sh.eng pending then begin
-          s.succs <- [ p ];
-          joined ()
-        end);
-    pending :=
-      Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.rpc_timeout (fun () ->
-          if Engine.settle r.sh.eng pending then begin
-            (* a node that never joins is lost forever: keep retrying, with a
-               longer pause once the initial retry budget is spent *)
-            let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
-            ignore
-              (Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () ->
-                   attempt (max 0 (n - 1))))
-          end)
+    find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id ~retries:0
+      ~ok:(fun p _ _ ->
+        s.succs <- [ p ];
+        joined ())
+      ~failed:(fun () ->
+        (* a node that never joins is lost forever: keep retrying, with a
+           longer pause once the initial retry budget is spent *)
+        let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
+        ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () -> attempt (max 0 (n - 1)))))
   in
   attempt cfg.lookup_retries

@@ -1,14 +1,16 @@
-(** One Chord ring's message-level maintenance core, shared by both
-    message protocols.
+(** Chord rings at message level, shared by both message protocols, and
+    the one lookup walk over them.
 
     A ring is a node table of per-node Chord state (predecessor, successor
     list, fingers) kept current by three timers per node — stabilize (with
-    notify), fix fingers and check predecessor — plus the request/response,
-    [find_successor] and join plumbing those timers need. {!Protocol} runs
-    one ring; [Hieras.Hprotocol] runs one per layer, and the rings of one
-    protocol instance share the engine, the configuration, the adaptive
-    interval multiplier, the maintenance counters and the convergence
-    probe, which keeps one {!Simnet.Stability} detector per ring.
+    notify), fix fingers and check predecessor — plus the request/response
+    and join plumbing those timers need. {!Protocol} runs one ring;
+    [Hieras.Hprotocol] runs one per layer, and the rings of one protocol
+    instance share the engine, the configuration, the adaptive interval
+    multiplier, the maintenance counters and the convergence probe, which
+    keeps one {!Simnet.Stability} detector per ring. {!lookup} runs the
+    plain Chord greedy loop ring by ring, so flat Chord is its one-ring
+    case, and every ring-local find is that walk on one ring.
 
     Every function sends and arms timers in a fixed order: message loss is
     drawn per send, so that order is part of the simulation's behaviour. *)
@@ -58,7 +60,8 @@ type t
 (** One ring: its node table and its convergence detector. *)
 
 val create : ?ts:Obs.Timeseries.t -> prefix:string -> rings:int -> config -> Simnet.Engine.t -> t array
-(** [rings] rings sharing one engine, configuration and probe. [ts]
+(** [rings] rings sharing one engine, configuration and probe; index 0 is
+    the global ring. [ts]
     (default disabled) receives the series [<prefix>.members] (gauge),
     [<prefix>.joins], [<prefix>.joins_completed], [<prefix>.fails] and
     [<prefix>.maint.ops] (counters), [<prefix>.maint.scale] and
@@ -74,6 +77,8 @@ val find : t -> int -> state
 (** Raises [Not_found] for an unknown address. *)
 
 val mem : t -> int -> bool
+val engine : t -> Simnet.Engine.t
+val config : t -> config
 val self_peer : state -> peer
 val current_successor : state -> peer
 (** Head of the successor list, the node itself when the list is empty. *)
@@ -101,25 +106,38 @@ val ask :
     response cancels that timer ({!Simnet.Engine.settle}), so [timeout]
     and all it holds leave the event queue when the response lands. *)
 
+(** {2 The walk} *)
+
+type outcome = {
+  owner_addr : int;
+  owner_id : Hashid.Id.t;
+  hops : int;  (** forwards up to the node that answers: 0 when the origin does *)
+  lower_hops : int;  (** those sent on a ring above the global one *)
+}
+
+val lookup : t array -> origin:int -> key:Hashid.Id.t -> (outcome option -> unit) -> unit
+(** Resolve [key]'s owner from [origin] over the rings of {!create}, last
+    ring first: each node forwards the query to {!closest_preceding} on the
+    current ring until the key lies between it and its successor there. On
+    the global ring that node answers with its successor; above it, with
+    its global successor when that owns the key, else the query descends a
+    ring at the same node. The answer travels straight back to [origin]. A
+    timer at [origin] re-issues the query up to [lookup_retries] times,
+    then the callback gets [None]. The first send is a [Lookup] span, later
+    hops [Forward] and the answer a [Reply]. *)
+
 val find_successor :
-  t ->
-  kind:Obs.Netspan.kind ->
-  src:int ->
-  key:Hashid.Id.t ->
-  retries:int ->
-  ok:(peer -> int -> unit) ->
-  failed:(unit -> unit) ->
-  unit
-(** Resolve [key]'s successor from [src] by recursive forwarding; the
-    answer travels straight back to [src] and [ok] gets it with the hop
-    count. Re-issued up to [retries] times on timeout, then [failed].
-    [kind] labels the first send; later hops are [Forward] and the answer
-    a [Reply]. *)
+  t -> kind:Obs.Netspan.kind -> src:int -> key:Hashid.Id.t -> retries:int ->
+  ok:(peer -> int -> int -> unit) -> failed:(unit -> unit) -> unit
+(** The walk of {!lookup} on this ring alone, for [src]; [ok] gets the
+    successor and the hops of {!outcome}. The timer re-issues the query up
+    to [retries] times, then calls [failed]; with [retries < 0] there is no
+    timer. [kind] labels the first send. *)
 
 val find_successor_via :
-  t -> kind:Obs.Netspan.kind -> src:int -> via:int -> key:Hashid.Id.t -> reply:(peer -> int -> unit) -> unit
-(** Send the query to [via], which resolves it on [src]'s behalf (joins and
-    anchor checks); no timeout. *)
+  t -> kind:Obs.Netspan.kind -> src:int -> via:int -> key:Hashid.Id.t -> retries:int ->
+  ok:(peer -> int -> int -> unit) -> failed:(unit -> unit) -> unit
+(** {!find_successor}, first forwarded to [via] (joins and anchor checks). *)
 
 (** {2 Maintenance} *)
 
@@ -133,9 +151,9 @@ val start : t -> state -> unit
     that order. *)
 
 val join : t -> state -> bootstrap:int -> joined:(unit -> unit) -> unit
-(** Route a join query for the node's own id through [bootstrap], retrying
-    forever (with a longer pause once [lookup_retries] are spent); on the
-    first answer adopt it as the successor and call [joined]. *)
+(** Find the node's own id through [bootstrap], retrying forever (with a
+    longer pause once [lookup_retries] are spent); on the first answer
+    adopt it as the successor and call [joined]. *)
 
 (** {2 Lifecycle, convergence and cost} *)
 

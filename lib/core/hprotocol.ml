@@ -96,6 +96,7 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
 
 let engine t = t.eng
 let config t = t.cfg
+let rings t = t.rings
 let global t = t.rings.(0)
 
 let check_layer t layer =
@@ -158,9 +159,7 @@ let find_ring_table t rname =
           else None)
     t.nodes None
 
-let live_members t =
-  Hashtbl.fold (fun a _ acc -> if Engine.is_alive t.eng a then a :: acc else acc) t.nodes []
-  |> List.sort Int.compare
+let live_members t = Ring.live_members (global t)
 
 (* ---- ring-table duties -------------------------------------------------- *)
 
@@ -237,7 +236,7 @@ let rec ring_table_duty t pn =
       let rid = Ring_table.ring_id rt in
       Ring.count_duty g;
       Ring.find_successor g ~kind:Netspan.Ring ~src:pn.addr ~key:rid ~retries:0
-        ~ok:(fun owner _ ->
+        ~ok:(fun owner _ _ ->
           if owner.paddr <> pn.addr then begin
             Engine.send t.eng ~kind:Netspan.Ring ~src:pn.addr ~dst:owner.paddr (fun () ->
                 match Hashtbl.find_opt t.nodes owner.paddr with
@@ -276,7 +275,7 @@ let rec ring_refresh t pn =
     let rid = Ring_name.ring_id t.cfg.space rname in
     Ring.count_duty g;
     Ring.find_successor g ~kind:Netspan.Ring ~src:pn.addr ~key:rid ~retries:0
-      ~ok:(fun manager _ ->
+      ~ok:(fun manager _ _ ->
         Ring.count_duty g;
         Ring.ask g ~kind:Netspan.Ring ~src:pn.addr ~dst:manager.paddr
           ~service:(fun ms ->
@@ -384,7 +383,7 @@ let join_lower_layer t pn ~layer ~and_then =
   let alone () = s.succs <- [ Ring.self_peer s ] in
   (* route to the manager of this ring's table on the top layer *)
   Ring.find_successor g ~kind:Netspan.Join ~src:pn.addr ~key:rid ~retries:t.cfg.lookup_retries
-    ~ok:(fun manager _ ->
+    ~ok:(fun manager _ _ ->
       Ring.ask g ~kind:Netspan.Join ~src:pn.addr ~dst:manager.paddr
         ~service:(fun ms -> Option.map Ring_table.entries (stored_table (get t ms.addr) key))
         ~ok:(fun entries ->
@@ -402,29 +401,25 @@ let join_lower_layer t pn ~layer ~and_then =
           | first :: rest ->
               (* ask a recorded member for our ring-level successor *)
               let rec try_members m ms =
-                let pending = ref Engine.no_timer in
                 Ring.find_successor_via r ~kind:Netspan.Join ~src:pn.addr ~via:m.Ring_table.node
-                  ~key:pn.id ~reply:(fun succ _ ->
-                    if Engine.settle t.eng pending then begin
-                      s.succs <- [ succ ];
-                      if
-                        Ring_table.should_register
-                          (Ring_table.of_members t.cfg.space rname
-                             (match entries with Some es -> es | None -> []))
-                          pn.id
-                      then register_with manager.paddr;
-                      and_then ()
-                    end);
-                pending :=
-                  Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.rpc_timeout (fun () ->
-                      if Engine.settle t.eng pending then
-                        match ms with
-                        | next :: more -> try_members next more
-                        | [] ->
-                            (* everyone recorded is dead: start a fresh ring *)
-                            alone ();
-                            register_with manager.paddr;
-                            and_then ())
+                  ~key:pn.id ~retries:0
+                  ~ok:(fun succ _ _ ->
+                    s.succs <- [ succ ];
+                    if
+                      Ring_table.should_register
+                        (Ring_table.of_members t.cfg.space rname
+                           (match entries with Some es -> es | None -> []))
+                        pn.id
+                    then register_with manager.paddr;
+                    and_then ())
+                  ~failed:(fun () ->
+                    match ms with
+                    | next :: more -> try_members next more
+                    | [] ->
+                        (* everyone recorded is dead: start a fresh ring *)
+                        alone ();
+                        register_with manager.paddr;
+                        and_then ())
               in
               try_members first rest)
         ~timeout:(fun () ->
@@ -476,59 +471,14 @@ let fail_node t addr =
 
 (* ---- hierarchical lookup ------------------------------------------------ *)
 
-type lookup_outcome = { owner_addr : int; owner_id : Id.t; hops : int; lower_hops : int }
+type lookup_outcome = Ring.outcome = {
+  owner_addr : int;
+  owner_id : Id.t;
+  hops : int;
+  lower_hops : int;
+}
 
-(* Route to the ring-level closest preceding node at [layer], then either
-   early-exit through the global successor check or descend to the next
-   layer. Runs as a chain of forwarded messages; the final owner replies
-   straight to the originator. [kind] follows the Ring.find_successor
-   convention: the initiation kind until the first send, then [Forward] /
-   [Reply]; descending a layer sends nothing, so the kind rides along. *)
-let rec hroute t pn ~kind ~layer ~key ~hops ~lower_hops ~reply_to ~reply =
-  let reply_kind = match kind with Netspan.Forward -> Netspan.Reply | k -> k in
-  let s = pn.layers.(layer - 1) in
-  let succ = Ring.current_successor s in
-  if Id.in_oc key ~lo:pn.id ~hi:succ.pid || succ.paddr = pn.addr then begin
-    if layer >= 2 then begin
-      (* ring-level predecessor reached: early exit if our global successor
-         owns the key, otherwise climb one layer *)
-      let gsucc = Ring.current_successor pn.layers.(0) in
-      if gsucc.paddr <> pn.addr && Id.in_oc key ~lo:pn.id ~hi:gsucc.pid then
-        Engine.send t.eng ~kind:reply_kind ~src:pn.addr ~dst:reply_to (fun () ->
-            reply gsucc (hops + 1) lower_hops)
-      else hroute t pn ~kind ~layer:(layer - 1) ~key ~hops ~lower_hops ~reply_to ~reply
-    end
-    else
-      Engine.send t.eng ~kind:reply_kind ~src:pn.addr ~dst:reply_to (fun () ->
-          reply succ (hops + 1) lower_hops)
-  end
-  else begin
-    let next = Ring.closest_preceding s ~key in
-    let lower_hops = if layer >= 2 then lower_hops + 1 else lower_hops in
-    Engine.send t.eng ~kind ~src:pn.addr ~dst:next.paddr (fun () ->
-        match Hashtbl.find_opt t.nodes next.paddr with
-        | None -> ()
-        | Some pn' ->
-            hroute t pn' ~kind:Netspan.Forward ~layer ~key ~hops:(hops + 1) ~lower_hops ~reply_to
-              ~reply)
-  end
-
-let lookup t ~origin ~key k =
-  let rec attempt budget =
-    let pending = ref Engine.no_timer in
-    (match Hashtbl.find_opt t.nodes origin with
-    | None -> ()
-    | Some pn ->
-        hroute t pn ~kind:Netspan.Lookup ~layer:t.cfg.depth ~key ~hops:(-1) ~lower_hops:0
-          ~reply_to:origin
-          ~reply:(fun (p : Ring.peer) hops lower_hops ->
-            if Engine.settle t.eng pending then
-              k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops })));
-    pending :=
-      Engine.timer t.eng ~node:origin ~delay:t.cfg.rpc_timeout (fun () ->
-          if Engine.settle t.eng pending then if budget > 0 then attempt (budget - 1) else k None)
-  in
-  attempt t.cfg.lookup_retries
+let lookup t ~origin ~key k = Ring.lookup t.rings ~origin ~key k
 
 let export_metrics ?(prefix = "hieras.protocol") t m =
   let c name v = Obs.Metrics.set_counter (Obs.Metrics.counter m (prefix ^ "." ^ name)) v in

@@ -80,6 +80,8 @@ val create :
 
 val engine : t -> Simnet.Engine.t
 val config : t -> config
+val rings : t -> Chord.Ring.t array
+(** One ring per layer, [rings.(k - 1)] at paper layer [k]. *)
 
 val spawn : t -> addr:int -> id:Hashid.Id.t -> unit
 (** First node: creates every layer as a one-node ring plus the ring tables
@@ -88,7 +90,7 @@ val spawn : t -> addr:int -> id:Hashid.Id.t -> unit
 val join : t -> addr:int -> id:Hashid.Id.t -> bootstrap:int -> unit
 val fail_node : t -> int -> unit
 
-type lookup_outcome = {
+type lookup_outcome = Chord.Ring.outcome = {
   owner_addr : int;
   owner_id : Hashid.Id.t;
   hops : int;
@@ -97,8 +99,7 @@ type lookup_outcome = {
 
 val lookup :
   t -> origin:int -> key:Hashid.Id.t -> (lookup_outcome option -> unit) -> unit
-(** Hierarchical lookup: lower-ring loops first, early-exit via the global
-    successor check, global loop last. [None] after all retries time out. *)
+(** {!Chord.Ring.lookup} over every layer's ring, the lowest layer first. *)
 
 (** {2 Introspection (tests and examples)} *)
 

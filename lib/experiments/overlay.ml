@@ -25,13 +25,24 @@ let validate ~pool ~loss ~depth ~landmarks =
 
 type proto = {
   sub : Kv.substrate;
+  rings : Chord.Ring.t array;
   join : addr:int -> bootstrap:int -> unit;
   fail : int -> unit;
-  global_succ : int -> int option;
-  maintenance_ops : unit -> int;
-  convergence : unit -> int * int * float;
-  converged : unit -> bool;
 }
+
+let global_succ p a = Chord.Ring.successor_addr p.rings.(0) a
+let maintenance_ops p = Chord.Ring.maintenance_ops p.rings.(0)
+
+let convergence p =
+  Array.fold_left
+    (fun (c, d, total) r ->
+      let s = Chord.Ring.stability r in
+      ( c + Simnet.Stability.convergences s,
+        d + Simnet.Stability.disturbances s,
+        total +. Simnet.Stability.total_convergence_ms s ))
+    (0, 0, 0.0) p.rings
+
+let converged p = Array.for_all (fun r -> Simnet.Stability.is_stable (Chord.Ring.stability r)) p.rings
 
 type t = {
   lat : Topology.Latency.t;
@@ -39,14 +50,6 @@ type t = {
   settle_ms : float;
   net_trace : Buffer.t;
 }
-
-let stability_totals ss =
-  List.fold_left
-    (fun (c, d, total) s ->
-      ( c + Simnet.Stability.convergences s,
-        d + Simnet.Stability.disturbances s,
-        total +. Simnet.Stability.total_convergence_ms s ))
-    (0, 0, 0.0) ss
 
 let start ?ts ?(adaptive = false) ?(succ_list_min = 0) ~pool ~initial ~loss ~depth ~landmarks
     ~net_sample ~seed ~fi ~tag algo =
@@ -76,12 +79,9 @@ let start ?ts ?(adaptive = false) ?(succ_list_min = 0) ~pool ~initial ~loss ~dep
         Chord.Protocol.spawn c ~addr:0 ~id:(id_of 0);
         {
           sub = Kv.chord_substrate c;
+          rings = Chord.Protocol.rings c;
           join = (fun ~addr ~bootstrap -> Chord.Protocol.join c ~addr ~id:(id_of addr) ~bootstrap);
           fail = Chord.Protocol.fail_node c;
-          global_succ = Chord.Protocol.successor_addr c;
-          maintenance_ops = (fun () -> Chord.Protocol.maintenance_ops c);
-          convergence = (fun () -> stability_totals [ Chord.Protocol.stability c ]);
-          converged = (fun () -> Chord.Protocol.converged c);
         }
     | Hieras_rings ->
         let lms =
@@ -93,15 +93,9 @@ let start ?ts ?(adaptive = false) ?(succ_list_min = 0) ~pool ~initial ~loss ~dep
         Hieras.Hprotocol.spawn h ~addr:0 ~id:(id_of 0);
         {
           sub = Kv.hieras_substrate h;
+          rings = Hieras.Hprotocol.rings h;
           join = (fun ~addr ~bootstrap -> Hieras.Hprotocol.join h ~addr ~id:(id_of addr) ~bootstrap);
           fail = Hieras.Hprotocol.fail_node h;
-          global_succ = (fun a -> Hieras.Hprotocol.successor_addr h a ~layer:1);
-          maintenance_ops = (fun () -> Hieras.Hprotocol.maintenance_ops h);
-          convergence =
-            (fun () ->
-              stability_totals
-                (List.init depth (fun i -> Hieras.Hprotocol.stability h ~layer:(i + 1))));
-          converged = (fun () -> Hieras.Hprotocol.converged h);
         }
   in
   for i = 1 to initial - 1 do

@@ -23,16 +23,20 @@ val validate : pool:int -> loss:float -> depth:int -> landmarks:int -> (unit, st
 
 type proto = {
   sub : Store.Kv.substrate;  (** membership, ids, global-ring pointers, lookup *)
+  rings : Chord.Ring.t array;  (** the protocol's rings, index 0 the global one *)
   join : addr:int -> bootstrap:int -> unit;  (** join under the address's own id *)
   fail : int -> unit;  (** silent failure *)
-  global_succ : int -> int option;  (** global-ring successor pointer *)
-  maintenance_ops : unit -> int;  (** maintenance RPCs initiated so far *)
-  convergence : unit -> int * int * float;
-      (** convergences, disturbances and total converging ms, summed over
-          every ring (each HIERAS layer) *)
-  converged : unit -> bool;
 }
 (** One view of either protocol. *)
+
+val global_succ : proto -> int -> int option
+val maintenance_ops : proto -> int
+val convergence : proto -> int * int * float
+val converged : proto -> bool
+(** Read off the rings: a node's global-ring successor pointer, the
+    maintenance RPCs initiated so far, the convergences, disturbances and
+    total converging ms summed over every ring, and whether every ring is
+    stable. *)
 
 type t = {
   lat : Topology.Latency.t;

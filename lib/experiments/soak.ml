@@ -117,7 +117,7 @@ let ring_correct (p : Overlay.proto) =
       let n = Array.length arr in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if p.global_succ arr.(i) <> Some arr.((i + 1) mod n) then ok := false
+        if Overlay.global_succ p arr.(i) <> Some arr.((i + 1) mod n) then ok := false
       done;
       !ok
 
@@ -215,8 +215,8 @@ let run_cell spec ~fi factor algo =
   let sim_ms = settle +. spec.horizon_ms +. cooldown_ms in
   Engine.run ~until:sim_ms eng;
   let messages = Engine.sent eng in
-  let maint_ops = p.maintenance_ops () in
-  let convergences, disturbances, total_conv = p.convergence () in
+  let maint_ops = Overlay.maintenance_ops p in
+  let convergences, disturbances, total_conv = Overlay.convergence p in
   let per_s v = float_of_int v /. (sim_ms /. 1000.0) in
   {
     algo = Overlay.algo_name algo;
@@ -235,7 +235,7 @@ let run_cell spec ~fi factor algo =
     disturbances;
     mean_convergence_ms =
       (if convergences = 0 then 0.0 else total_conv /. float_of_int convergences);
-    converged_at_end = p.converged ();
+    converged_at_end = Overlay.converged p;
     final_members = List.length (live ());
     series_json = Obs.Timeseries.to_json ts;
     net_trace = Buffer.contents o.Overlay.net_trace;

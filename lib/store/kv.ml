@@ -14,39 +14,27 @@ type substrate = {
   live_members : unit -> int list;
 }
 
-let chord_substrate c =
+(* Ownership is a global-ring notion: the store reads ring 0's pointers. *)
+let of_rings sub_name rings =
+  let g = rings.(0) in
+  let engine = Chord.Ring.engine g in
   {
-    sub_name = "chord";
-    engine = Chord.Protocol.engine c;
-    space = (Chord.Protocol.config c).Chord.Protocol.space;
+    sub_name;
+    engine;
+    space = (Chord.Ring.config g).space;
     lookup =
       (fun ~origin ~key k ->
-        Chord.Protocol.lookup c ~origin ~key (fun out ->
-            k (Option.map (fun o -> o.Chord.Protocol.owner_addr) out)));
-    node_id = (fun a -> Chord.Protocol.node_id c a);
-    predecessor = (fun a -> Chord.Protocol.predecessor_addr c a);
-    successors = (fun a -> Chord.Protocol.successor_list_addrs c a);
-    is_member = (fun a -> Chord.Protocol.is_member c a);
-    live_members = (fun () -> Chord.Protocol.live_members c);
+        Chord.Ring.lookup rings ~origin ~key (fun out ->
+            k (Option.map (fun o -> o.Chord.Ring.owner_addr) out)));
+    node_id = (fun a -> (Chord.Ring.find g a).id);
+    predecessor = Chord.Ring.predecessor_addr g;
+    successors = Chord.Ring.successor_list_addrs g;
+    is_member = (fun a -> Chord.Ring.mem g a && Engine.is_alive engine a);
+    live_members = (fun () -> Chord.Ring.live_members g);
   }
 
-(* Ownership is a global-ring notion; HIERAS binds its layer-1 pointers.
-   The locality rings still matter — they are what the lookup path uses. *)
-let hieras_substrate h =
-  {
-    sub_name = "hieras";
-    engine = Hieras.Hprotocol.engine h;
-    space = (Hieras.Hprotocol.config h).Hieras.Hprotocol.space;
-    lookup =
-      (fun ~origin ~key k ->
-        Hieras.Hprotocol.lookup h ~origin ~key (fun out ->
-            k (Option.map (fun o -> o.Hieras.Hprotocol.owner_addr) out)));
-    node_id = (fun a -> Hieras.Hprotocol.node_id h a);
-    predecessor = (fun a -> Hieras.Hprotocol.predecessor_addr h a ~layer:1);
-    successors = (fun a -> Hieras.Hprotocol.successor_list_addrs h a ~layer:1);
-    is_member = (fun a -> Hieras.Hprotocol.is_member h a);
-    live_members = (fun () -> Hieras.Hprotocol.live_members h);
-  }
+let chord_substrate c = of_rings "chord" (Chord.Protocol.rings c)
+let hieras_substrate h = of_rings "hieras" (Hieras.Hprotocol.rings h)
 
 type config = {
   replication : int;

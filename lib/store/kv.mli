@@ -58,15 +58,15 @@ type substrate = {
   is_member : int -> bool;
   live_members : unit -> int list;
 }
-(** Uniform view of a message protocol — the same record-of-closures
-    shape the soak uses, so the store is written once and instantiated
-    over both the flat and the layered overlay (the conformance
-    contract). HIERAS binds the [~layer:1] (global) pointers: ownership
-    is a global-ring notion; locality rings only accelerate the route
-    to it. *)
+(** Uniform view of a message protocol, so the store is written once and
+    instantiated over both the flat and the layered overlay (the
+    conformance contract). *)
 
 val chord_substrate : Chord.Protocol.t -> substrate
 val hieras_substrate : Hieras.Hprotocol.t -> substrate
+(** Both read the protocol's rings alike: the global ring's pointers, since
+    ownership is a global-ring notion, and {!Chord.Ring.lookup} over every
+    ring. *)
 
 (** {2 Configuration} *)
 

@@ -112,28 +112,27 @@ let surrogate_digit t ~level ~prefix ~want =
   in
   try_digit 0
 
-let root_path t key =
+(* The key's root path as the prefix it spells: one surrogate digit per
+   level until the prefix group is a singleton. *)
+let root_prefix t key =
   let rows = Array.length t.levels in
-  let rec go level prefix acc =
-    if level >= rows then List.rev acc
-    else begin
-      (* stop once the current prefix group is a singleton *)
+  let rec go level prefix =
+    if level >= rows then prefix
+    else
       let group_size =
         if level = 0 then size t
-        else
-          match Hashtbl.find_opt t.levels.(level - 1) prefix with
-          | Some g -> Array.length g
-          | None -> 1
+        else match Hashtbl.find_opt t.levels.(level - 1) prefix with Some g -> Array.length g | None -> 1
       in
-      if group_size <= 1 then List.rev acc
-      else begin
-        let want = Id.digit4 t.space key level in
-        let d = surrogate_digit t ~level ~prefix ~want in
-        go (level + 1) (prefix ^ String.make 1 (Char.chr d)) (d :: acc)
-      end
-    end
+      if group_size <= 1 then prefix
+      else
+        let d = surrogate_digit t ~level ~prefix ~want:(Id.digit4 t.space key level) in
+        go (level + 1) (prefix ^ String.make 1 (Char.chr d))
   in
-  go 0 "" []
+  go 0 ""
+
+let root_path t key =
+  let prefix = root_prefix t key in
+  List.init (String.length prefix) (fun i -> Char.code prefix.[i])
 
 let root_path_of t node = t.paths.(node)
 
@@ -146,9 +145,7 @@ let group_at t path_prefix =
     | None -> [||]
 
 let root_of_key t key =
-  let path = root_path t key in
-  let prefix = String.init (List.length path) (fun i -> Char.chr (List.nth path i)) in
-  let g = group_at t prefix in
+  let g = group_at t (root_prefix t key) in
   if Array.length g <> 1 then failwith "Tapestry.root_of_key: root group not a singleton";
   g.(0)
 

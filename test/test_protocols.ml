@@ -474,6 +474,47 @@ let test_conformance_survives_healing () =
         (CP.successor_list_addrs p addr))
     live
 
+(* --- Lookup counts --------------------------------------------------------------- *)
+
+(* What a fixed stream of 300 lookups, issued 20 ms apart on a converged
+   48-node pool, reports: each lookup's owner, hops and lower-ring hops in
+   issue order, summed and digested. The goldens pin every message a lookup
+   sends but not these counts. The expected values were recorded while the
+   two protocols still had separate lookup walks. *)
+let lookup_counts eng ~seed lookup =
+  let rng = Prng.Rng.create ~seed in
+  let got = Array.make 300 "-" in
+  let answered = ref 0 and hops = ref 0 and lower = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      let key = Id.random space rng in
+      let origin = Prng.Rng.int rng 48 in
+      Engine.schedule eng ~delay:(float_of_int i *. 20.0) (fun () ->
+          lookup ~origin ~key (fun (owner, h, l) ->
+              incr answered;
+              hops := !hops + h;
+              lower := !lower + l;
+              got.(i) <- Printf.sprintf "%d/%d/%d" owner h l)))
+    got;
+  Engine.run ~until:(Engine.now eng +. 60_000.0) eng;
+  Printf.sprintf "%d answered, %d hops, %d lower, %s" !answered !hops !lower
+    (Digest.to_hex (Digest.string (String.concat " " (Array.to_list got))))
+
+let test_chord_lookup_counts () =
+  let eng, p = build_chord ~hosts:48 36 in
+  Alcotest.(check string) "chord"
+    "300 answered, 707 hops, 0 lower, e6d9b755b72b892392e43ae962a1c7e5"
+    (lookup_counts eng ~seed:37 (fun ~origin ~key k ->
+         CP.lookup p ~origin ~key
+           (Option.iter (fun o -> k (o.CP.owner_addr, o.CP.hops, o.CP.lower_hops)))))
+
+let test_hieras_lookup_counts depth expect () =
+  let _, eng, p = build_hieras ~hosts:48 ~depth 38 in
+  Alcotest.(check string) (Printf.sprintf "hieras depth %d" depth) expect
+    (lookup_counts eng ~seed:39 (fun ~origin ~key k ->
+         HP.lookup p ~origin ~key
+           (Option.iter (fun o -> k (o.HP.owner_addr, o.HP.hops, o.HP.lower_hops)))))
+
 (* --- Settled requests ------------------------------------------------------------ *)
 
 (* A request whose reply has landed holds nothing: a block reachable only
@@ -554,6 +595,16 @@ let () =
             (test_hieras_conforms_per_layer 3);
           Alcotest.test_case "healed ring matches survivor oracle" `Slow
             test_conformance_survives_healing;
+        ] );
+      ( "lookup-counts",
+        [
+          Alcotest.test_case "chord" `Slow test_chord_lookup_counts;
+          Alcotest.test_case "hieras depth 2" `Slow
+            (test_hieras_lookup_counts 2
+               "300 answered, 726 hops, 348 lower, d47db46aeaf1c3f2f6df5f24bd5d87c2");
+          Alcotest.test_case "hieras depth 3" `Slow
+            (test_hieras_lookup_counts 3
+               "300 answered, 728 hops, 350 lower, f474669748616d2ab67b0f0a444fd214");
         ] );
       ( "settled",
         [
