@@ -14,9 +14,6 @@
      dune exec bench/main.exe -- --jobs 8     run on 8 domains (0 = all cores;
                                               results are identical for any
                                               --jobs value)
-     dune exec bench/main.exe -- --latency-backend lazy
-                                              oracle storage: eager|lazy|auto
-                                              (bit-identical tables either way)
      dune exec bench/main.exe -- --json       also write BENCH_<label>.json
                                               (figure wall-times, oracle stats,
                                               metrics snapshot, micro ns/op)
@@ -42,7 +39,6 @@ let ext = ref true
 let csv_dir = ref None
 let seed = ref 2003
 let jobs = ref 1
-let backend = ref Topology.Latency.Auto
 let json = ref false
 let label = ref None
 let metrics_flag = ref false
@@ -82,13 +78,6 @@ let () =
     | "--jobs" :: v :: rest ->
         jobs := int_of_string v;
         parse rest
-    | "--latency-backend" :: v :: rest ->
-        (match Topology.Latency.backend_of_name v with
-        | Some b -> backend := b
-        | None ->
-            prerr_endline ("bench: unknown latency backend " ^ v ^ " (eager | lazy | auto)");
-            exit 2);
-        parse rest
     | "--json" :: rest ->
         json := true;
         parse rest
@@ -119,7 +108,6 @@ let () =
 let bench_cfg () =
   let c = Experiments.Config.paper_default in
   let c = Experiments.Config.with_seed c !seed in
-  let c = Experiments.Config.with_latency_backend c !backend in
   if !scale = 1.0 then c else Experiments.Config.scaled c !scale
 
 (* ------------------------------------------------------------------ *)
@@ -298,7 +286,7 @@ let traced_batch pool path =
   Obs.Timer.span !timer "traced-batch" @@ fun () ->
   let rng = Prng.Rng.create ~seed:(!seed + 13) in
   let n = 512 in
-  let lat = Topology.Transit_stub.generate ~backend:!backend ~pool ~hosts:n rng in
+  let lat = Topology.Model.build ~pool Topology.Model.Transit_stub ~hosts:n rng in
   let space = Hashid.Id.sha1_space in
   let chord = Chord.Network.build ~space ~hosts:(Array.init n (fun i -> i)) () in
   let lm = Binning.Landmark.choose_spread lat ~count:4 rng in
@@ -336,7 +324,7 @@ let micro_state pool =
   (* one medium network shared by the routing benchmarks *)
   let rng = Prng.Rng.create ~seed:11 in
   let n = 2000 in
-  let lat = Topology.Transit_stub.generate ~backend:!backend ~pool ~hosts:n rng in
+  let lat = Topology.Model.build ~pool Topology.Model.Transit_stub ~hosts:n rng in
   let space = Hashid.Id.sha1_space in
   let chord = Chord.Network.build ~space ~hosts:(Array.init n (fun i -> i)) () in
   let lm = Binning.Landmark.choose_spread lat ~count:6 rng in
@@ -483,12 +471,7 @@ let run_large_micro () =
 
 let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
   let cfg = bench_cfg () in
-  let backend_name = Topology.Latency.backend_name !backend in
-  let label =
-    match !label with
-    | Some l -> l
-    | None -> Printf.sprintf "%s_s%g_j%d" backend_name !scale jobs
-  in
+  let label = match !label with Some l -> l | None -> Printf.sprintf "s%g_j%d" !scale jobs in
   let path = Printf.sprintf "BENCH_%s.json" label in
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -500,7 +483,6 @@ let write_json ~jobs ~figures ~oracle ~memory ~micro_results =
   add "    \"scale\": %g,\n" !scale;
   add "    \"jobs\": %d,\n" jobs;
   add "    \"seed\": %d,\n" !seed;
-  add "    \"latency_backend\": \"%s\",\n" backend_name;
   add "    \"nodes\": %d,\n" cfg.Experiments.Config.nodes;
   add "    \"requests\": %d\n" cfg.Experiments.Config.requests;
   add "  },\n";

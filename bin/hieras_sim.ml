@@ -57,22 +57,6 @@ let scale_t =
 
 let landmarks_t = Arg.(value & opt int 4 & info [ "landmarks" ] ~docv:"L" ~doc:"Landmark count.")
 
-let backend_t =
-  let parse s =
-    match Topology.Latency.backend_of_name s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown latency backend %S (eager | lazy | auto)" s))
-  in
-  let print fmt b = Format.pp_print_string fmt (Topology.Latency.backend_name b) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Topology.Latency.Auto
-    & info [ "latency-backend" ] ~docv:"B"
-        ~doc:
-          "Latency oracle backend: eager (full distance matrix up front), \
-           lazy (rows computed on first touch) or auto. Results are \
-           bit-identical for every backend.")
-
 let jobs_t =
   Arg.(
     value
@@ -280,19 +264,8 @@ let own_network cfg =
 
 (* [networks cfg] lists the networks the command builds from the scaled
    [cfg], for the model minimum and the landmark bound *)
-let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend =
-  let cfg =
-    {
-      Experiments.Config.model;
-      nodes;
-      landmarks;
-      depth;
-      requests;
-      seed;
-      succ_list_len = 8;
-      latency_backend = backend;
-    }
-  in
+let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale =
+  let cfg = { Experiments.Config.model; nodes; landmarks; depth; requests; seed } in
   if scale <= 0.0 then exit_usage (Printf.sprintf "--scale must be > 0 (got %g)" scale);
   (* reject out-of-range parameters here, with exit code 2, instead of
      failing deep inside the pipeline; validate the raw flags (scaling
@@ -314,7 +287,7 @@ let figure_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id: table1 table2 fig2..fig9.")
   in
-  let run id model nodes landmarks depth requests seed scale pm backend trace_out timings folded =
+  let run id model nodes landmarks depth requests seed scale pm trace_out timings folded =
     match Experiments.Figures.by_id id with
     | None ->
         exit_err
@@ -323,7 +296,7 @@ let figure_cmd =
     | Some f ->
         let cfg =
           config_of ~networks:(Experiments.Figures.networks id) ~model ~nodes ~landmarks ~depth
-            ~requests ~seed ~scale ~backend
+            ~requests ~seed ~scale
         in
         with_pool_metrics pm (fun pool registry ->
             with_timer ~timings ~folded (fun timer ->
@@ -334,18 +307,18 @@ let figure_cmd =
   let term =
     Term.(
       const run $ id_t $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t
-      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ trace_out_t $ timings_t $ folded_t)
+      $ seed_t $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t)
   in
   Cmd.v (Cmd.info "figure" ~doc:"Reproduce one table or figure of the paper") term
 
 (* ---- all -------------------------------------------------------------- *)
 
 let all_cmd =
-  let run model nodes landmarks depth requests seed scale pm backend trace_out timings folded =
+  let run model nodes landmarks depth requests seed scale pm trace_out timings folded =
     let networks cfg =
       List.concat_map (fun id -> Experiments.Figures.networks id cfg) Experiments.Figures.ids
     in
-    let cfg = config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend in
+    let cfg = config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
@@ -356,18 +329,18 @@ let all_cmd =
   let term =
     Term.(
       const run $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t $ seed_t
-      $ scale_t $ pool_metrics_t $ backend_t $ trace_out_t $ timings_t $ folded_t)
+      $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t)
   in
   Cmd.v (Cmd.info "all" ~doc:"Reproduce every table and figure") term
 
 (* ---- topology --------------------------------------------------------- *)
 
 let topology_cmd =
-  let run model nodes seed pm backend =
+  let run model nodes seed pm =
     with_pool_metrics pm @@ fun pool registry ->
     let rng = Prng.Rng.create ~seed in
     let lat =
-      try Topology.Model.build ~backend ~pool model ~hosts:nodes rng
+      try Topology.Model.build ~pool model ~hosts:nodes rng
       with Invalid_argument m -> exit_err m
     in
     let g = Topology.Latency.router_graph lat in
@@ -396,34 +369,34 @@ let topology_cmd =
     |> List.iter (fun (o, c) -> Printf.printf "  ring %-6s %6d nodes\n" o c);
     Option.iter (Topology.Latency.export_metrics lat) registry
   in
-  let term = Term.(const run $ model_t $ nodes_t 2000 $ seed_t $ pool_metrics_t $ backend_t) in
+  let term = Term.(const run $ model_t $ nodes_t 2000 $ seed_t $ pool_metrics_t) in
   Cmd.v (Cmd.info "topology" ~doc:"Generate a topology and print statistics") term
 
 (* ---- cost ------------------------------------------------------------- *)
 
 let cost_cmd =
-  let run model nodes landmarks depth seed jobs backend =
+  let run model nodes landmarks depth seed jobs =
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0
     in
     with_jobs jobs @@ fun pool ->
     let env = Experiments.Runner.build_env ~pool cfg in
     let hnet = Experiments.Runner.build_hieras env cfg in
-    let totals = Hieras.Cost.totals hnet ~succ_list_len:cfg.Experiments.Config.succ_list_len in
+    let totals = Hieras.Cost.totals hnet ~succ_list_len:Experiments.Config.succ_list_len in
     Format.printf "%a@." Hieras.Cost.pp_totals totals
   in
   let term =
-    Term.(const run $ model_t $ nodes_t 2000 $ landmarks_t $ depth_t $ seed_t $ jobs_t $ backend_t)
+    Term.(const run $ model_t $ nodes_t 2000 $ landmarks_t $ depth_t $ seed_t $ jobs_t)
   in
   Cmd.v (Cmd.info "cost" ~doc:"Print the HIERAS state and maintenance cost model") term
 
 (* ---- lookup ----------------------------------------------------------- *)
 
 let lookup_cmd =
-  let run model nodes landmarks depth seed pm backend trace_out trace_sample =
+  let run model nodes landmarks depth seed pm trace_out trace_sample =
     check_trace_sample trace_sample;
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0 ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests:1 ~seed ~scale:1.0
     in
     with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
@@ -466,17 +439,17 @@ let lookup_cmd =
   let term =
     Term.(
       const run $ model_t $ nodes_t 2000 $ landmarks_t $ depth_t $ seed_t $ pool_metrics_t
-      $ backend_t $ trace_out_t $ trace_sample_t)
+      $ trace_out_t $ trace_sample_t)
   in
   Cmd.v (Cmd.info "lookup" ~doc:"Trace one HIERAS lookup hop by hop") term
 
 (* ---- trace ------------------------------------------------------------ *)
 
 let trace_cmd =
-  let run model nodes landmarks depth requests seed pm backend trace_out trace_sample =
+  let run model nodes landmarks depth requests seed pm trace_out trace_sample =
     check_trace_sample trace_sample;
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale:1.0 ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale:1.0
     in
     with_pool_metrics pm @@ fun pool registry ->
     let env = Experiments.Runner.build_env ~pool cfg in
@@ -515,7 +488,7 @@ let trace_cmd =
           value
           & opt int 100
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests to replay and trace.")
-      $ seed_t $ pool_metrics_t $ backend_t $ trace_out_t $ trace_sample_t)
+      $ seed_t $ pool_metrics_t $ trace_out_t $ trace_sample_t)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -988,7 +961,7 @@ let resilience_cmd =
              (whole stub domains down) or restart (crash-restart, victims \
              still down at the sample instant).")
   in
-  let run model nodes landmarks depth requests seed scale pm backend failures schedule
+  let run model nodes landmarks depth requests seed scale pm failures schedule
       trace_out net timings folded =
     let kind =
       match Experiments.Resilience.schedule_of_name schedule with
@@ -1006,7 +979,7 @@ let resilience_cmd =
           [ f ]
     in
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale
     in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
@@ -1026,7 +999,7 @@ let resilience_cmd =
           value
           & opt int 10_000
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests per sweep point.")
-      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ failures_t $ schedule_t $ trace_out_t
+      $ seed_t $ scale_t $ pool_metrics_t $ failures_t $ schedule_t $ trace_out_t
       $ net_t $ timings_t $ folded_t)
   in
   Cmd.v
@@ -1048,11 +1021,11 @@ let tournament_cmd =
       & info [ "fault-frac" ] ~docv:"F"
           ~doc:"Fault fraction in [0, 0.95] sizing both the crash and outage schedules.")
   in
-  let run model nodes landmarks depth requests seed scale pm backend fault_frac out timings folded =
+  let run model nodes landmarks depth requests seed scale pm fault_frac out timings folded =
     if fault_frac < 0.0 || fault_frac > 0.95 then
       exit_usage (Printf.sprintf "--fault-frac must be in [0, 0.95] (got %g)" fault_frac);
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale
     in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
@@ -1073,7 +1046,7 @@ let tournament_cmd =
           value
           & opt int 10_000
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests replayed per contestant.")
-      $ seed_t $ scale_t $ pool_metrics_t $ backend_t $ fault_frac_t $ out_t "hieras-tournament"
+      $ seed_t $ scale_t $ pool_metrics_t $ fault_frac_t $ out_t "hieras-tournament"
       $ timings_t $ folded_t)
   in
   Cmd.v
@@ -1088,11 +1061,11 @@ let tournament_cmd =
 (* ---- extensions -------------------------------------------------------- *)
 
 let extensions_cmd =
-  let run model nodes landmarks requests seed scale jobs backend =
+  let run model nodes landmarks requests seed scale jobs =
     (* the extensions fix their own hierarchy depths *)
     let depth = Experiments.Config.paper_default.depth in
     let cfg =
-      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale ~backend
+      config_of ~networks:own_network ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale
     in
     with_jobs jobs (fun pool ->
         Experiments.Report.print_all (Experiments.Extensions.all ~pool cfg))
@@ -1101,7 +1074,7 @@ let extensions_cmd =
     Term.(
       const run $ model_t $ nodes_t 2500 $ landmarks_t
       $ Arg.(value & opt int 25_000 & info [ "requests" ] ~docv:"R" ~doc:"Routing requests per run.")
-      $ seed_t $ scale_t $ jobs_t $ backend_t)
+      $ seed_t $ scale_t $ jobs_t)
   in
   Cmd.v
     (Cmd.info "extensions"

@@ -3,16 +3,9 @@ module Engine = Simnet.Engine
 
 type config = Ring.config = {
   space : Id.space;
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
   succ_list_len : int;
   rpc_timeout : float;
-  lookup_retries : int;
-  stability_k : int;
   adaptive : bool;
-  backoff_max : float;
 }
 
 let default_config = Ring.default_config

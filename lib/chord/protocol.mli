@@ -8,10 +8,10 @@
     (the engine drops messages to dead nodes; requesters detect loss by
     timeout and route around).
 
-    The ring itself — per-node state, the three maintenance timers, the
-    join retry loop, the convergence probe and the lookup walk — is one
-    {!Ring}, of which flat Chord is the one-ring case; this module adds the
-    node lifecycle and metrics.
+    The ring itself — per-node state, the three maintenance timers and
+    their periods, the join retry loop, the convergence probe and the
+    lookup walk — is one {!Ring}, of which flat Chord is the one-ring case;
+    this module adds the node lifecycle and metrics.
 
     Tests assert that a protocol-built ring converges to exactly the
     fixpoint {!Network.build} computes directly, and that lookups keep
@@ -19,21 +19,11 @@
 
 type config = Ring.config = {
   space : Hashid.Id.space;
-  stabilize_every : float;  (** ms between stabilize rounds *)
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;  (** finger slots refreshed per fix-fingers round *)
   succ_list_len : int;
   rpc_timeout : float;  (** ms before a request is considered lost *)
-  lookup_retries : int;
-  stability_k : int;
-      (** consecutive unchanged fingerprint probes before the ring is
-          declared converged (default 3, must be >= 1) *)
   adaptive : bool;
       (** back off maintenance intervals while converged (default false —
           fixed cadence, byte-compatible with earlier versions) *)
-  backoff_max : float;
-      (** cap on the adaptive interval multiplier (default 8.0, >= 1) *)
 }
 
 val default_config : Hashid.Id.space -> config
@@ -48,9 +38,7 @@ val create : ?ts:Obs.Timeseries.t -> config -> Simnet.Engine.t -> t
     maintenance started) and [chord.fails]. Convergence series: counter
     [chord.maint.ops] (maintenance RPCs initiated), gauges
     [chord.maint.scale] (current interval multiplier) and [chord.stable]
-    (0/1 convergence flag, sampled at probe cadence).
-
-    Raises [Invalid_argument] if [stability_k < 1] or [backoff_max < 1]. *)
+    (0/1 convergence flag, sampled at probe cadence). *)
 
 val engine : t -> Simnet.Engine.t
 val config : t -> config
@@ -99,11 +87,12 @@ val live_members : t -> int list
 (** {2 Convergence and maintenance cost}
 
     A {!Simnet.Stability} detector fingerprints the whole routing state
-    (live membership, predecessors, successor lists, finger tables) at a
-    fixed [stabilize_every] cadence, from the first spawn/join on. With
-    [adaptive] set, maintenance intervals double while the ring is stable
-    (up to [backoff_max]) and snap back to the base cadence the moment the
-    fingerprint changes or a lifecycle event lands. The probe itself runs
+    (live membership, predecessors, successor lists, finger tables) every
+    500 ms (the stabilize period), from the first spawn/join on; 3
+    unchanged probes in a row declare the ring converged. With [adaptive]
+    set, maintenance intervals double while the ring is stable (up to 8×)
+    and snap back to the base cadence the moment the fingerprint changes
+    or a lifecycle event lands. The probe itself runs
     as an engine god-event: it sends no messages and never backs off, so
     detection latency stays bounded. *)
 

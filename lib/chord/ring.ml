@@ -2,34 +2,25 @@ module Id = Hashid.Id
 module Engine = Simnet.Engine
 module Netspan = Obs.Netspan
 
-type config = {
-  space : Id.space;
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
-  succ_list_len : int;
-  rpc_timeout : float;
-  lookup_retries : int;
-  stability_k : int;
-  adaptive : bool;
-  backoff_max : float;
-}
+type config = { space : Id.space; succ_list_len : int; rpc_timeout : float; adaptive : bool }
 
-let default_config space =
-  {
-    space;
-    stabilize_every = 500.0;
-    fix_fingers_every = 500.0;
-    check_pred_every = 1000.0;
-    fingers_per_round = 8;
-    succ_list_len = 4;
-    rpc_timeout = 2000.0;
-    lookup_retries = 3;
-    stability_k = 3;
-    adaptive = false;
-    backoff_max = 8.0;
-  }
+let default_config space = { space; succ_list_len = 4; rpc_timeout = 2000.0; adaptive = false }
+
+(* ms between maintenance rounds before adaptive backoff; the probe keeps
+   the stabilize cadence *)
+let stabilize_every = 500.0
+let fix_fingers_every = 500.0
+let check_pred_every = 1000.0
+
+(* finger slots one fix-fingers round refreshes *)
+let fingers_per_round = 8
+
+let lookup_retries = 3
+
+(* unchanged probes before a ring counts as converged, and the cap on the
+   adaptive interval multiplier *)
+let stability_k = 3
+let backoff_max = 8.0
 
 type peer = { paddr : int; pid : Id.t }
 
@@ -75,8 +66,6 @@ type shared = {
 and t = { sh : shared; nodes : (int, state) Hashtbl.t; stab : Simnet.Stability.t; index : int }
 
 let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
-  if cfg.stability_k < 1 then invalid_arg "Chord.Ring.create: stability_k must be >= 1";
-  if cfg.backoff_max < 1.0 then invalid_arg "Chord.Ring.create: backoff_max must be >= 1";
   let series make name = make ts (prefix ^ "." ^ name) in
   let sh =
     {
@@ -102,7 +91,7 @@ let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
   in
   sh.rings <-
     Array.init rings (fun index ->
-        { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:cfg.stability_k (); index });
+        { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:stability_k (); index });
   sh.rings
 
 let add r ~addr ~id =
@@ -222,10 +211,10 @@ let rec probe rings =
   Array.iter (fun r -> Simnet.Stability.observe r.stab ~at ~fingerprint:(fingerprint r)) rings;
   let all_stable = Array.for_all (fun r -> Simnet.Stability.is_stable r.stab) rings in
   if sh.cfg.adaptive then
-    sh.scale <- (if all_stable then Float.min sh.cfg.backoff_max (sh.scale *. 2.0) else 1.0);
+    sh.scale <- (if all_stable then Float.min backoff_max (sh.scale *. 2.0) else 1.0);
   Obs.Timeseries.set sh.ts_scale ~at sh.scale;
   Obs.Timeseries.set sh.ts_stable ~at (if all_stable then 1.0 else 0.0);
-  Engine.schedule sh.eng ~delay:sh.cfg.stabilize_every (fun () -> probe rings)
+  Engine.schedule sh.eng ~delay:stabilize_every (fun () -> probe rings)
 
 (* Lifecycle events are rare relative to messages, so counting live members
    on each one is cheap enough for the membership gauge — when anyone is
@@ -246,7 +235,7 @@ let lifecycle ?census:extra rings event =
   sh.scale <- 1.0;
   if not sh.probing then begin
     sh.probing <- true;
-    Engine.schedule sh.eng ~delay:sh.cfg.stabilize_every (fun () -> probe rings)
+    Engine.schedule sh.eng ~delay:stabilize_every (fun () -> probe rings)
   end;
   (match event with
   | `Spawn -> ()
@@ -420,7 +409,7 @@ let issue ring ~kind ~src ~via ~key ~floor ~retries ~ok ~failed =
 
 let lookup rings ~origin ~key k =
   let top = rings.(Array.length rings - 1) in
-  issue top ~kind:Netspan.Lookup ~src:origin ~via:(-1) ~key ~floor:0 ~retries:top.sh.cfg.lookup_retries
+  issue top ~kind:Netspan.Lookup ~src:origin ~via:(-1) ~key ~floor:0 ~retries:lookup_retries
     ~ok:(fun p hops lower_hops -> k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops }))
     ~failed:(fun () -> k None)
 
@@ -531,16 +520,16 @@ let rec stabilize r s =
 and schedule_stabilize r s =
   ignore
     (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(r.sh.cfg.stabilize_every *. r.sh.scale)
+       ~delay:(stabilize_every *. r.sh.scale)
        (fun () -> stabilize r s))
 
 let rec fix_fingers r s =
-  let cfg = r.sh.cfg in
-  let bits = Id.bits cfg.space in
-  for _ = 1 to min cfg.fingers_per_round bits do
+  let space = r.sh.cfg.space in
+  let bits = Id.bits space in
+  for _ = 1 to min fingers_per_round bits do
     let i = s.next_finger in
     s.next_finger <- (s.next_finger + 1) mod bits;
-    let start = Id.add_pow2 cfg.space s.id i in
+    let start = Id.add_pow2 space s.id i in
     maint r.sh `Fix;
     find_successor r ~kind:Netspan.Fix_fingers ~src:s.addr ~key:start ~retries:0
       ~ok:(fun p _ _ -> s.fingers.(i) <- Some p)
@@ -553,7 +542,7 @@ let rec fix_fingers r s =
   done;
   ignore
     (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(cfg.fix_fingers_every *. r.sh.scale)
+       ~delay:(fix_fingers_every *. r.sh.scale)
        (fun () -> fix_fingers r s))
 
 let rec check_predecessor r s =
@@ -572,19 +561,16 @@ let rec check_predecessor r s =
       end);
   ignore
     (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(r.sh.cfg.check_pred_every *. r.sh.scale)
+       ~delay:(check_pred_every *. r.sh.scale)
        (fun () -> check_predecessor r s))
 
 let start r s =
-  let cfg = r.sh.cfg in
   schedule_stabilize r s;
-  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.fix_fingers_every (fun () -> fix_fingers r s));
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:fix_fingers_every (fun () -> fix_fingers r s));
   ignore
-    (Engine.timer r.sh.eng ~node:s.addr ~delay:cfg.check_pred_every (fun () ->
-         check_predecessor r s))
+    (Engine.timer r.sh.eng ~node:s.addr ~delay:check_pred_every (fun () -> check_predecessor r s))
 
 let join r s ~bootstrap ~joined =
-  let cfg = r.sh.cfg in
   let rec attempt n =
     (* route the join query through the bootstrap node *)
     find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id ~retries:0
@@ -594,7 +580,7 @@ let join r s ~bootstrap ~joined =
       ~failed:(fun () ->
         (* a node that never joins is lost forever: keep retrying, with a
            longer pause once the initial retry budget is spent *)
-        let backoff = if n > 0 then 0.0 else 4.0 *. cfg.rpc_timeout in
+        let backoff = if n > 0 then 0.0 else 4.0 *. r.sh.cfg.rpc_timeout in
         ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:backoff (fun () -> attempt (max 0 (n - 1)))))
   in
-  attempt cfg.lookup_retries
+  attempt lookup_retries

@@ -13,28 +13,29 @@
     case, and every ring-local find is that walk on one ring.
 
     Every function sends and arms timers in a fixed order: message loss is
-    drawn per send, so that order is part of the simulation's behaviour. *)
+    drawn per send, so that order is part of the simulation's behaviour.
+
+    The maintenance settings no experiment varies are constants here:
+    stabilize and fix-fingers every 500 ms and check-predecessor every
+    1000 ms (each stretched by the adaptive multiplier), 8 finger slots
+    per fix-fingers round, {!lookup_retries} re-issues of a lookup, 3
+    unchanged probes before a ring counts as converged, and a cap of 8 on
+    the adaptive multiplier. *)
 
 type config = {
   space : Hashid.Id.space;
-  stabilize_every : float;  (** ms between stabilize rounds *)
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;  (** finger slots refreshed per fix-fingers round *)
   succ_list_len : int;
   rpc_timeout : float;  (** ms before a request is considered lost *)
-  lookup_retries : int;
-  stability_k : int;
-      (** consecutive unchanged fingerprint probes before a ring is
-          declared converged (default 3, must be >= 1) *)
   adaptive : bool;
       (** back off maintenance intervals while every ring is converged
           (default false — fixed cadence) *)
-  backoff_max : float;
-      (** cap on the adaptive interval multiplier (default 8.0, >= 1) *)
 }
 
 val default_config : Hashid.Id.space -> config
+(** Successor lists of 4, a 2000 ms timeout, fixed cadence. *)
+
+val lookup_retries : int
+(** Times a source re-issues an unanswered lookup before it gives up (3). *)
 
 type peer = { paddr : int; pid : Hashid.Id.t }
 
@@ -65,9 +66,7 @@ val create : ?ts:Obs.Timeseries.t -> prefix:string -> rings:int -> config -> Sim
     (default disabled) receives the series [<prefix>.members] (gauge),
     [<prefix>.joins], [<prefix>.joins_completed], [<prefix>.fails] and
     [<prefix>.maint.ops] (counters), [<prefix>.maint.scale] and
-    [<prefix>.stable] (gauges).
-
-    Raises [Invalid_argument] if [stability_k < 1] or [backoff_max < 1]. *)
+    [<prefix>.stable] (gauges). *)
 
 val add : t -> addr:int -> id:Hashid.Id.t -> state
 (** Register a node with an empty successor list and no fingers; its
@@ -122,7 +121,7 @@ val lookup : t array -> origin:int -> key:Hashid.Id.t -> (outcome option -> unit
     the global ring that node answers with its successor; above it, with
     its global successor when that owns the key, else the query descends a
     ring at the same node. The answer travels straight back to [origin]. A
-    timer at [origin] re-issues the query up to [lookup_retries] times,
+    timer at [origin] re-issues the query up to {!lookup_retries} times,
     then the callback gets [None]. The first send is a [Lookup] span, later
     hops [Forward] and the answer a [Reply]. *)
 
@@ -152,7 +151,7 @@ val start : t -> state -> unit
 
 val join : t -> state -> bootstrap:int -> joined:(unit -> unit) -> unit
 (** Find the node's own id through [bootstrap], retrying forever (with a
-    longer pause once [lookup_retries] are spent); on the first answer
+    longer pause once {!lookup_retries} are spent); on the first answer
     adopt it as the successor and call [joined]. *)
 
 (** {2 Lifecycle, convergence and cost} *)

@@ -6,51 +6,27 @@ module Ring = Chord.Ring
 type config = {
   space : Id.space;
   depth : int;
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
   succ_list_len : int;
   rpc_timeout : float;
-  lookup_retries : int;
-  ring_check_every : float;
-  stability_k : int;
   adaptive : bool;
-  backoff_max : float;
 }
 
 let default_config space ~depth =
-  {
-    space;
-    depth;
-    stabilize_every = 500.0;
-    fix_fingers_every = 500.0;
-    check_pred_every = 1000.0;
-    fingers_per_round = 8;
-    succ_list_len = 4;
-    rpc_timeout = 2000.0;
-    lookup_retries = 3;
-    ring_check_every = 2000.0;
-    stability_k = 3;
-    adaptive = false;
-    backoff_max = 8.0;
-  }
+  { space; depth; succ_list_len = 4; rpc_timeout = 2000.0; adaptive = false }
 
-(* the per-ring maintenance settings every layer's ring runs with *)
+(* the per-ring settings every layer's ring runs with *)
 let ring_config (c : config) =
   {
     Ring.space = c.space;
-    stabilize_every = c.stabilize_every;
-    fix_fingers_every = c.fix_fingers_every;
-    check_pred_every = c.check_pred_every;
-    fingers_per_round = c.fingers_per_round;
     succ_list_len = c.succ_list_len;
     rpc_timeout = c.rpc_timeout;
-    lookup_retries = c.lookup_retries;
-    stability_k = c.stability_k;
     adaptive = c.adaptive;
-    backoff_max = c.backoff_max;
   }
+
+(* ms between a node's ring-table duties (liveness, replication, migration)
+   and between its ring refreshes, stretched by the adaptive multiplier; the
+   first refresh waits one and a half periods *)
+let ring_check_every = 2000.0
 
 type pnode = {
   addr : int;
@@ -258,7 +234,7 @@ let rec ring_table_duty t pn =
     tables;
   ignore
     (Engine.timer t.eng ~node:pn.addr
-       ~delay:(t.cfg.ring_check_every *. Ring.scale g)
+       ~delay:(ring_check_every *. Ring.scale g)
        (fun () -> ring_table_duty t pn))
 
 (* Ring unification: concurrent joiners may read a stale ring table and boot
@@ -314,7 +290,7 @@ let rec ring_refresh t pn =
   done;
   ignore
     (Engine.timer t.eng ~node:pn.addr
-       ~delay:(t.cfg.ring_check_every *. Ring.scale g)
+       ~delay:(ring_check_every *. Ring.scale g)
        (fun () -> ring_refresh t pn))
 
 (* ---- lifecycle ---------------------------------------------------------- *)
@@ -323,10 +299,10 @@ let rec ring_refresh t pn =
 let start_maintenance t pn =
   Array.iteri (fun k r -> Ring.start r pn.layers.(k)) t.rings;
   ignore
-    (Engine.timer t.eng ~node:pn.addr ~delay:t.cfg.ring_check_every (fun () ->
+    (Engine.timer t.eng ~node:pn.addr ~delay:ring_check_every (fun () ->
          ring_table_duty t pn));
   ignore
-    (Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. t.cfg.ring_check_every) (fun () ->
+    (Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. ring_check_every) (fun () ->
          ring_refresh t pn))
 
 let measure_orders t ~addr =
@@ -382,7 +358,7 @@ let join_lower_layer t pn ~layer ~and_then =
   in
   let alone () = s.succs <- [ Ring.self_peer s ] in
   (* route to the manager of this ring's table on the top layer *)
-  Ring.find_successor g ~kind:Netspan.Join ~src:pn.addr ~key:rid ~retries:t.cfg.lookup_retries
+  Ring.find_successor g ~kind:Netspan.Join ~src:pn.addr ~key:rid ~retries:Ring.lookup_retries
     ~ok:(fun manager _ _ ->
       Ring.ask g ~kind:Netspan.Join ~src:pn.addr ~dst:manager.paddr
         ~service:(fun ms -> Option.map Ring_table.entries (stored_table (get t ms.addr) key))

@@ -26,31 +26,23 @@
     check that re-routes each table to the currently responsible top-layer
     node as churn moves ownership. A periodic ring-refresh duty re-reads
     each ring's table and merges the private rings that concurrent joins
-    with stale tables can create. *)
+    with stale tables can create. The periods are constants, not settings:
+    each ring keeps {!Chord.Ring}'s, and the table duties and the ring
+    refresh run every 2000 ms. *)
 
 type config = {
   space : Hashid.Id.space;
   depth : int;  (** >= 2 *)
-  stabilize_every : float;
-  fix_fingers_every : float;
-  check_pred_every : float;
-  fingers_per_round : int;
   succ_list_len : int;
   rpc_timeout : float;
-  lookup_retries : int;
-  ring_check_every : float;  (** ring-table liveness / migration period *)
-  stability_k : int;
-      (** consecutive unchanged fingerprint probes (per layer) before that
-          layer is declared converged (default 3, must be >= 1) *)
   adaptive : bool;
       (** back off maintenance intervals while every layer is converged
           (default false — fixed cadence, byte-compatible with earlier
           versions) *)
-  backoff_max : float;
-      (** cap on the adaptive interval multiplier (default 8.0, >= 1) *)
 }
 
 val default_config : Hashid.Id.space -> depth:int -> config
+(** Successor lists of 4, a 2000 ms timeout, fixed cadence. *)
 
 type t
 
@@ -75,8 +67,7 @@ val create :
     [hieras.maint.scale] (current interval multiplier) and [hieras.stable]
     (0/1, set when every layer is converged; sampled at probe cadence).
 
-    Raises [Invalid_argument] if [depth < 2], [stability_k < 1] or
-    [backoff_max < 1]. *)
+    Raises [Invalid_argument] if [depth < 2]. *)
 
 val engine : t -> Simnet.Engine.t
 val config : t -> config
@@ -135,8 +126,8 @@ val live_members : t -> int list
     message-free probe that fingerprints each layer's routing state
     (live membership, predecessors, successor lists, finger tables). With
     [adaptive] set, all maintenance intervals (including ring duties)
-    double while {e every} layer is stable, up to [backoff_max], and snap
-    back to the base cadence on any detected change or lifecycle event. *)
+    double while {e every} layer is stable, up to 8×, and snap back to the
+    base cadence on any detected change or lifecycle event. *)
 
 val stability : t -> layer:int -> Simnet.Stability.t
 (** The layer's detector, [layer] in [1 .. depth] (1 = global). *)

@@ -94,6 +94,6 @@ module Make (R : Routing.BASE) = struct
   let route_hops ?into t ~origin ~key = W.route_hops ?into t.base t.layers ~origin ~key
   let route_hops_only t ~origin ~key = W.route_hops_only t.base t.layers ~origin ~key
 
-  let route_resilient ?trace ?policy t ~is_alive ~origin ~key =
-    W.route_resilient ?trace ?policy t.base t.layers ~is_alive ~origin ~key
+  let route_resilient ?trace t ~is_alive ~origin ~key =
+    W.route_resilient ?trace t.base t.layers ~is_alive ~origin ~key
 end

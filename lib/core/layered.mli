@@ -79,7 +79,6 @@ module Make (R : Routing.BASE) : sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:Routing.policy ->
     t ->
     is_alive:(int -> bool) ->
     origin:int ->

@@ -5,9 +5,9 @@ type t = {
   depth : int;
   requests : int;
   seed : int;
-  succ_list_len : int;
-  latency_backend : Topology.Latency.backend;
 }
+
+let succ_list_len = 8
 
 let paper_default =
   {
@@ -17,8 +17,6 @@ let paper_default =
     depth = 2;
     requests = 100_000;
     seed = 2003;
-    succ_list_len = 8;
-    latency_backend = Topology.Latency.Auto;
   }
 
 let with_model t model = { t with model }
@@ -27,7 +25,6 @@ let with_landmarks t landmarks = { t with landmarks }
 let with_depth t depth = { t with depth }
 let with_requests t requests = { t with requests }
 let with_seed t seed = { t with seed }
-let with_latency_backend t latency_backend = { t with latency_backend }
 
 let scaled t f =
   if f <= 0.0 then invalid_arg "Config.scaled: factor must be positive";
@@ -52,8 +49,6 @@ let validate t =
   else if t.depth < 2 || t.depth > 4 then
     Error (Printf.sprintf "--depth must be between 2 and 4 (got %d)" t.depth)
   else if t.requests < 1 then Error (Printf.sprintf "--requests must be >= 1 (got %d)" t.requests)
-  else if t.succ_list_len < 1 then
-    Error (Printf.sprintf "succ_list_len must be >= 1 (got %d)" t.succ_list_len)
   else Ok ()
 
 type network = { kind : Topology.Model.kind; hosts : int; own_landmarks : bool }
@@ -84,6 +79,5 @@ let check_networks t networks =
       | _ -> Ok ())
 
 let pp fmt t =
-  Format.fprintf fmt "%s n=%d lm=%d depth=%d req=%d seed=%d oracle=%s"
-    (Topology.Model.name t.model) t.nodes t.landmarks t.depth t.requests t.seed
-    (Topology.Latency.backend_name t.latency_backend)
+  Format.fprintf fmt "%s n=%d lm=%d depth=%d req=%d seed=%d" (Topology.Model.name t.model) t.nodes
+    t.landmarks t.depth t.requests t.seed

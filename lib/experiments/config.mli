@@ -4,7 +4,12 @@
     two-layer HIERAS with 4 landmarks, 100 000 uniform random routing
     requests, network sizes 1000..10000 (Inet starting at 3000). A [scale]
     factor shrinks sizes and request counts proportionally for quick runs
-    (tests and smoke benches). *)
+    (tests and smoke benches).
+
+    A configuration holds what the paper's evaluation varies: topology
+    model, size, landmarks, depth, plus the request count and seed. Chord's
+    successor-list length is the constant {!succ_list_len}, and the latency
+    oracle's storage is {!Topology.Model.build}'s. *)
 
 type t = {
   model : Topology.Model.kind;
@@ -13,15 +18,14 @@ type t = {
   depth : int;
   requests : int;
   seed : int;
-  succ_list_len : int;
-  latency_backend : Topology.Latency.backend;
-      (** storage strategy of the latency oracle; never affects results,
-          only build time and memory *)
 }
 
+val succ_list_len : int
+(** Chord's [r], the successor-list length of every analytic network the
+    experiments build (8). *)
+
 val paper_default : t
-(** TS, 10000 nodes, 4 landmarks, depth 2, 100 000 requests, seed 2003,
-    auto latency backend. *)
+(** TS, 10000 nodes, 4 landmarks, depth 2, 100 000 requests, seed 2003. *)
 
 val with_model : t -> Topology.Model.kind -> t
 val with_nodes : t -> int -> t
@@ -29,14 +33,13 @@ val with_landmarks : t -> int -> t
 val with_depth : t -> int -> t
 val with_requests : t -> int -> t
 val with_seed : t -> int -> t
-val with_latency_backend : t -> Topology.Latency.backend -> t
 
 val validate : t -> (unit, string) result
 (** Checks the parameter ranges the system supports: [nodes >= 2],
     [landmarks >= 1], [depth] in 2..4 (a depth-1 HIERAS {e is} Chord;
-    binning refinement chains are defined to depth 4), [requests >= 1],
-    [succ_list_len >= 1]. The error message names the offending CLI flag —
-    both CLIs print it and exit 2 before building anything. *)
+    binning refinement chains are defined to depth 4), [requests >= 1].
+    The error message names the offending CLI flag — both CLIs print it and
+    exit 2 before building anything. *)
 
 type network = {
   kind : Topology.Model.kind;

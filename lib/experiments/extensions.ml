@@ -152,7 +152,7 @@ let cost_ablation ?pool cfg =
   List.iter
     (fun depth ->
       let hnet = Hieras.Hnetwork.build ~chord ~lat ~landmarks ~depth () in
-      let totals = Hieras.Cost.totals hnet ~succ_list_len:cfg.Config.succ_list_len in
+      let totals = Hieras.Cost.totals hnet ~succ_list_len:Config.succ_list_len in
       Table.add_row table
         [
           string_of_int depth;

@@ -15,13 +15,12 @@ let build_env ?pool ?(timer = Obs.Timer.disabled) cfg =
   let topo_rng = Prng.Rng.split rng in
   let lat =
     Obs.Timer.span timer "topology" (fun () ->
-        Topology.Model.build ~backend:cfg.Config.latency_backend ?pool cfg.Config.model
-          ~hosts:cfg.Config.nodes topo_rng)
+        Topology.Model.build ?pool cfg.Config.model ~hosts:cfg.Config.nodes topo_rng)
   in
   let hosts = Array.init cfg.Config.nodes (fun i -> i) in
   let chord =
     Obs.Timer.span timer "chord-build" (fun () ->
-        Chord.Network.build ~space ~hosts ~succ_list_len:cfg.Config.succ_list_len
+        Chord.Network.build ~space ~hosts ~succ_list_len:Config.succ_list_len
           ~salt:(Printf.sprintf "peer-%d" cfg.Config.seed)
           ())
   in

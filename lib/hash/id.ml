@@ -113,15 +113,16 @@ let in_co x ~lo ~hi =
   else true
 
 let to_float_fraction sp (x : t) =
-  (* big-endian expansion into [0,1): only the leading ~7 bytes matter *)
+  (* big-endian expansion into [0,1): only the leading ~7 bytes matter. A
+     plain loop keeps both accumulators unboxed; a closure over them would
+     box a float per byte. *)
   let acc = ref 0.0 and scale = ref 1.0 in
   let top_bits = if sp.bits mod 8 = 0 then 8 else sp.bits mod 8 in
-  String.iteri
-    (fun i c ->
-      let w = if i = 0 then float_of_int (1 lsl top_bits) else 256.0 in
-      scale := !scale /. w;
-      acc := !acc +. (float_of_int (Char.code c) *. !scale))
-    x;
+  for i = 0 to String.length x - 1 do
+    let w = if i = 0 then float_of_int (1 lsl top_bits) else 256.0 in
+    scale := !scale /. w;
+    acc := !acc +. (float_of_int (Char.code (String.unsafe_get x i)) *. !scale)
+  done;
   !acc
 
 let distance_cw sp a b =

@@ -74,8 +74,9 @@ val in_co : t -> lo:t -> hi:t -> bool
 
 val distance_cw : space -> t -> t -> float
 (** Clockwise distance from the first to the second id, as a float fraction
-    of the circle in [\[0, 1)]. Approximate for wide spaces (53-bit mantissa);
-    used only for diagnostics and tests. *)
+    of the circle in [\[0, 1)]. Approximate for wide spaces (53-bit
+    mantissa). Pastry's numerical closeness is built on it, so it runs on
+    routing paths; it allocates only the floats it returns. *)
 
 val to_hex : t -> string
 val pp : Format.formatter -> t -> unit

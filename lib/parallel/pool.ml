@@ -140,36 +140,14 @@ let chunk_bounds ~n ~count i =
   let lo = (i * base) + min i rem in
   (lo, lo + base + if i < rem then 1 else 0)
 
-let chunks ~n ~count =
-  if count < 1 then invalid_arg "Pool.chunks: count must be >= 1";
-  if n < 0 then invalid_arg "Pool.chunks: negative n";
-  let k = min count n in
-  Array.init k (chunk_bounds ~n ~count:k)
-
-let parallel_for_chunks t ~n f =
-  if n < 0 then invalid_arg "Pool.parallel_for_chunks: negative n";
+let parallel_for t ~n f =
+  if n < 0 then invalid_arg "Pool.parallel_for: negative n";
   let k = min t.jobs n in
   run_chunks t ~count:k (fun i ->
       let lo, hi = chunk_bounds ~n ~count:k i in
-      f ~lo ~hi)
-
-let parallel_for t ~n f =
-  parallel_for_chunks t ~n (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        f i
+      for j = lo to hi - 1 do
+        f j
       done)
-
-let parallel_map t f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let k = min t.jobs n in
-    let parts = Array.make k [||] in
-    run_chunks t ~count:k (fun i ->
-        let lo, hi = chunk_bounds ~n ~count:k i in
-        parts.(i) <- Array.init (hi - lo) (fun j -> f arr.(lo + j)));
-    Array.concat (Array.to_list parts)
-  end
 
 let map_chunks t ~n ~chunk_size f =
   if chunk_size < 1 then invalid_arg "Pool.map_chunks: chunk_size must be >= 1";

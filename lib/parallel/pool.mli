@@ -12,8 +12,8 @@
     same discipline:
 
     - work is split into {e chunks} whose boundaries depend only on the
-      problem size (and, for {!parallel_for}/{!parallel_map}, the pool
-      width), never on scheduling;
+      problem size (and, for {!parallel_for}, the pool width), never on
+      scheduling;
     - workers write only into disjoint, pre-allocated slots;
     - results are combined in fixed chunk order on the calling domain.
 
@@ -49,20 +49,14 @@ val shutdown : t -> unit
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, and always [shutdown]. *)
 
-val chunks : n:int -> count:int -> (int * int) array
-(** Split [0..n-1] into at most [count] contiguous [(lo, hi)] half-open
-    chunks, sizes differing by at most one, earlier chunks larger. Returns
-    [min count n] chunks (no empty chunks; [[||]] when [n = 0]). Raises
-    [Invalid_argument] if [count < 1] or [n < 0]. *)
-
 val regions_run : t -> int
 (** Parallel regions ({!run_chunks} calls, directly or via the combinators)
     executed over the pool's lifetime. *)
 
 val chunks_run : t -> int
 (** Total chunks dispatched over the pool's lifetime. Chunk counts of
-    {!parallel_for}/{!parallel_map} depend on the pool width; only
-    {!map_chunks} layouts are width-independent. *)
+    {!parallel_for} depend on the pool width; only {!map_chunks} layouts
+    are width-independent. *)
 
 val export_metrics : ?prefix:string -> t -> Obs.Metrics.t -> unit
 (** Mirror the pool's instrumentation into a metrics registry: gauge
@@ -75,14 +69,8 @@ val run_chunks : t -> count:int -> (int -> unit) -> unit
     still run). This is the primitive the combinators below build on. *)
 
 val parallel_for : t -> n:int -> (int -> unit) -> unit
-(** Run [f 0 .. f (n - 1)], chunked [jobs] ways. *)
-
-val parallel_for_chunks : t -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** Like {!parallel_for} but hands each worker its whole [(lo, hi)] slice —
-    for loops that keep per-chunk state. *)
-
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [Array.map], chunked [jobs] ways; element order is preserved. *)
+(** Run [f 0 .. f (n - 1)] in [min jobs n] contiguous chunks, sizes
+    differing by at most one. Raises [Invalid_argument] if [n < 0]. *)
 
 val map_chunks : t -> n:int -> chunk_size:int -> (lo:int -> hi:int -> 'a) -> 'a list
 (** Split [0..n-1] into ceil(n / chunk_size) fixed-size chunks — a layout

@@ -24,10 +24,6 @@ type policy = {
 let default_policy =
   { rpc_timeout_ms = 500.0; max_retries = 2; backoff_base_ms = 50.0; backoff_mult = 2.0 }
 
-let check_policy p =
-  if p.rpc_timeout_ms <= 0.0 || p.max_retries < 0 || p.backoff_base_ms < 0.0 || p.backoff_mult < 1.0
-  then invalid_arg "Routing: ill-formed resilience policy"
-
 let attempt_delay p k =
   if k = 0 then p.rpc_timeout_ms
   else
@@ -60,7 +56,6 @@ module type ROUTABLE = sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:policy ->
     t ->
     is_alive:(int -> bool) ->
     origin:int ->
@@ -101,7 +96,6 @@ module type S = sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:policy ->
     t ->
     is_alive:(int -> bool) ->
     origin:int ->
@@ -251,7 +245,6 @@ module Walk (B : BASE) = struct
 
   type faults = {
     is_alive : int -> bool;
-    policy : policy;
     mutable retried : int;
     mutable timed_out : int;
     mutable fell_back : int;
@@ -271,8 +264,8 @@ module Walk (B : BASE) = struct
      fall back *)
   let probe r f ~layer at dead =
     f.timed_out <- f.timed_out + 1;
-    for k = 0 to f.policy.max_retries do
-      let d = attempt_delay f.policy k in
+    for k = 0 to default_policy.max_retries do
+      let d = attempt_delay default_policy k in
       f.retried <- f.retried + 1;
       f.penalty <- f.penalty +. d;
       r.total.(0) <- r.total.(0) +. d;
@@ -386,16 +379,12 @@ module Walk (B : BASE) = struct
         if next = target then Some layer
         else descend_live t layers per r f ~key ~owner ~target ~guard ~layer:(layer - 1) next
 
-  let route_resilient ?(trace = Obs.Trace.disabled) ?(policy = default_policy) t layers ~is_alive
-      ~origin ~key =
-    check_policy policy;
+  let route_resilient ?(trace = Obs.Trace.disabled) t layers ~is_alive ~origin ~key =
     if not (is_alive origin) then invalid_arg (algo layers ^ ".route_resilient: origin is dead");
     let depth = Array.length layers + 1 in
     let r = start trace layers ~origin ~key in
     let per = Array.make depth 0 in
-    let f =
-      { is_alive; policy; retried = 0; timed_out = 0; fell_back = 0; escaped = 0; penalty = 0.0 }
-    in
+    let f = { is_alive; retried = 0; timed_out = 0; fell_back = 0; escaped = 0; penalty = 0.0 } in
     let finished =
       match B.live_owner t ~is_alive ~key with
       | None -> None
@@ -428,8 +417,8 @@ module Extend (B : BASE) = struct
   let route ?trace t ~origin ~key = W.route ?trace t [||] ~origin ~key
   let route_hops_only t ~origin ~key = W.route_hops_only t [||] ~origin ~key
 
-  let route_resilient ?trace ?policy t ~is_alive ~origin ~key =
-    W.route_resilient ?trace ?policy t [||] ~is_alive ~origin ~key
+  let route_resilient ?trace t ~is_alive ~origin ~key =
+    W.route_resilient ?trace t [||] ~is_alive ~origin ~key
 end
 
 module Circle = struct

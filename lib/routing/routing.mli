@@ -21,6 +21,9 @@
     - {!BASE} is the {e provider} interface: the per-substrate primitives
       the walk reads. {!S} is {!BASE} plus the flat entry points.
 
+    The failure-aware walk charges every dead contact by one policy,
+    {!default_policy}, whatever the substrate and depth.
+
     Determinism: nothing in this module draws randomness; every route is a
     pure function of the substrate state and the key, so traces and
     tournament matrices are byte-stable across runs and [--jobs]. *)
@@ -49,15 +52,11 @@ type policy = {
   backoff_base_ms : float;  (** wait before retry 1 *)
   backoff_mult : float;  (** exponential factor; waits cap at the timeout *)
 }
-(** The failure-handling policy of the failure-aware walk, one for every
-    substrate. *)
+(** A failure-handling policy: what probing a dead contact costs. *)
 
 val default_policy : policy
-(** 500 ms timeout, 2 retries, 50 ms base backoff doubling per attempt. *)
-
-val check_policy : policy -> unit
-(** Raises [Invalid_argument] on an ill-formed policy (non-positive
-    timeout, negative retries or backoff, multiplier < 1). *)
+(** The failure-aware walk's policy, the one for every substrate: 500 ms
+    timeout, 2 retries, 50 ms base backoff doubling per attempt. *)
 
 val attempt_delay : policy -> int -> float
 (** [attempt_delay p k] is the latency charged for failed contact attempt
@@ -113,7 +112,6 @@ module type ROUTABLE = sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:policy ->
     t ->
     is_alive:(int -> bool) ->
     origin:int ->
@@ -123,8 +121,7 @@ module type ROUTABLE = sig
       With everyone alive it follows {!route} hop-for-hop with zero
       penalty. It succeeds exactly when it reaches [live_owner]; a stalled
       lookup's trace [End] event reports the stall position, so spans
-      always close. Raises [Invalid_argument] if the origin is dead or the
-      policy ill-formed. *)
+      always close. Raises [Invalid_argument] if the origin is dead. *)
 end
 
 (** The provider contract: one greedy step, its failover alternatives, the
@@ -240,7 +237,6 @@ module Walk (B : BASE) : sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:policy ->
     B.t ->
     B.layer array ->
     is_alive:(int -> bool) ->
@@ -255,9 +251,10 @@ module Walk (B : BASE) : sig
       loop: a ring loop stops, the early exit hops to it, the global loop
       makes its final hop. Otherwise the substrate decides: a ring loop
       stops where {!BASE.ring_step} does, and the next hop is the first
-      live candidate — each dead one probed through the policy's full
-      retry schedule — or else the stand-in. A ring with neither climbs a
-      layer early ([Layer_escape]); the global ring with neither stalls.
+      live candidate — each dead one probed through the full retry
+      schedule of {!default_policy} — or else the stand-in. A ring with
+      neither climbs a layer early ([Layer_escape]); the global ring with
+      neither stalls.
       The early exit without a covering stand-in is the substrate's own,
       probed when dead. An origin that is the live owner takes 0 hops.
       With an empty window this is the substrate's plain failover; with
@@ -273,7 +270,6 @@ module type S = sig
 
   val route_resilient :
     ?trace:Obs.Trace.t ->
-    ?policy:policy ->
     t ->
     is_alive:(int -> bool) ->
     origin:int ->

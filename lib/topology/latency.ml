@@ -14,13 +14,6 @@ type backend = Eager | Lazy | Auto
 
 let backend_name = function Eager -> "eager" | Lazy -> "lazy" | Auto -> "auto"
 
-let backend_of_name s =
-  match String.lowercase_ascii s with
-  | "eager" -> Some Eager
-  | "lazy" -> Some Lazy
-  | "auto" -> Some Auto
-  | _ -> None
-
 type storage =
   | Flat of float array (* nr * nr, row-major *)
   | Rows of float array option Atomic.t array

@@ -35,9 +35,6 @@ type backend = Eager | Lazy | Auto
 val backend_name : backend -> string
 (** "eager", "lazy" or "auto". *)
 
-val backend_of_name : string -> backend option
-(** Case-insensitive inverse of {!backend_name}. *)
-
 type t
 
 val create :

@@ -19,8 +19,9 @@ let routers kind ~hosts =
   | Inet -> Inet.router_count Inet.default_params ~hosts
   | Brite -> Brite.router_count Brite.default_params ~hosts
 
-let build ?backend ?pool kind ~hosts rng =
+let build ?pool kind ~hosts rng =
+  let backend = Latency.Auto in
   match kind with
-  | Transit_stub -> Transit_stub.generate ?backend ?pool ~hosts rng
-  | Inet -> Inet.generate ?backend ?pool ~hosts rng
-  | Brite -> Brite.generate ?backend ?pool ~hosts rng
+  | Transit_stub -> Transit_stub.generate ~backend ?pool ~hosts rng
+  | Inet -> Inet.generate ~backend ?pool ~hosts rng
+  | Brite -> Brite.generate ~backend ?pool ~hosts rng

@@ -16,15 +16,11 @@ val routers : kind -> hosts:int -> int
 (** Routers {!build} makes for [hosts] end-hosts — the most landmarks such a
     network can hold. Never decreases as [hosts] grows. *)
 
-val build :
-  ?backend:Latency.backend ->
-  ?pool:Parallel.Pool.t ->
-  kind ->
-  hosts:int ->
-  Prng.Rng.t ->
-  Latency.t
+val build : ?pool:Parallel.Pool.t -> kind -> hosts:int -> Prng.Rng.t -> Latency.t
 (** Generate a topology of this kind with default parameters and the given
-    number of DHT end-hosts. [backend] selects the latency oracle's storage
-    strategy (default eager); the pool parallelizes an eager oracle's
-    Dijkstra precomputation. The topology — and every latency the oracle
-    returns — is independent of both the backend and the pool width. *)
+    number of DHT end-hosts. The latency oracle's storage is
+    {!Latency.Auto}: lazy rows above 1024 routers or when the hosts sit on
+    fewer than half of them, the eager matrix otherwise. The pool
+    parallelizes an eager oracle's Dijkstra precomputation. The topology —
+    and every latency the oracle returns — is independent of both the
+    storage and the pool width. *)

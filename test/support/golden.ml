@@ -21,8 +21,7 @@ let cfg =
   let c = Config.with_nodes c 64 in
   let c = Config.with_requests c 12 in
   let c = Config.with_landmarks c 4 in
-  let c = Config.with_seed c 2003 in
-  Config.with_latency_backend c Topology.Latency.Eager
+  Config.with_seed c 2003
 
 let build_trace () =
   let env = Runner.build_env cfg in

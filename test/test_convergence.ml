@@ -68,22 +68,6 @@ let test_fingerprint_mixer () =
   Alcotest.(check bool) "positive" true (h [ -1; min_int; max_int; 0 ] >= 0);
   Alcotest.(check int) "deterministic" (h [ 3; 1; 4; 1; 5 ]) (h [ 3; 1; 4; 1; 5 ])
 
-(* Both protocols take the detector and backoff settings through the shared
-   ring core, which rejects them in one place. *)
-let test_config_validation () =
-  let lat = Topology.Transit_stub.generate ~hosts:4 (Prng.Rng.create ~seed:3) in
-  let eng = Engine.create ~latency:(Topology.Latency.host_latency lat) ~nodes:4 in
-  let lm = Binning.Landmark.choose_spread lat ~count:2 (Prng.Rng.create ~seed:5) in
-  let bad_k = Invalid_argument "Chord.Ring.create: stability_k must be >= 1" in
-  let bad_backoff = Invalid_argument "Chord.Ring.create: backoff_max must be >= 1" in
-  let chord cfg () = ignore (CP.create cfg eng) in
-  let hieras cfg () = ignore (HP.create cfg eng ~lat ~landmarks:lm) in
-  let c = CP.default_config space and h = HP.default_config space ~depth:2 in
-  Alcotest.check_raises "chord k = 0" bad_k (chord { c with CP.stability_k = 0 });
-  Alcotest.check_raises "chord backoff < 1" bad_backoff (chord { c with CP.backoff_max = 0.5 });
-  Alcotest.check_raises "hieras k = 0" bad_k (hieras { h with HP.stability_k = 0 });
-  Alcotest.check_raises "hieras backoff < 1" bad_backoff (hieras { h with HP.backoff_max = 0.5 })
-
 (* --- ring helpers ------------------------------------------------------------ *)
 
 (* The earlier, allocating forms of the two per-hop helpers, kept as the
@@ -404,7 +388,6 @@ let () =
         [
           Alcotest.test_case "state machine" `Quick test_stability_machine;
           Alcotest.test_case "fingerprint mixer" `Quick test_fingerprint_mixer;
-          Alcotest.test_case "protocol config validation" `Quick test_config_validation;
         ] );
       ("ring-helpers", [ QCheck_alcotest.to_alcotest prop_ring_helpers ]);
       ( "protocol-convergence",

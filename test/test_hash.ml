@@ -169,6 +169,57 @@ let test_distance_cw () =
   let dw = Id.distance_cw sp (i 200) (i 8) in
   Alcotest.(check (float 1e-9)) "wrapping distance" (64.0 /. 256.0) dw
 
+(* [distance_cw] as it was before its fraction became a plain loop: a
+   [String.iteri] closure over two float refs, which boxed a float per byte.
+   Kept as the reference the loop must match bit for bit. *)
+let ref_distance_cw sp a b =
+  let bytes x =
+    let h = Id.to_hex x in
+    String.init (String.length h / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+  in
+  let fraction x =
+    let acc = ref 0.0 and scale = ref 1.0 in
+    let top_bits = if Id.bits sp mod 8 = 0 then 8 else Id.bits sp mod 8 in
+    String.iteri
+      (fun i c ->
+        let w = if i = 0 then float_of_int (1 lsl top_bits) else 256.0 in
+        scale := !scale /. w;
+        acc := !acc +. (float_of_int (Char.code c) *. !scale))
+      (bytes x);
+    !acc
+  in
+  let d = fraction b -. fraction a in
+  if d < 0.0 then d +. 1.0 else d
+
+let test_distance_cw_matches_reference () =
+  let rng = Prng.Rng.create ~seed:41 in
+  List.iter
+    (fun bits ->
+      let sp = Id.space ~bits in
+      for _ = 1 to 2000 do
+        let a = Id.random sp rng and b = Id.random sp rng in
+        Alcotest.(check int64)
+          (Printf.sprintf "%d-bit distance %s -> %s" bits (Id.to_hex a) (Id.to_hex b))
+          (Int64.bits_of_float (ref_distance_cw sp a b))
+          (Int64.bits_of_float (Id.distance_cw sp a b))
+      done)
+    [ 160; 32; 13; 8; 1 ];
+  (* the closure form allocated 184 words per call on SHA-1 ids; the loop
+     allocates only the boxed floats it returns *)
+  let sp = Id.sha1_space in
+  let pairs = Array.init 1000 (fun _ -> (Id.random sp rng, Id.random sp rng)) in
+  let replay () =
+    Array.iter (fun (a, b) -> ignore (Sys.opaque_identity (Id.distance_cw sp a b))) pairs
+  in
+  replay ();
+  let before = Gc.minor_words () in
+  replay ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "distance_cw stays under 16 words/call (%.0f words over 1000 calls)" words)
+    true (words < 16_000.0)
+
 let test_of_hash () =
   let sp = Id.space ~bits:32 in
   let a = Id.of_hash sp "hello" and b = Id.of_hash sp "hello" in
@@ -268,6 +319,8 @@ let () =
           Alcotest.test_case "in_oc" `Quick test_in_oc;
           Alcotest.test_case "in_co" `Quick test_in_co;
           Alcotest.test_case "distance_cw" `Quick test_distance_cw;
+          Alcotest.test_case "distance_cw = closure form, unboxed" `Quick
+            test_distance_cw_matches_reference;
           Alcotest.test_case "of_hash" `Quick test_of_hash;
           Alcotest.test_case "random in space" `Quick test_random_in_space;
           Alcotest.test_case "pp small" `Quick test_pp_small_decimal;

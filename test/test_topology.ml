@@ -390,7 +390,7 @@ let test_model_facade () =
 let test_model_routers () =
   List.iter
     (fun (kind, hosts) ->
-      let lat = Model.build ~backend:Latency.Lazy kind ~hosts (Prng.Rng.create ~seed:3) in
+      let lat = Model.build kind ~hosts (Prng.Rng.create ~seed:3) in
       Alcotest.(check int)
         (Printf.sprintf "%s at %d hosts" (Model.name kind) hosts)
         (Latency.routers lat) (Model.routers kind ~hosts))
@@ -402,6 +402,23 @@ let test_model_routers () =
       (Model.Brite, 4000);
       (Model.Inet, 3000);
     ]
+
+(* The generators default to the eager matrix, and [Model.build] asks for
+   [Auto], which keeps lazy rows when the hosts cover few routers. The two
+   defaults are pinned apart: the benchmark's small store pools call the
+   generator, and their peak memory moves with the storage they get. *)
+let test_storage_defaults () =
+  let resolved lat = Latency.backend_name (Latency.effective_backend lat) in
+  let rng () = Prng.Rng.create ~seed:2003 in
+  Alcotest.(check string) "Transit_stub.generate at 16 hosts" "eager"
+    (resolved (TS.generate ~hosts:16 (rng ())));
+  List.iter
+    (fun (hosts, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "Model.build at %d hosts" hosts)
+        want
+        (resolved (Model.build Model.Transit_stub ~hosts (rng ()))))
+    [ (16, "lazy"); (256, "eager"); (1024, "eager") ]
 
 (* --- BRITE ---------------------------------------------------------------------- *)
 
@@ -553,6 +570,7 @@ let () =
         [
           Alcotest.test_case "facade" `Quick test_model_facade;
           Alcotest.test_case "router counts" `Quick test_model_routers;
+          Alcotest.test_case "storage defaults" `Quick test_storage_defaults;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
