@@ -11,10 +11,10 @@ type env
 
 val build_env : ?pool:Parallel.Pool.t -> ?timer:Obs.Timer.t -> Config.t -> env
 (** Generates the topology (model, size and seed from the config) and the
-    Chord network. The latency oracle uses the config's backend (eager /
-    lazy / auto); the pool parallelizes an eager oracle's per-source
-    Dijkstra runs. The generated network is identical for any backend and
-    any pool width. [timer] records the [topology] and [chord-build]
+    Chord network. The latency oracle's storage is what {!Topology.Model.build}
+    picks ({!Topology.Latency.Auto}); the pool parallelizes an eager oracle's
+    per-source Dijkstra runs. The generated network is identical for any
+    storage and any pool width. [timer] records the [topology] and [chord-build]
     phases. *)
 
 val latency_oracle : env -> Topology.Latency.t
