@@ -181,23 +181,6 @@ let net_t =
   in
   Term.(const check $ net_trace_out_t $ net_sample_t)
 
-(* Build a net tracer over FILE (or the disabled tracer), run [f], and report
-   how many span events were written. *)
-let with_net_trace_out net f =
-  match net with
-  | None -> f Obs.Netspan.disabled
-  | Some (file, sample) ->
-      let oc = open_out file in
-      let events = ref 0 in
-      let ns =
-        Obs.Netspan.jsonl ~sample (fun line ->
-            incr events;
-            output_string oc line)
-      in
-      let r = Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f ns) in
-      Printf.printf "wrote %d net span events to %s\n" !events file;
-      r
-
 (* --out of the experiment subcommands: one JSON artifact of [schema] *)
 let out_t schema =
   Arg.(
@@ -463,18 +446,16 @@ let trace_cmd =
     let chord_lat = Obs.Metrics.histogram reg "trace.chord.latency_ms" in
     let hieras_lat = Obs.Metrics.histogram reg "trace.hieras.latency_ms" in
     with_trace_out ~sample:trace_sample trace_out (fun tr ->
-        (* same deterministic request stream as Runner.measure *)
-        let rng = Prng.Rng.create ~seed:(cfg.Experiments.Config.seed + 104729) in
-        let spec = Workload.Requests.paper_default ~count:cfg.Experiments.Config.requests in
-        Workload.Requests.iter spec ~nodes:cfg.Experiments.Config.nodes
-          ~space:Hashid.Id.sha1_space rng (fun { Workload.Requests.origin; key } ->
+        Array.iter
+          (fun { Workload.Requests.origin; key } ->
             let rc = Chord.Lookup.route ~trace:tr net lat ~origin ~key in
             let rh = Hieras.Hlookup.route ~trace:tr hnet ~origin ~key in
             Obs.Metrics.incr lookups;
             Obs.Metrics.add chord_hops rc.Chord.Lookup.hop_count;
             Obs.Metrics.add hieras_hops rh.Hieras.Hlookup.hop_count;
             Obs.Metrics.observe chord_lat rc.Chord.Lookup.latency;
-            Obs.Metrics.observe hieras_lat rh.Hieras.Hlookup.latency));
+            Obs.Metrics.observe hieras_lat rh.Hieras.Hlookup.latency)
+          (Experiments.Runner.requests cfg));
     Printf.printf "replayed %d paired lookups on %d nodes (%s, depth %d)\n"
       cfg.Experiments.Config.requests cfg.Experiments.Config.nodes
       (Topology.Model.name cfg.Experiments.Config.model)
@@ -649,19 +630,6 @@ let soak_cmd =
   let loss_t =
     Arg.(value & opt float 0.01 & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
   in
-  let bucket_t =
-    Arg.(
-      value
-      & opt float 1000.0
-      & info [ "bucket-ms" ] ~docv:"MS" ~doc:"Time-series bucket width, simulated ms.")
-  in
-  let probe_t =
-    Arg.(
-      value
-      & opt float 1000.0
-      & info [ "probe-every" ] ~docv:"MS"
-          ~doc:"Ring-audit and probe-lookup cadence, simulated ms.")
-  in
   let adaptive_t =
     Arg.(
       value
@@ -686,8 +654,8 @@ let soak_cmd =
       & opt float 0.2
       & info [ "fault-frac" ] ~docv:"F" ~doc:"Fraction for crash/restart faults.")
   in
-  let run pool_n initial horizon join_rate fail_rate leave_rate factors loss bucket_ms
-      probe_every adaptive fault fault_frac landmarks depth seed pm out net =
+  let run pool_n initial horizon join_rate fail_rate leave_rate factors loss adaptive fault
+      fault_frac landmarks depth seed pm out net =
     let fault =
       match fault with
       | "none" -> None
@@ -708,8 +676,6 @@ let soak_cmd =
         leave_rate;
         factors;
         loss;
-        bucket_ms;
-        probe_every_ms = probe_every;
         depth;
         landmarks;
         adaptive;
@@ -728,7 +694,7 @@ let soak_cmd =
   let term =
     Term.(
       const run $ pool_t $ initial_t $ horizon_t $ join_rate_t $ fail_rate_t $ leave_rate_t
-      $ factors_t $ loss_t $ bucket_t $ probe_t $ adaptive_t $ fault_t $ fault_frac_t
+      $ factors_t $ loss_t $ adaptive_t $ fault_t $ fault_frac_t
       $ landmarks_t $ depth_t $ seed_t $ pool_metrics_t $ out_t "hieras-soak" $ net_t)
   in
   Cmd.v
@@ -798,26 +764,14 @@ let cache_cmd =
       & opt int d.Cache.cache_entries
       & info [ "cache-entries" ] ~docv:"N" ~doc:"Per-node cache entry budget.")
   in
-  let cache_bytes_t =
-    Arg.(
-      value
-      & opt int d.Cache.cache_bytes
-      & info [ "cache-bytes" ] ~docv:"B" ~doc:"Per-node cache byte budget.")
-  in
-  let ttl_t =
-    Arg.(
-      value
-      & opt float d.Cache.ttl_ms
-      & info [ "ttl" ] ~docv:"MS" ~doc:"Cache TTL in simulated ms (<= 0 disables expiry).")
-  in
   let loss_t =
     Arg.(
       value
       & opt float d.Cache.loss
       & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
   in
-  let run pool_n objects requests replication alphas fault fault_frac cache_entries
-      cache_bytes ttl loss landmarks depth seed pm out net =
+  let run pool_n objects requests replication alphas fault fault_frac cache_entries loss
+      landmarks depth seed pm out net =
     let fault =
       match Cache.fault_of_name fault with
       | Some f -> f
@@ -833,8 +787,6 @@ let cache_cmd =
         fault;
         fault_frac;
         cache_entries;
-        cache_bytes;
-        ttl_ms = ttl;
         loss;
         depth;
         landmarks;
@@ -851,7 +803,7 @@ let cache_cmd =
   let term =
     Term.(
       const run $ pool_t $ objects_t $ requests_t $ replication_t $ alphas_t $ fault_t
-      $ fault_frac_t $ cache_entries_t $ cache_bytes_t $ ttl_t $ loss_t $ landmarks_t
+      $ fault_frac_t $ cache_entries_t $ loss_t $ landmarks_t
       $ depth_t $ seed_t $ pool_metrics_t $ out_t "hieras-cache" $ net_t)
   in
   Cmd.v
@@ -879,12 +831,6 @@ let scale_cmd =
       & opt int Scale.default_spec.Scale.requests
       & info [ "requests" ] ~docv:"R" ~doc:"Analytic lookups to replay.")
   in
-  let succ_t =
-    Arg.(
-      value
-      & opt int Scale.default_spec.Scale.succ_list_len
-      & info [ "succ-list-len" ] ~docv:"R" ~doc:"Chord successor-list length (r).")
-  in
   let cross_t =
     Arg.(
       value
@@ -908,10 +854,8 @@ let scale_cmd =
   let label_t =
     Arg.(value & opt string "scale" & info [ "label" ] ~docv:"S" ~doc:"Bench snapshot label.")
   in
-  let run nodes requests landmarks depth succ_list_len seed cross_check pm out bench label =
-    let spec =
-      { Scale.nodes; requests; landmarks; depth; succ_list_len; seed; cross_check }
-    in
+  let run nodes requests landmarks depth seed cross_check pm out bench label =
+    let spec = { Scale.nodes; requests; landmarks; depth; seed; cross_check } in
     (match Scale.validate spec with Ok () -> () | Error e -> exit_usage e);
     with_pool_metrics pm (fun pool registry ->
         let r = Scale.run ~pool ?registry ~now:Unix.gettimeofday spec in
@@ -927,7 +871,7 @@ let scale_cmd =
   in
   let term =
     Term.(
-      const run $ nodes_t $ requests_t $ landmarks_t $ depth_t $ succ_t $ seed_t $ cross_t
+      const run $ nodes_t $ requests_t $ landmarks_t $ depth_t $ seed_t $ cross_t
       $ pool_metrics_t $ out_t "hieras-scale" $ bench_t $ label_t)
   in
   Cmd.v
@@ -962,7 +906,7 @@ let resilience_cmd =
              still down at the sample instant).")
   in
   let run model nodes landmarks depth requests seed scale pm failures schedule
-      trace_out net timings folded =
+      trace_out timings folded =
     let kind =
       match Experiments.Resilience.schedule_of_name schedule with
       | Some k -> k
@@ -984,12 +928,10 @@ let resilience_cmd =
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
-                with_net_trace_out net (fun net ->
-                    let r =
-                      Experiments.Resilience.run ~pool ?registry ~trace ~net ~timer ~fractions
-                        ~kind cfg
-                    in
-                    Experiments.Report.print (Experiments.Resilience.section r)));
+                let r =
+                  Experiments.Resilience.run ~pool ?registry ~trace ~timer ~fractions ~kind cfg
+                in
+                Experiments.Report.print (Experiments.Resilience.section r));
             Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
@@ -1000,7 +942,7 @@ let resilience_cmd =
           & opt int 10_000
           & info [ "requests" ] ~docv:"R" ~doc:"Routing requests per sweep point.")
       $ seed_t $ scale_t $ pool_metrics_t $ failures_t $ schedule_t $ trace_out_t
-      $ net_t $ timings_t $ folded_t)
+      $ timings_t $ folded_t)
   in
   Cmd.v
     (Cmd.info "resilience"

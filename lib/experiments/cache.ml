@@ -42,8 +42,6 @@ type spec = {
   fault : fault;
   fault_frac : float;
   cache_entries : int;
-  cache_bytes : int;
-  ttl_ms : float;
   loss : float;
   depth : int;
   landmarks : int;
@@ -61,8 +59,6 @@ let default_spec =
     fault = No_fault;
     fault_frac = 0.2;
     cache_entries = 16;
-    cache_bytes = 128 * 1024;
-    ttl_ms = 30_000.0;
     loss = 0.0;
     depth = 2;
     landmarks = 4;
@@ -71,6 +67,11 @@ let default_spec =
   }
 
 let max_replication = 8
+
+(* every node's cache byte budget and entry lifetime; results_json reports
+   both *)
+let cache_bytes = 128 * 1024
+let ttl_ms = 30_000.0
 
 (* CLI-friendly messages: the driver prints the error and exits 2 *)
 let validate spec =
@@ -90,8 +91,6 @@ let validate spec =
     Error (Printf.sprintf "--fault-frac must be in [0, 0.5] (got %g)" spec.fault_frac)
   else if spec.cache_entries < 1 then
     Error (Printf.sprintf "--cache-entries must be >= 1 (got %d)" spec.cache_entries)
-  else if spec.cache_bytes < 1 then
-    Error (Printf.sprintf "--cache-bytes must be >= 1 (got %d)" spec.cache_bytes)
   else
     Overlay.validate ~pool:spec.pool ~loss:spec.loss ~depth:spec.depth
       ~landmarks:spec.landmarks
@@ -179,8 +178,8 @@ let run_cell spec ~fi (r, alpha) algo =
         {
           Ncache.default_config with
           capacity_entries = spec.cache_entries;
-          capacity_bytes = spec.cache_bytes;
-          ttl_ms = spec.ttl_ms;
+          capacity_bytes = cache_bytes;
+          ttl_ms;
         })
   in
   let wspec =
@@ -401,7 +400,7 @@ let results_json r =
     s.pool s.objects s.requests
     (String.concat "," (List.map string_of_int s.replication))
     (String.concat "," (List.map n s.alphas))
-    (fault_name s.fault) (n s.fault_frac) s.cache_entries s.cache_bytes (n s.ttl_ms) (n s.loss)
+    (fault_name s.fault) (n s.fault_frac) s.cache_entries cache_bytes (n ttl_ms) (n s.loss)
     s.depth s.landmarks s.seed
     (String.concat "," (List.map cell_json r.cells))
     (Obs.Gate.to_json (gated r))

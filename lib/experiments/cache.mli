@@ -39,8 +39,6 @@ type spec = {
   fault : fault;
   fault_frac : float;  (** fraction killed (schedules other than none) *)
   cache_entries : int;  (** per-node cache entry budget *)
-  cache_bytes : int;  (** per-node cache byte budget *)
-  ttl_ms : float;  (** cache TTL; <= 0 disables *)
   loss : float;  (** message loss rate *)
   depth : int;  (** HIERAS layers *)
   landmarks : int;
@@ -50,7 +48,9 @@ type spec = {
 
 val default_spec : spec
 (** 32-node pool, 48 objects, 600 requests, r ∈ {2, 3}, alpha 0.8, no
-    faults, 16-entry / 128 KiB / 30 s caches, seed 2003. *)
+    faults, 16-entry caches, seed 2003. Every cache also holds at most
+    128 KiB and keeps an entry 30 s; those two are constants, which
+    {!results_json} reports as [cache_bytes] and [ttl_ms]. *)
 
 val validate : spec -> (unit, string) result
 (** CLI-friendly diagnostics; both drivers print the message and exit 2. *)

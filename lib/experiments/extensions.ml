@@ -37,17 +37,15 @@ let algorithms ?pool cfg =
     ]
   in
   let stats = List.map (fun _ -> (Summary.create (), Summary.create ())) rows in
-  let rng2 = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  for _ = 1 to max 100 (cfg.Config.requests / 4) do
-    let key = Hashid.Id.random space rng2 in
-    let origin = Prng.Rng.int rng2 n in
-    List.iter2
-      (fun (_, Tournament.C ((module X), t)) (hops, latency) ->
-        let r = X.route t ~origin ~key in
-        Summary.add hops (float_of_int r.Routing.hop_count);
-        Summary.add latency r.Routing.latency)
-      rows stats
-  done;
+  Array.iter
+    (fun { Workload.Requests.origin; key } ->
+      List.iter2
+        (fun (_, Tournament.C ((module X), t)) (hops, latency) ->
+          let r = X.route t ~origin ~key in
+          Summary.add hops (float_of_int r.Routing.hop_count);
+          Summary.add latency r.Routing.latency)
+        rows stats)
+    (Runner.requests (Config.with_requests cfg (max 100 (cfg.Config.requests / 4))));
   let table = Table.create [ "Algorithm"; "Mean hops"; "Mean ms"; "vs Chord" ] in
   let chord_lat = Summary.mean (snd (List.hd stats)) in
   List.iter2
@@ -83,21 +81,18 @@ let landmark_ablation ?pool cfg =
   let env = Runner.build_env ?pool cfg in
   let lat = Runner.latency_oracle env in
   let chord = Runner.chord_network env in
-  let n = Chord.Network.size chord in
   let table = Table.create [ "Landmark selection"; "Measurement"; "Rings"; "HIERAS/Chord" ] in
+  let requests = Runner.requests (Config.with_requests cfg (max 100 (cfg.Config.requests / 5))) in
   let run name landmarks measure =
     let hnet = Hieras.Hnetwork.build ~chord ~lat ~landmarks ~depth:2 ?measure () in
     let sl = Summary.create () and cl = Summary.create () in
-    let rng2 = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-    let requests = max 100 (cfg.Config.requests / 5) in
-    for _ = 1 to requests do
-      let key = Hashid.Id.random space rng2 in
-      let origin = Prng.Rng.int rng2 n in
-      let rc = Chord.Lookup.route chord lat ~origin ~key in
-      let rh = Hieras.Hlookup.route hnet ~origin ~key in
-      Summary.add cl rc.Chord.Lookup.latency;
-      Summary.add sl rh.Hieras.Hlookup.latency
-    done;
+    Array.iter
+      (fun { Workload.Requests.origin; key } ->
+        let rc = Chord.Lookup.route chord lat ~origin ~key in
+        let rh = Hieras.Hlookup.route hnet ~origin ~key in
+        Summary.add cl rc.Chord.Lookup.latency;
+        Summary.add sl rh.Hieras.Hlookup.latency)
+      requests;
     Table.add_row table
       [
         fst name;

@@ -10,7 +10,12 @@
       binning is to ping jitter (§2.2 says ping is "not very accurate").
     - {!cost_ablation}: the quantitative overhead analysis (state bytes,
       ring tables, per-layer stabilize link cost) the paper defers to future
-      work, across hierarchy depths. *)
+      work, across hierarchy depths.
+
+    The two routing tables route a prefix of {!Runner.requests}:
+    [max 100 (requests / 4)] requests for {!algorithms} and
+    [max 100 (requests / 5)] for each {!landmark_ablation} row, summed in
+    one sequential pass. *)
 
 val algorithms : ?pool:Parallel.Pool.t -> Config.t -> Report.section
 val landmark_ablation : ?pool:Parallel.Pool.t -> Config.t -> Report.section

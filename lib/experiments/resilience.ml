@@ -5,7 +5,6 @@
    results are bit-identical for any --jobs. *)
 
 module Summary = Stats.Summary
-module Pool = Parallel.Pool
 module Faults = Workload.Faults
 
 type schedule = Crash | Outage | Restart
@@ -85,17 +84,14 @@ let export_registry reg r =
     ];
   c "resilience.hieras.layer_escapes" (sum (fun p -> p.hieras.layer_escapes))
 
-let run ?pool ?registry ?(trace = Obs.Trace.disabled) ?(net = Obs.Netspan.disabled)
-    ?(timer = Obs.Timer.disabled) ?(fractions = default_fractions) ?(kind = Crash) cfg =
+let run ?pool ?registry ?trace ?(timer = Obs.Timer.disabled) ?(fractions = default_fractions)
+    ?(kind = Crash) cfg =
   List.iter
     (fun f ->
       if f < 0.0 || f > 0.95 then
         invalid_arg "Resilience.run: failure fraction must be in [0, 0.95]")
     fractions;
-  let pool =
-    if Obs.Trace.enabled trace then Pool.sequential else Option.value pool ~default:Pool.sequential
-  in
-  let env = Runner.build_env ~pool ~timer cfg in
+  let env = Runner.build_env ?pool ~timer cfg in
   let hnet = Runner.build_hieras ~timer env cfg in
   let chord = Runner.chord_network env in
   let lat = Runner.latency_oracle env in
@@ -107,16 +103,11 @@ let run ?pool ?registry ?(trace = Obs.Trace.disabled) ?(net = Obs.Netspan.disabl
       Tournament.C ((module Tournament.LChord), Hieras.Hnetwork.layered hnet);
     ]
   in
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let spec = Workload.Requests.paper_default ~count:cfg.Config.requests in
-  let requests =
-    Obs.Timer.span timer "gen-requests" (fun () ->
-        Workload.Requests.to_array spec ~nodes:n ~space:Hashid.Id.sha1_space rng)
-  in
+  let requests = Runner.requests ~timer cfg in
   (* all-alive baseline: plain-route mean latency, the stretch denominator *)
   let chord_baseline_ms, hieras_baseline_ms =
     match
-      Obs.Timer.span timer "baseline" (fun () -> Tournament.baseline ~pool lat contestants requests)
+      Obs.Timer.span timer "baseline" (fun () -> Tournament.baseline ?pool lat contestants requests)
     with
     | [ c; h ] -> (Summary.mean c.Tournament.latency, Summary.mean h.Tournament.latency)
     | _ -> assert false
@@ -124,14 +115,12 @@ let run ?pool ?registry ?(trace = Obs.Trace.disabled) ?(net = Obs.Netspan.disabl
   let stretch (f : Tournament.fault_point) base =
     if f.succeeded = 0 || base <= 0.0 then 0.0 else f.ok_latency_ms /. base
   in
-  (* the points run sequentially on the calling domain, so they can share
-     one net-trace sink *)
   let point_of idx fraction =
     Obs.Timer.span timer (Printf.sprintf "fraction-%02.0f%%" (fraction *. 100.0)) (fun () ->
         let alive, failed =
-          Tournament.sample_liveness ~net cfg lat hosts (specs_of kind lat hosts fraction) ~idx
+          Tournament.sample_liveness cfg lat hosts (specs_of kind lat hosts fraction) ~idx
         in
-        match Tournament.replay ~pool ~trace contestants ~hosts ~alive requests with
+        match Tournament.replay ?pool ?trace contestants ~hosts ~alive requests with
         | [ chord; hieras ] ->
             {
               fraction;

@@ -4,14 +4,14 @@
     It is the tournament's failure-aware replay over two contestants, flat
     Chord and HIERAS over Chord: each sweep point compiles a
     {!Workload.Faults} schedule with a point-specific seed and samples the
-    surviving population ({!Tournament.sample_liveness}), then replays the
-    standard request stream through both ({!Tournament.replay}). A lookup
+    surviving population ({!Tournament.sample_liveness}), then replays
+    {!Runner.requests} through both ({!Tournament.replay}). A lookup
     succeeds when it reaches the key's {e live owner} — the first live
     node clockwise from the key ([Chord.Routable.live_owner]); dead origins
     are deterministically remapped to their next live node so every point
     scores the identical stream. Results are bit-identical for any pool
-    width (fault draws happen on the calling domain; the replays use the
-    fixed chunk layout of {!Runner.measure}). *)
+    width (fault draws happen on the calling domain; the replays run on
+    {!Runner.replay}). *)
 
 type schedule =
   | Crash  (** permanent uniform crashes *)
@@ -48,7 +48,6 @@ val run :
   ?pool:Parallel.Pool.t ->
   ?registry:Obs.Metrics.t ->
   ?trace:Obs.Trace.t ->
-  ?net:Obs.Netspan.t ->
   ?timer:Obs.Timer.t ->
   ?fractions:float list ->
   ?kind:schedule ->
@@ -59,11 +58,7 @@ val run :
     (issued, succeeded, retries, timeouts, fallbacks, layer_escapes) and
     per-fraction [..fNNN.success_rate] / [..fNNN.stretch] gauges. [trace]
     receives every resilient lookup of every point (baseline lookups are
-    not traced) and forces the replay onto the calling domain. [net]
-    attaches to each point's fault-schedule engine; the lookups here are
-    analytic replays, not engine sends, so it records only the fault
-    traffic (the points run sequentially, so one sink is safe and the
-    stream is deterministic for any [--jobs]). *)
+    not traced) and keeps those replays on the calling domain. *)
 
 val export_registry : Obs.Metrics.t -> results -> unit
 

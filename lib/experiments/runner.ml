@@ -57,11 +57,6 @@ type metrics = {
   latency_per_layer : float array;
 }
 
-(* Requests per accumulation chunk. Fixed — never derived from the pool
-   width — so the chunk layout, and therefore every floating-point reduction
-   order, is identical for any --jobs value. *)
-let chunk_size = 4096
-
 let fresh_metrics cfg ~depth =
   {
     config = cfg;
@@ -103,9 +98,9 @@ let merge_metrics a b =
       Array.mapi (fun k v -> v +. b.latency_per_layer.(k)) a.latency_per_layer;
   }
 
-let measure_one ?trace env hnet m { Workload.Requests.origin; key } =
-  let rc = Chord.Lookup.route ?trace env.chord env.lat ~origin ~key in
-  let rh = Hieras.Hlookup.route ?trace hnet ~origin ~key in
+let measure_one ~trace env hnet m { Workload.Requests.origin; key } =
+  let rc = Chord.Lookup.route ~trace env.chord env.lat ~origin ~key in
+  let rh = Hieras.Hlookup.route ~trace hnet ~origin ~key in
   if rc.Chord.Lookup.destination <> rh.Hieras.Hlookup.destination then
     failwith "Runner.measure: HIERAS and Chord disagree on a key's owner";
   Summary.add m.chord_hops (float_of_int rc.Chord.Lookup.hop_count);
@@ -158,63 +153,40 @@ let export_registry reg m =
     (fun k v -> g (Printf.sprintf "runner.hieras.layer%d.latency_mean_ms" (k + 1)) v)
     m.latency_per_layer
 
+let requests ?(timer = Obs.Timer.disabled) cfg =
+  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
+  Obs.Timer.span timer "gen-requests" (fun () ->
+      Workload.Requests.to_array
+        (Workload.Requests.paper_default ~count:cfg.Config.requests)
+        ~nodes:cfg.Config.nodes ~space rng)
+
+(* Requests per accumulation chunk. Fixed — never derived from the pool
+   width — so the chunk layout, and therefore every floating-point reduction
+   order, is identical for any --jobs value. *)
+let chunk_size = 4096
+
+let replay ?(pool = Pool.sequential) ?(trace = Obs.Trace.disabled) requests ~fresh ~merge visit =
+  (* tracers are single-domain objects: a traced replay stays on the calling
+     domain, over the same chunk layout *)
+  let pool = if Obs.Trace.enabled trace then Pool.sequential else pool in
+  Pool.map_chunks pool ~n:(Array.length requests) ~chunk_size (fun ~lo ~hi ->
+      let acc = fresh () in
+      for i = lo to hi - 1 do
+        visit acc requests.(i)
+      done;
+      acc)
+  |> List.fold_left merge (fresh ())
+
 let measure ?pool ?registry ?(trace = Obs.Trace.disabled) ?(timer = Obs.Timer.disabled) env hnet
     cfg =
-  (* Tracers (and timers) are single-domain objects: when tracing is on, the
-     replay runs on the calling domain. The chunk layout is unchanged, so
-     the metrics stay bit-identical to an untraced parallel run. *)
-  let pool =
-    if Obs.Trace.enabled trace then Pool.sequential
-    else Option.value pool ~default:Pool.sequential
-  in
-  let n = Chord.Network.size env.chord in
   let depth = Hieras.Hnetwork.depth hnet in
-  (* requests are generated sequentially from the config seed, so the
-     stream is the same whatever the pool width *)
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let spec =
-    (* phase recorded on both paths so timer exports stay jobs-independent;
-       on the streaming path generation itself overlaps the replay *)
-    Obs.Timer.span timer "gen-requests" (fun () ->
-        Workload.Requests.paper_default ~count:cfg.Config.requests)
-  in
-  let trace = if Obs.Trace.enabled trace then Some trace else None in
-  let parts =
-    if Pool.jobs pool = 1 then
-      (* fold-only consumer: stream the requests instead of materialising
-         the array, closing an accumulator at every [chunk_size] boundary so
-         the merge order — and every floating-point reduction — matches the
-         parallel chunk layout exactly *)
-      Obs.Timer.span timer "lookup-replay" (fun () ->
-          let parts = ref [] in
-          let cur = ref (fresh_metrics cfg ~depth) in
-          let filled = ref 0 in
-          Workload.Requests.iter spec ~nodes:n ~space rng (fun r ->
-              if !filled = chunk_size then begin
-                parts := !cur :: !parts;
-                cur := fresh_metrics cfg ~depth;
-                filled := 0
-              end;
-              measure_one ?trace env hnet !cur r;
-              incr filled);
-          if !filled > 0 then parts := !cur :: !parts;
-          List.rev !parts)
-    else begin
-      (* parallel workers need random chunk access: materialise once *)
-      let requests = Workload.Requests.to_array spec ~nodes:n ~space rng in
-      Obs.Timer.span timer "lookup-replay" (fun () ->
-          Pool.map_chunks pool ~n:(Array.length requests) ~chunk_size (fun ~lo ~hi ->
-              let p = fresh_metrics cfg ~depth in
-              for i = lo to hi - 1 do
-                measure_one ?trace env hnet p requests.(i)
-              done;
-              p))
-    end
-  in
+  let requests = requests ~timer cfg in
   let m =
-    match parts with
-    | [] -> fresh_metrics cfg ~depth
-    | first :: rest -> List.fold_left merge_metrics first rest
+    Obs.Timer.span timer "lookup-replay" (fun () ->
+        replay ?pool ~trace requests
+          ~fresh:(fun () -> fresh_metrics cfg ~depth)
+          ~merge:merge_metrics
+          (measure_one ~trace env hnet))
   in
   let req = float_of_int (max cfg.Config.requests 1) in
   Array.iteri (fun k v -> m.hops_per_layer.(k) <- v /. req) (Array.copy m.hops_per_layer);

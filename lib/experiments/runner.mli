@@ -1,11 +1,15 @@
-(** The measurement engine behind every figure.
+(** The measurement engine behind every figure, and the owner of the
+    analytic experiments' request stream and replay loop.
 
     An {!env} bundles one generated topology with a Chord network built on
     it; HIERAS overlays (which depend on landmark count and depth) are built
     per variant on top, so parameter sweeps (Figures 6–9) reuse the expensive
-    substrate. {!measure} replays one request stream through {e both}
-    algorithms — paired sampling, so per-request differences are never masked
-    by workload noise. *)
+    substrate. {!requests} draws the config's one request stream and
+    {!replay} folds any per-request visit over it in fixed chunks: the
+    figures ({!measure}), the tournament, the resilience sweep, the
+    extension tables and [hieras_sim trace] all route that one stream.
+    {!measure} replays it through {e both} algorithms — paired sampling, so
+    per-request differences are never masked by workload noise. *)
 
 type env
 
@@ -45,6 +49,32 @@ type metrics = {
   latency_per_layer : float array;
 }
 
+(** {2 The request stream and its replay} *)
+
+val requests : ?timer:Obs.Timer.t -> Config.t -> Workload.Requests.request array
+(** The config's [requests] uniform (origin, key) pairs over its [nodes],
+    drawn from the seed [config.seed + 104729] on the calling domain — the
+    paper's stream of random lookups. The figures, the tournament, the
+    resilience sweep and [hieras_sim trace] replay it, the extension tables
+    a prefix of it ({!Scale} draws its own chunk-seeded stream). [timer]
+    records the [gen-requests] phase. *)
+
+val replay :
+  ?pool:Parallel.Pool.t ->
+  ?trace:Obs.Trace.t ->
+  Workload.Requests.request array ->
+  fresh:(unit -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  ('acc -> Workload.Requests.request -> unit) ->
+  'acc
+(** [replay requests ~fresh ~merge visit] folds [visit] over the requests in
+    fixed 4,096-request chunks, each into its own [fresh ()] accumulator,
+    and merges them in chunk order into one more [fresh ()]. The layout
+    depends on the request count alone, so the result is bit-identical for
+    any pool width. Tracers are single-domain objects: when [trace] is
+    enabled the replay stays on the calling domain (the pool is ignored, the
+    layout unchanged); [visit] itself is what writes to the tracer. *)
+
 val measure :
   ?pool:Parallel.Pool.t ->
   ?registry:Obs.Metrics.t ->
@@ -54,14 +84,10 @@ val measure :
   Hieras.Hnetwork.t ->
   Config.t ->
   metrics
-(** Runs [config.requests] paired lookups. Raises [Failure] if any HIERAS
-    lookup reaches a node other than the Chord owner (routing correctness is
-    asserted on every request).
-
-    Deterministic parallelism: requests are pre-generated sequentially from
-    the config seed, workers fill per-chunk accumulators over a chunk layout
-    fixed by request count alone, and chunks are reduced in order — so every
-    metrics field is bit-identical whatever the pool width.
+(** Replays {!requests} through both algorithms with {!replay}. Raises
+    [Failure] if any HIERAS lookup reaches a node other than the Chord owner
+    (routing correctness is asserted on every request). Every metrics field
+    is bit-identical whatever the pool width.
 
     [registry] receives a [runner.*] export of the merged result (request
     count, hop/latency means and maxima for both algorithms, per-layer
@@ -69,10 +95,9 @@ val measure :
     the deterministic merge — never from workers — so the registry snapshot
     is bit-identical for any pool width too.
 
-    [trace] receives every lookup of both algorithms. Tracers are
-    single-domain objects, so an enabled tracer forces the replay onto the
-    calling domain (the pool is ignored); the chunk layout is unchanged and
-    the returned metrics stay bit-identical to an untraced run.
+    [trace] receives every lookup of both algorithms, request by request,
+    Chord first; it keeps the replay on the calling domain, and the
+    returned metrics stay bit-identical to an untraced run.
 
     [timer] records the [gen-requests] and [lookup-replay] phases (on the
     calling domain only — workers are never instrumented). *)

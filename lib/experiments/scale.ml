@@ -28,7 +28,6 @@ type spec = {
   requests : int;
   landmarks : int;
   depth : int;
-  succ_list_len : int;
   seed : int;
   cross_check : int;
       (* leading requests replayed through the full simulated routes and
@@ -41,7 +40,6 @@ let default_spec =
     requests = 1_000_000;
     landmarks = 4;
     depth = 2;
-    succ_list_len = 8;
     seed = 2003;
     cross_check = 0;
   }
@@ -53,8 +51,6 @@ let validate s =
     Error (Printf.sprintf "--landmarks must be >= 1 (got %d)" s.landmarks)
   else if s.depth < 2 || s.depth > 4 then
     Error (Printf.sprintf "--depth must be between 2 and 4 (got %d)" s.depth)
-  else if s.succ_list_len < 1 then
-    Error (Printf.sprintf "--succ-list-len must be >= 1 (got %d)" s.succ_list_len)
   else if s.cross_check < 0 || s.cross_check > s.requests then
     Error
       (Printf.sprintf "--cross-check must be in 0..requests (got %d)" s.cross_check)
@@ -88,7 +84,7 @@ let build_env ?(now = fun () -> 0.0) s =
   let chord =
     Chord.Network.build ~space
       ~hosts:(Array.init n (fun i -> i))
-      ~succ_list_len:s.succ_list_len
+      ~succ_list_len:Config.succ_list_len
       ~salt:(Printf.sprintf "scale-%d" s.seed)
       ()
   in
@@ -393,7 +389,7 @@ let results_json r =
   let n = Obs.Jsonu.number in
   Printf.sprintf
     {|{"schema":"hieras-scale","nodes":%d,"requests":%d,"landmarks":%d,"depth":%d,"succ_list_len":%d,"seed":%d,"ring_counts":%s,"chord":{"segments":%d,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s},"hieras":{"segments_per_layer":%s,"bytes_resident":%d,"hops_mean":%s,"hops_max":%s,"hop_pdf":%s,"layer_hop_pdf":[%s],"layer_hops_mean":%s,"finished_at":%s},"lookups":%d,"dest_match":%d,"cross":{"checked":%d,"mismatches":%d},"gated":%s}|}
-    s.nodes s.requests s.landmarks s.depth s.succ_list_len s.seed (ints_json r.ring_counts)
+    s.nodes s.requests s.landmarks s.depth Config.succ_list_len s.seed (ints_json r.ring_counts)
     r.chord_segments r.chord_bytes (n r.chord_hops_mean) (n r.chord_hops_max)
     (ints_json r.chord_pdf)
     (ints_json r.hieras_segments)

@@ -20,7 +20,6 @@ type spec = {
   requests : int;  (** analytic lookups to replay (>= 0) *)
   landmarks : int;  (** >= 1 *)
   depth : int;  (** HIERAS layers, 2..4 *)
-  succ_list_len : int;  (** Chord's r parameter, >= 1 *)
   seed : int;
   cross_check : int;
       (** leading requests additionally replayed through the full simulated
@@ -29,8 +28,9 @@ type spec = {
 }
 
 val default_spec : spec
-(** 10^6 nodes, 10^6 requests, 4 landmarks, depth 2, r = 8, seed 2003, no
-    cross-check. *)
+(** 10^6 nodes, 10^6 requests, 4 landmarks, depth 2, seed 2003, no
+    cross-check. Chord's successor list has {!Config.succ_list_len} entries,
+    which {!results_json} reports as [succ_list_len]. *)
 
 val validate : spec -> (unit, string) result
 

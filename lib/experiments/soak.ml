@@ -24,8 +24,6 @@ type spec = {
   leave_rate : float;
   factors : float list;
   loss : float;
-  bucket_ms : float;
-  probe_every_ms : float;
   depth : int;
   landmarks : int;
   adaptive : bool;
@@ -34,6 +32,11 @@ type spec = {
   net_sample : float option;
   seed : int;
 }
+
+(* the time-series bucket width and the audit + probe-lookup cadence,
+   simulated ms; results_json reports both *)
+let bucket_ms = 1000.0
+let probe_every_ms = 1000.0
 
 let default_spec =
   {
@@ -45,8 +48,6 @@ let default_spec =
     leave_rate = 0.04;
     factors = [ 0.5; 1.0; 2.0 ];
     loss = 0.01;
-    bucket_ms = 1000.0;
-    probe_every_ms = 1000.0;
     depth = 2;
     landmarks = 4;
     adaptive = false;
@@ -68,10 +69,6 @@ let validate spec =
   else if spec.factors = [] then Error "--factors must name at least one churn-rate factor"
   else if List.exists (fun f -> f < 0.0) spec.factors then
     Error "--factors must all be >= 0"
-  else if spec.bucket_ms <= 0.0 then
-    Error (Printf.sprintf "--bucket-ms must be > 0 (got %g)" spec.bucket_ms)
-  else if spec.probe_every_ms <= 0.0 then
-    Error (Printf.sprintf "--probe-every must be > 0 (got %g)" spec.probe_every_ms)
   else if spec.fault_frac < 0.0 || spec.fault_frac > 0.95 then
     Error (Printf.sprintf "--fault-frac must be in [0, 0.95] (got %g)" spec.fault_frac)
   else
@@ -134,7 +131,7 @@ let fault_specs spec ~at =
    from (spec.seed, fi) only, so the chord and hieras cells of one factor
    see the identical topology, churn trace, probe stream and fault draw. *)
 let run_cell spec ~fi factor algo =
-  let ts = Obs.Timeseries.create ~bucket_ms:spec.bucket_ms () in
+  let ts = Obs.Timeseries.create ~bucket_ms () in
   let o =
     Overlay.start ~ts ~adaptive:spec.adaptive ~pool:spec.pool ~initial:spec.initial
       ~loss:spec.loss ~depth:spec.depth ~landmarks:spec.landmarks ~net_sample:spec.net_sample
@@ -189,9 +186,9 @@ let run_cell spec ~fi factor algo =
   let ts_ring = Obs.Timeseries.gauge ts "soak.ring_ok" in
   let issued = ref 0 and ok = ref 0 and ring_checks = ref 0 and ring_ok = ref 0 in
   let prng = Prng.Rng.create ~seed:(spec.seed + 70001 + fi) in
-  let probes = int_of_float (spec.horizon_ms /. spec.probe_every_ms) in
+  let probes = int_of_float (spec.horizon_ms /. probe_every_ms) in
   for k = 1 to probes do
-    Engine.schedule eng ~delay:(float_of_int k *. spec.probe_every_ms) (fun () ->
+    Engine.schedule eng ~delay:(float_of_int k *. probe_every_ms) (fun () ->
         let at = Engine.now eng in
         incr ring_checks;
         let correct = ring_correct p in
@@ -305,7 +302,7 @@ let results_json r =
   let n = Obs.Jsonu.number in
   Printf.sprintf
     {|{"schema":"hieras-soak","pool":%d,"initial":%d,"horizon_ms":%s,"bucket_ms":%s,"probe_every_ms":%s,"loss":%s,"depth":%d,"landmarks":%d,"adaptive":%b,"fault":%s,"fault_frac":%s,"seed":%d,"cells":[%s],"gated":%s}|}
-    s.pool s.initial (n s.horizon_ms) (n s.bucket_ms) (n s.probe_every_ms) (n s.loss) s.depth
+    s.pool s.initial (n s.horizon_ms) (n bucket_ms) (n probe_every_ms) (n s.loss) s.depth
     s.landmarks s.adaptive
     (match s.fault with
     | None -> "null"

@@ -3,9 +3,9 @@
     Each {e cell} runs one algorithm ([chord] or [hieras]) under one
     churn-rate factor for the whole horizon: sustained {!Workload.Churn}
     events, optional message loss and an optional {!Workload.Faults}
-    schedule landing mid-horizon, while a fixed-cadence probe audits
-    global-ring correctness against the ideal ring and fires one lookup
-    per instant. The convergence subsystem ({!Simnet.Stability} inside
+    schedule landing mid-horizon, while a probe every simulated second
+    audits global-ring correctness against the ideal ring and fires one
+    lookup; the cell's time series uses 1 s buckets. The convergence subsystem ({!Simnet.Stability} inside
     both protocols) meters convergence times and maintenance bandwidth —
     the sweep over factors yields the bandwidth-cost-vs-churn-rate curves
     the maintenance-vs-performance tradeoff is scored on.
@@ -28,8 +28,6 @@ type spec = {
   leave_rate : float;
   factors : float list;  (** churn-rate multipliers — the curve's x axis *)
   loss : float;  (** message loss probability, [0, 1) *)
-  bucket_ms : float;  (** time-series bucket width *)
-  probe_every_ms : float;  (** audit + lookup probe cadence *)
   depth : int;  (** HIERAS layers, 2..4 *)
   landmarks : int;
   adaptive : bool;  (** adaptive maintenance backoff in both protocols *)
@@ -48,8 +46,8 @@ type spec = {
 
 val default_spec : spec
 (** 48-node pool, 12 initial, 60 s horizon, paper-ish churn rates, factors
-    [0.5; 1; 2], 1% loss, 1 s buckets and probes, depth 2, 4 landmarks,
-    fixed cadence (non-adaptive), no faults, seed 2003. *)
+    [0.5; 1; 2], 1% loss, depth 2, 4 landmarks, fixed maintenance cadence
+    (non-adaptive), no faults, seed 2003. *)
 
 val validate : spec -> (unit, string) result
 (** Range checks with CLI-friendly messages naming the offending flag;

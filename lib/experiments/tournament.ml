@@ -8,10 +8,9 @@
    is compiled and applied to a Simnet engine on the calling domain, the
    liveness it leaves at [sample_at] is shared by every contestant, dead
    origins are remapped, and each request is routed through every
-   contestant in turn. Requests are pre-generated from the config seed, and
-   each replay is chunked over a layout fixed by request count alone, with
-   per-chunk accumulators merged in chunk order — results are bit-identical
-   for any --jobs. *)
+   contestant in turn. The stream is Runner.requests, and each replay runs
+   on Runner.replay, whose chunk layout is fixed by request count alone —
+   results are bit-identical for any --jobs. *)
 
 module Summary = Stats.Summary
 module Pool = Parallel.Pool
@@ -25,7 +24,6 @@ module LTapestry = Hieras.Make (Tapestry.Routable)
 type contestant = C : (module Routing.ROUTABLE with type t = 'a) * 'a -> contestant
 
 let space = Hashid.Id.sha1_space
-let chunk_size = 4096
 
 (* the fault timeline: faults land, then lookups sample the network *)
 let fault_at = 10.0
@@ -113,29 +111,25 @@ let outage_domains lat hosts fraction =
   in
   max 1 (int_of_float ((fraction *. float_of_int groups) +. 0.5))
 
-let sample_liveness ?(net = Obs.Netspan.disabled) cfg lat hosts specs ~idx =
+let sample_liveness cfg lat hosts specs ~idx =
   let n = Array.length hosts in
   let srng = Prng.Rng.create ~seed:(cfg.Config.seed + 40009 + idx) in
   let group_of slot = Topology.Latency.router_of_host lat hosts.(slot) in
   let events = Faults.compile ~group_of ~nodes:n specs srng in
   let eng = Simnet.Engine.create ~latency:(fun _ _ -> 0.0) ~nodes:n in
-  if Obs.Netspan.enabled net then Simnet.Engine.attach_netspan eng net;
   Faults.apply eng ~rng:(Prng.Rng.split srng) events;
   Simnet.Engine.run ~until:sample_at eng;
   (Array.init n (Simnet.Engine.is_alive eng), n - Simnet.Engine.live_count eng)
 
-(* One pass over the request stream: each chunk routes every request
-   through every contestant in turn, [visits.(c) acc i] folding request [i]
-   into contestant [c]'s fresh accumulator; chunks merge in chunk order. *)
-let each_request pool requests ~fresh ~merge visits =
+(* One replay of the request stream: every request is routed through every
+   contestant in turn, [visits.(c) acc r] folding request [r] into
+   contestant [c]'s accumulator. *)
+let each_request ?pool ?trace requests ~fresh ~merge visits =
   let k = Array.length visits in
-  Pool.map_chunks pool ~n:(Array.length requests) ~chunk_size (fun ~lo ~hi ->
-      let accs = Array.init k (fun _ -> fresh ()) in
-      for i = lo to hi - 1 do
-        Array.iteri (fun c visit -> visit accs.(c) i) visits
-      done;
-      accs)
-  |> List.fold_left (Array.map2 merge) (Array.init k (fun _ -> fresh ()))
+  Runner.replay ?pool ?trace requests
+    ~fresh:(fun () -> Array.init k (fun _ -> fresh ()))
+    ~merge:(Array.map2 merge)
+    (fun accs r -> Array.iteri (fun c visit -> visit accs.(c) r) visits)
   |> Array.to_list
 
 (* one contestant's baseline sums over a chunk *)
@@ -165,10 +159,8 @@ let merge_route a b =
     routed_ok = a.routed_ok + b.routed_ok;
   }
 
-let baseline ?(pool = Pool.sequential) lat contestants (requests : Workload.Requests.request array)
-    =
-  let visit (C ((module X), t)) acc i =
-    let { Workload.Requests.origin; key } = requests.(i) in
+let baseline ?pool lat contestants requests =
+  let visit (C ((module X), t)) acc { Workload.Requests.origin; key } =
     let r = X.route t ~origin ~key in
     Summary.add acc.r_hops (float_of_int r.Routing.hop_count);
     Summary.add acc.r_lat r.Routing.latency;
@@ -181,7 +173,7 @@ let baseline ?(pool = Pool.sequential) lat contestants (requests : Workload.Requ
       acc.stretch_n <- acc.stretch_n + 1
     end
   in
-  each_request pool requests ~fresh:fresh_route ~merge:merge_route
+  each_request ?pool requests ~fresh:fresh_route ~merge:merge_route
     (Array.of_list (List.map visit contestants))
   |> List.map (fun a ->
          {
@@ -224,9 +216,7 @@ let merge_fault a b =
     ok_lat = Summary.merge a.ok_lat b.ok_lat;
   }
 
-let replay ?(pool = Pool.sequential) ?(trace = Obs.Trace.disabled) contestants ~hosts ~alive
-    (requests : Workload.Requests.request array) =
-  let pool = if Obs.Trace.enabled trace then Pool.sequential else pool in
+let replay ?pool ?(trace = Obs.Trace.disabled) contestants ~hosts ~alive requests =
   let slot_of_host = Hashtbl.create (Array.length hosts) in
   Array.iteri (fun slot h -> Hashtbl.replace slot_of_host h slot) hosts;
   let visit (C ((module X), t)) =
@@ -241,8 +231,7 @@ let replay ?(pool = Pool.sequential) ?(trace = Obs.Trace.disabled) contestants ~
       else if alive.(o) then Some o
       else live_origin ((o + 1) mod n) (steps + 1)
     in
-    fun acc i ->
-      let { Workload.Requests.origin; key } = requests.(i) in
+    fun acc { Workload.Requests.origin; key } ->
       match live_origin origin 0 with
       | None -> ()
       | Some origin -> (
@@ -258,7 +247,7 @@ let replay ?(pool = Pool.sequential) ?(trace = Obs.Trace.disabled) contestants ~
               Summary.add acc.ok_lat r.Routing.latency
           | _ -> ())
   in
-  each_request pool requests ~fresh:fresh_fault ~merge:merge_fault
+  each_request ?pool ~trace requests ~fresh:fresh_fault ~merge:merge_fault
     (Array.of_list (List.map visit contestants))
   |> List.map (fun a ->
          {
@@ -308,12 +297,7 @@ let run ?(pool = Pool.sequential) ?registry ?(timer = Obs.Timer.disabled)
   let contestants =
     Obs.Timer.span timer "build-contestants" (fun () -> build_contestants env cfg)
   in
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let spec = Workload.Requests.paper_default ~count:cfg.Config.requests in
-  let requests =
-    Obs.Timer.span timer "gen-requests" (fun () ->
-        Workload.Requests.to_array spec ~nodes:n ~space rng)
-  in
+  let requests = Runner.requests ~timer cfg in
   let baselines =
     Obs.Timer.span timer "baseline" (fun () -> baseline ~pool lat contestants requests)
   in

@@ -9,9 +9,9 @@
     {!sample_liveness} and {!replay} over flat Chord and HIERAS, once per
     failure fraction.
 
-    Everything is deterministic: the request stream, landmark choice and
-    fault draws derive from the config seed on the calling domain; the
-    replays use the fixed chunk layout of the other experiments, so
+    Everything is deterministic: the request stream ({!Runner.requests}),
+    landmark choice and fault draws derive from the config seed on the
+    calling domain, and every replay runs on {!Runner.replay}, so
     {!results_json} is byte-identical for any [--jobs]. Golden:
     [test/golden/tournament_ts64.json]. *)
 
@@ -32,8 +32,9 @@ val build_contestants : Runner.env -> Config.t -> contestant list
 
 (** {2 Replays}
 
-    Each replay routes every request through every contestant in turn and
-    returns one result per contestant, in contestant order. *)
+    Each replay routes every request through every contestant in turn, on
+    {!Runner.replay}, and returns one result per contestant, in contestant
+    order. *)
 
 val fault_at : float
 (** Faults land at 10 ms... *)
@@ -63,7 +64,6 @@ val outage_domains : Topology.Latency.t -> int array -> float -> int
     about [fraction] of the hosts (at least 1). *)
 
 val sample_liveness :
-  ?net:Obs.Netspan.t ->
   Config.t ->
   Topology.Latency.t ->
   int array ->
@@ -74,9 +74,7 @@ val sample_liveness :
     host slots (slot [s] is on host [hosts.(s)], grouped by its stub
     router) with the seed [cfg.seed + 40009 + idx], applies them to a
     fresh {!Simnet.Engine}, runs it to {!sample_at} and returns each slot's
-    liveness and the number of dead slots. [net] is attached to the
-    engine: the engine carries only the god events of the fault schedule,
-    so it records exactly the fault traffic (usually nothing). *)
+    liveness and the number of dead slots. *)
 
 type fault_point = {
   succeeded : int;
@@ -124,7 +122,7 @@ val replay :
     alive, the lookup fails without being routed); each lookup is
     [route_resilient], a success when it reaches [live_owner]. [trace]
     receives every lookup in request order, contestants in turn, and
-    forces the replay onto the calling domain. *)
+    keeps the replay on the calling domain. *)
 
 val run :
   ?pool:Parallel.Pool.t ->
@@ -133,7 +131,7 @@ val run :
   ?fault_fraction:float ->
   Config.t ->
   results
-(** Build the eight contestants and replay the request stream three times:
+(** Build the eight contestants and replay {!Runner.requests} three times:
     the {!baseline}, then one {!replay} per fault schedule (crash, outage),
     each sampled once and shared by every contestant. [fault_fraction]
     (default 0.3, range [0, 0.95]) sizes both schedules. [registry]

@@ -18,6 +18,9 @@ let iter spec ~nodes ~space rng f =
   done
 
 let to_array spec ~nodes ~space rng =
-  let acc = ref [] in
-  iter spec ~nodes ~space rng (fun r -> acc := r :: !acc);
-  Array.of_list (List.rev !acc)
+  let out = Array.make (max spec.count 0) { origin = 0; key = Hashid.Id.zero space } in
+  let i = ref 0 in
+  iter spec ~nodes ~space rng (fun r ->
+      out.(!i) <- r;
+      incr i);
+  out

@@ -21,3 +21,4 @@ val iter :
 (** Stream the requests without materialising them. *)
 
 val to_array : spec -> nodes:int -> space:Hashid.Id.space -> Prng.Rng.t -> request array
+(** The requests {!iter} streams, in order, filled into one array. *)

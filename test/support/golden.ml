@@ -5,8 +5,8 @@
      dune exec test/support/gen_golden.exe -- --report \
        > test/golden/report_ts64.json
 
-   A fixed-seed 64-node Transit-Stub network replays the first 12 requests
-   of the standard measurement stream through both Chord and HIERAS with a
+   A fixed-seed 64-node Transit-Stub network replays its 12-request stream
+   (Runner.requests) through both Chord and HIERAS (Runner.run) with a
    JSONL tracer attached. Any change to routing decisions, latency
    accounting, hop ordering or the trace schema changes these bytes — which
    is the point: such changes must be made (and reviewed) explicitly, by
@@ -24,23 +24,8 @@ let cfg =
   Config.with_seed c 2003
 
 let build_trace () =
-  let env = Runner.build_env cfg in
-  let hnet = Runner.build_hieras env cfg in
-  let chord = Runner.chord_network env in
-  let lat = Runner.latency_oracle env in
   let buf = Buffer.create 8192 in
-  let tr = Obs.Trace.jsonl (Buffer.add_string buf) in
-  (* the exact request stream Runner.measure replays for this config *)
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let spec = Workload.Requests.paper_default ~count:cfg.Config.requests in
-  let requests =
-    Workload.Requests.to_array spec ~nodes:cfg.Config.nodes ~space:Hashid.Id.sha1_space rng
-  in
-  Array.iter
-    (fun { Workload.Requests.origin; key } ->
-      ignore (Chord.Lookup.route ~trace:tr chord lat ~origin ~key);
-      ignore (Hieras.Hlookup.route ~trace:tr hnet ~origin ~key))
-    requests;
+  ignore (Runner.run ~trace:(Obs.Trace.jsonl (Buffer.add_string buf)) cfg);
   Buffer.contents buf
 
 (* the analyzer's JSON report over the golden trace, newline-terminated *)

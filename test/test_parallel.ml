@@ -404,6 +404,48 @@ let test_resilience_jobs1_equals_jobs4 () =
     (Experiments.Report.render (Experiments.Resilience.section r1))
     (Experiments.Report.render (Experiments.Resilience.section r4))
 
+(* --- Runner.replay: the one chunked loop of the analytic experiments --------- *)
+
+(* request [i] originates at node [i], so a visit can tell which index it got *)
+let indexed n =
+  Array.init n (fun i ->
+      { Workload.Requests.origin = i; key = Hashid.Id.zero Hashid.Id.sha1_space })
+
+let test_replay_visits_in_order () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          List.iter
+            (fun n ->
+              let seen =
+                Runner.replay ~pool (indexed n) ~fresh:Queue.create
+                  ~merge:(fun a b ->
+                    Queue.transfer b a;
+                    a)
+                  (fun q r -> Queue.add r.Workload.Requests.origin q)
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "n=%d jobs=%d: 0..n-1 once, in order" n jobs)
+                (List.init n Fun.id)
+                (List.of_seq (Queue.to_seq seen)))
+            [ 0; 1; 4095; 4096; 4097; 9000 ]))
+    [ 1; 4 ]
+
+let test_traced_replay_on_calling_domain () =
+  let self = Domain.self () in
+  let tr = Obs.Trace.ring ~capacity:4 in
+  let visits, away =
+    Pool.with_pool ~jobs:4 (fun pool ->
+        Runner.replay ~pool ~trace:tr (indexed 9000)
+          ~fresh:(fun () -> (ref 0, ref 0))
+          ~merge:(fun (v, a) (v', a') -> (ref (!v + !v'), ref (!a + !a')))
+          (fun (v, a) _ ->
+            incr v;
+            if Domain.self () <> self then incr a))
+  in
+  Alcotest.(check int) "every request visited" 9000 !visits;
+  Alcotest.(check int) "visits on another domain" 0 !away
+
 let () =
   Alcotest.run "parallel"
     [
@@ -444,5 +486,11 @@ let () =
             test_fault_compile_jobs_independent;
           Alcotest.test_case "resilience jobs 1 = jobs 4" `Slow
             test_resilience_jobs1_equals_jobs4;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "each request once, in order" `Quick test_replay_visits_in_order;
+          Alcotest.test_case "traced replay on the calling domain" `Quick
+            test_traced_replay_on_calling_domain;
         ] );
     ]

@@ -143,11 +143,6 @@ end)
 
 (* --- the HIERAS walk over Chord, pinned ------------------------------------------ *)
 
-let requests ~count =
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let spec = Workload.Requests.paper_default ~count in
-  Workload.Requests.to_array spec ~nodes:cfg.Config.nodes ~space rng
-
 (* the functor replay of the golden-trace scenario must reproduce the
    committed bytes: same lookup ids, same hop sequences, same JSON *)
 let test_functor_golden_trace () =
@@ -159,7 +154,7 @@ let test_functor_golden_trace () =
     (fun { Workload.Requests.origin; key } ->
       ignore (Chord.Routable.route ~trace:tr rc ~origin ~key);
       ignore (T.LChord.route ~trace:tr lc ~origin ~key))
-    (requests ~count:cfg.Config.requests);
+    (Runner.requests cfg);
   let golden_path = Filename.concat "golden" "trace_ts64.jsonl" in
   let ic = open_in_bin golden_path in
   let golden = really_input_string ic (in_channel_length ic) in
@@ -186,10 +181,7 @@ let walk_digest ~depth =
   let cfg = Config.with_depth (Config.with_nodes Config.paper_default 256) depth in
   let env = Runner.build_env cfg in
   let hnet = Runner.build_hieras env cfg in
-  let rng = Prng.Rng.create ~seed:(cfg.Config.seed + 104729) in
-  let reqs =
-    Workload.Requests.to_array (Workload.Requests.paper_default ~count:1000) ~nodes:256 ~space rng
-  in
+  let reqs = Runner.requests (Config.with_requests cfg 1000) in
   let b = Buffer.create (64 * 1024) in
   Array.iter
     (fun { Workload.Requests.origin; key } ->
