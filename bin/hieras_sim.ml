@@ -83,7 +83,7 @@ let trace_out_t =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write structured per-lookup trace events (start/hop/end, one JSON \
-           object per line) to $(docv). See DESIGN.md \\S8 for the schema.")
+           object per line) to $(docv). See DESIGN.md §8 for the schema.")
 
 let metrics_t =
   Arg.(
@@ -154,7 +154,7 @@ let net_trace_out_t =
         ~doc:
           "Write message-level span events (one JSON object per line: every \
            engine send with its RPC kind, src/dst, timing and causal parent, \
-           plus drop records; DESIGN.md \\S14) to $(docv). Analyze with \
+           plus drop records; DESIGN.md §14) to $(docv). Analyze with \
            `hieras-sim analyze $(docv)`.")
 
 let net_sample_t =
@@ -488,10 +488,10 @@ let analyze_cmd =
       & info [] ~docv:"ARGS"
           ~doc:
             "Either a JSONL trace file (as written by $(b,--trace-out) or \
-             $(b,--net-trace-out); schemas in DESIGN.md \\S8 and \\S14; \
+             $(b,--net-trace-out); schemas in DESIGN.md §8 and §14; \
              $(b,-) reads from stdin), or $(b,compare) $(i,BASE) $(i,CAND) to \
              diff the gated metrics of two JSON artifacts of one schema \
-             (DESIGN.md \\S9).")
+             (DESIGN.md §9).")
   in
   let json_t =
     Arg.(
@@ -499,7 +499,7 @@ let analyze_cmd =
       & flag
       & info [ "json" ]
           ~doc:
-            "Emit the report as deterministic single-line JSON (DESIGN.md \\S9) \
+            "Emit the report as deterministic single-line JSON (DESIGN.md §9) \
              instead of text tables.")
   in
   let top_t =
@@ -893,7 +893,7 @@ let resilience_cmd =
       & info [ "failures" ] ~docv:"F"
           ~doc:
             "Single failure fraction in [0, 0.95] instead of the default \
-             0\\%..50\\% sweep.")
+             0%..50% sweep.")
   in
   let schedule_t =
     Arg.(

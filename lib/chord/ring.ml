@@ -22,11 +22,14 @@ let lookup_retries = 3
 let stability_k = 3
 let backoff_max = 8.0
 
-type peer = { paddr : int; pid : Id.t }
+(* Keys are the ids as ints ([Id.to_int]), so a space of at most 62 bits
+   keeps its order and every interval test is an int compare. *)
+type peer = { paddr : int; pid : int }
 
 type state = {
   addr : int;
   id : Id.t;
+  key : int;
   mutable pred : peer option;
   mutable succs : peer list; (* head = immediate successor; never empty once live *)
   fingers : peer option array;
@@ -45,6 +48,8 @@ type state = {
 type shared = {
   cfg : config;
   eng : Engine.t;
+  bits : int;
+  mask : int; (* 2^bits - 1: finger starts wrap with it *)
   mutable rings : t array; (* every ring, index 0 the global one; set by [create] *)
   mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
   mutable probing : bool; (* fingerprint probe loop started *)
@@ -63,14 +68,27 @@ type shared = {
   ts_stable : Obs.Timeseries.series;
 }
 
-and t = { sh : shared; nodes : (int, state) Hashtbl.t; stab : Simnet.Stability.t; index : int }
+and t = {
+  sh : shared;
+  nodes : (int, state) Hashtbl.t;
+  mutable sorted : state array; (* every node, by address, in [0, count) *)
+  mutable count : int;
+  stab : Simnet.Stability.t;
+  index : int;
+}
 
 let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
+  let bits = Id.bits cfg.space in
+  if bits > 62 then
+    invalid_arg
+      (Printf.sprintf "Ring.create: a %d-bit space is wider than the 62 bits an int key holds" bits);
   let series make name = make ts (prefix ^ "." ^ name) in
   let sh =
     {
       cfg;
       eng;
+      bits;
+      mask = (1 lsl bits) - 1;
       rings = [||];
       scale = 1.0;
       probing = false;
@@ -91,17 +109,54 @@ let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
   in
   sh.rings <-
     Array.init rings (fun index ->
-        { sh; nodes = Hashtbl.create 64; stab = Simnet.Stability.create ~k:stability_k (); index });
+        {
+          sh;
+          nodes = Hashtbl.create 64;
+          sorted = [||];
+          count = 0;
+          stab = Simnet.Stability.create ~k:stability_k ();
+          index;
+        });
   sh.rings
+
+(* Circle membership on keys, with Id's conventions: (a, a) is the circle
+   minus a, and (a, a] the whole circle. *)
+let[@inline] in_oo (x : int) ~lo ~hi =
+  if lo < hi then lo < x && x < hi else if lo > hi then lo < x || x < hi else x <> lo
+
+let[@inline] in_oc (x : int) ~lo ~hi =
+  if lo < hi then lo < x && x <= hi else if lo > hi then lo < x || x <= hi else true
+
+(* [s] into the address index: the first position whose address is not
+   below its own, taking the place of a node of the same address *)
+let insert_sorted r s =
+  let lo = ref 0 and hi = ref r.count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if r.sorted.(mid).addr < s.addr then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo in
+  if i < r.count && r.sorted.(i).addr = s.addr then r.sorted.(i) <- s
+  else begin
+    if r.count = Array.length r.sorted then begin
+      let grown = Array.make (max 16 (2 * r.count)) s in
+      Array.blit r.sorted 0 grown 0 r.count;
+      r.sorted <- grown
+    end;
+    Array.blit r.sorted i r.sorted (i + 1) (r.count - i);
+    r.sorted.(i) <- s;
+    r.count <- r.count + 1
+  end
 
 let add r ~addr ~id =
   let s =
     {
       addr;
       id;
+      key = Id.to_int r.sh.cfg.space id;
       pred = None;
       succs = [];
-      fingers = Array.make (Id.bits r.sh.cfg.space) None;
+      fingers = Array.make r.sh.bits None;
       next_finger = 0;
       anchor = addr;
       stabilize_rounds = 0;
@@ -109,6 +164,7 @@ let add r ~addr ~id =
     }
   in
   Hashtbl.replace r.nodes addr s;
+  insert_sorted r s;
   s
 
 let find r addr = Hashtbl.find r.nodes addr
@@ -147,7 +203,7 @@ let maintenance_ops r =
   let sh = r.sh in
   sh.maint_stabilize + sh.maint_notify + sh.maint_fix_fingers + sh.maint_check_pred + sh.maint_duty
 
-let self_peer s = { paddr = s.addr; pid = s.id }
+let self_peer s = { paddr = s.addr; pid = s.key }
 let current_successor s = match s.succs with [] -> self_peer s | p :: _ -> p
 
 (* --- introspection ------------------------------------------------------ *)
@@ -170,34 +226,37 @@ let ring_from r start =
   go start [ start ] 0
 
 let live_members r =
-  Hashtbl.fold (fun a _ acc -> if Engine.is_alive r.sh.eng a then a :: acc else acc) r.nodes []
-  |> List.sort Int.compare
+  let acc = ref [] in
+  for i = r.count - 1 downto 0 do
+    let a = r.sorted.(i).addr in
+    if Engine.is_alive r.sh.eng a then acc := a :: !acc
+  done;
+  !acc
 
 (* --- convergence probe --------------------------------------------------- *)
 
 (* Deterministic digest of the ring's routing state: live membership plus
    every live node's predecessor, successor list and finger table, visited
-   in sorted address order. Any change a maintenance round can make (a
-   learned successor, an expunged peer, a filled finger, a death) moves it. *)
+   in address order along the index. Any change a maintenance round can
+   make (a learned successor, an expunged peer, a filled finger, a death)
+   moves it. It allocates nothing. *)
 let fingerprint r =
-  let addrs =
-    Hashtbl.fold (fun a _ acc -> a :: acc) r.nodes [] |> List.sort Int.compare
-  in
   let open Simnet.Stability in
-  List.fold_left
-    (fun acc addr ->
-      if not (Engine.is_alive r.sh.eng addr) then acc
-      else begin
-        let s = Hashtbl.find r.nodes addr in
-        let acc = fp_add acc addr in
-        let acc = fp_add acc (match s.pred with None -> -1 | Some p -> p.paddr) in
-        let acc = List.fold_left (fun acc p -> fp_add acc p.paddr) acc s.succs in
-        let acc = fp_add acc (-2) in
+  let acc = ref fp_init in
+  for i = 0 to r.count - 1 do
+    let s = r.sorted.(i) in
+    if Engine.is_alive r.sh.eng s.addr then begin
+      let a = fp_add !acc s.addr in
+      let a = fp_add a (match s.pred with None -> -1 | Some p -> p.paddr) in
+      let a = List.fold_left (fun acc p -> fp_add acc p.paddr) a s.succs in
+      let a = fp_add a (-2) in
+      acc :=
         Array.fold_left
           (fun acc f -> fp_add acc (match f with None -> -1 | Some p -> p.paddr))
-          acc s.fingers
-      end)
-    fp_init addrs
+          a s.fingers
+    end
+  done;
+  !acc
 
 (* Fixed-cadence convergence probe (a god-event loop, so it outlives any
    single node and sends no messages): observe every ring's fingerprint,
@@ -221,10 +280,11 @@ let rec probe rings =
    collecting it. *)
 let census sh r ~at extra =
   if Obs.Timeseries.enabled sh.ts then begin
-    let count =
-      Hashtbl.fold (fun a _ n -> if Engine.is_alive sh.eng a then n + 1 else n) r.nodes 0
-    in
-    Obs.Timeseries.set sh.ts_members ~at (float_of_int count);
+    let count = ref 0 in
+    for i = 0 to r.count - 1 do
+      if Engine.is_alive sh.eng r.sorted.(i).addr then incr count
+    done;
+    Obs.Timeseries.set sh.ts_members ~at (float_of_int !count);
     match extra with Some f -> f at | None -> ()
   end
 
@@ -259,9 +319,9 @@ let joined ?census:extra rings =
 let ask r ~kind ~src ~dst ~(service : state -> 'a) ~(ok : 'a -> unit) ~(timeout : unit -> unit) =
   let pending = ref Engine.no_timer in
   Engine.send r.sh.eng ~kind ~src ~dst (fun () ->
-      match Hashtbl.find_opt r.nodes dst with
-      | None -> ()
-      | Some s ->
+      match Hashtbl.find r.nodes dst with
+      | exception Not_found -> ()
+      | s ->
           let response = service s in
           Engine.send r.sh.eng ~kind:Netspan.Reply ~src:dst ~dst:src (fun () ->
               if Engine.settle r.sh.eng pending then ok response));
@@ -286,18 +346,17 @@ let expunge s bad =
     s.fingers
 
 (* "no candidate yet", so that the scan below needs no option *)
-let no_peer = { paddr = -1; pid = Id.zero Id.sha1_space }
+let no_peer = { paddr = -1; pid = -1 }
 
-let[@inline] same_peer p q =
-  p == q || (p.paddr = q.paddr && (p.pid == q.pid || Id.equal p.pid q.pid))
+let[@inline] same_peer p q = p == q || (p.paddr = q.paddr && p.pid = q.pid)
 
 (* [p] when it is a hop strictly inside (self, key) closer to the key than
    [best], else [best] *)
 let closer s ~key best p =
   if
     p.paddr <> s.addr
-    && Id.in_oo p.pid ~lo:s.id ~hi:key
-    && (best == no_peer || Id.in_oo p.pid ~lo:best.pid ~hi:key)
+    && in_oo p.pid ~lo:s.key ~hi:key
+    && (best == no_peer || in_oo p.pid ~lo:best.pid ~hi:key)
   then p
   else best
 
@@ -331,16 +390,21 @@ type outcome = { owner_addr : int; owner_id : Id.t; hops : int; lower_hops : int
 
 (* One attempt to resolve [key] for [src], first forwarded to [via] unless
    that is -1. It walks [ring] from ring [top] down to ring [floor]. After
-   it [retries] attempts are left; a negative count times none out. *)
+   it [retries] attempts are left; a negative count times none out. A
+   fix-fingers query names its finger [slot] in [fingers], [src]'s table,
+   and its answer or failure writes that slot; any other query has slot -1
+   and calls [ok] or [failed]. *)
 type query = {
   mutable ring : t;
   kind : Netspan.kind;
   src : int;
   via : int;
-  key : Id.t;
+  key : int;
   top : int;
   floor : int;
   retries : int;
+  slot : int;
+  fingers : peer option array;
   ok : peer -> int -> int -> unit;
   failed : unit -> unit;
   mutable hops : int;
@@ -357,9 +421,19 @@ let settled q =
   || (q.timeout != Engine.no_timer
      && (Engine.cancel q.ring.sh.eng q.timeout; q.timeout <- Engine.no_timer; true))
 
+(* A finger that is already this peer is not boxed again. *)
+let found q p =
+  if q.slot < 0 then q.ok p q.hops q.lower_hops
+  else
+    match q.fingers.(q.slot) with
+    | Some f when same_peer f p -> ()
+    | _ -> q.fingers.(q.slot) <- Some p
+
+let not_found q = if q.slot < 0 then q.failed () else q.fingers.(q.slot) <- None
+
 let answer q s p =
   Engine.send q.ring.sh.eng ~kind:(kind_after q Netspan.Reply) ~src:s.addr ~dst:q.src (fun () ->
-      if settled q then q.ok p q.hops q.lower_hops)
+      if settled q then found q p)
 
 (* At [s]: forward to the closest preceding peer until the key lies in
    (s, successor] on the current ring. There, answer with that successor on
@@ -367,11 +441,11 @@ let answer q s p =
    that owns the key, else descend one ring at s. *)
 let rec route q s =
   let succ = current_successor s in
-  if Id.in_oc q.key ~lo:s.id ~hi:succ.pid || succ.paddr = s.addr then begin
+  if in_oc q.key ~lo:s.key ~hi:succ.pid || succ.paddr = s.addr then begin
     if q.ring.index = q.floor then answer q s succ
     else
       let g = current_successor (Hashtbl.find q.ring.sh.rings.(0).nodes s.addr) in
-      if g.paddr <> s.addr && Id.in_oc q.key ~lo:s.id ~hi:g.pid then answer q s g
+      if g.paddr <> s.addr && in_oc q.key ~lo:s.key ~hi:g.pid then answer q s g
       else begin
         q.ring <- q.ring.sh.rings.(q.ring.index - 1);
         route q (Hashtbl.find q.ring.nodes s.addr)
@@ -382,9 +456,9 @@ let rec route q s =
 and forward q ~from dst =
   if q.ring.index > 0 then q.lower_hops <- q.lower_hops + 1;
   Engine.send q.ring.sh.eng ~kind:(kind_after q Netspan.Forward) ~src:from ~dst (fun () ->
-      match Hashtbl.find_opt q.ring.nodes dst with
-      | None -> ()
-      | Some s ->
+      match Hashtbl.find q.ring.nodes dst with
+      | exception Not_found -> ()
+      | s ->
           q.hops <- q.hops + 1;
           route q s)
 
@@ -393,31 +467,57 @@ and forward q ~from dst =
 let rec attempt q =
   let r = q.ring in
   (if q.via >= 0 then forward q ~from:q.src q.via
-   else match Hashtbl.find_opt r.nodes q.src with None -> () | Some s -> route q s);
+   else match Hashtbl.find r.nodes q.src with exception Not_found -> () | s -> route q s);
   if q.retries >= 0 then
     q.timeout <-
       Engine.timer r.sh.eng ~node:q.src ~delay:r.sh.cfg.rpc_timeout (fun () ->
           if settled q then
-            if q.retries = 0 then q.failed ()
+            if q.retries = 0 then not_found q
             else
               let ring = q.ring.sh.rings.(q.top) in
               attempt { q with ring; retries = q.retries - 1; hops = 0; lower_hops = 0 })
 
-let issue ring ~kind ~src ~via ~key ~floor ~retries ~ok ~failed =
+let issue ring ~kind ~src ~via ~key ~floor ~retries ~slot ~fingers ~ok ~failed =
   let top = ring.index and timeout = Engine.no_timer in
-  attempt { ring; kind; src; via; key; top; floor; retries; ok; failed; hops = 0; lower_hops = 0; timeout }
+  attempt
+    {
+      ring;
+      kind;
+      src;
+      via;
+      key;
+      top;
+      floor;
+      retries;
+      slot;
+      fingers;
+      ok;
+      failed;
+      hops = 0;
+      lower_hops = 0;
+      timeout;
+    }
+
+(* a query that answers to [ok] or [failed] *)
+let call ring ~kind ~src ~via ~key ~floor ~retries ~ok ~failed =
+  issue ring ~kind ~src ~via ~key ~floor ~retries ~slot:(-1) ~fingers:[||] ~ok ~failed
+
+let key_of r id = Id.to_int r.sh.cfg.space id
 
 let lookup rings ~origin ~key k =
   let top = rings.(Array.length rings - 1) in
-  issue top ~kind:Netspan.Lookup ~src:origin ~via:(-1) ~key ~floor:0 ~retries:lookup_retries
-    ~ok:(fun p hops lower_hops -> k (Some { owner_addr = p.paddr; owner_id = p.pid; hops; lower_hops }))
+  let space = top.sh.cfg.space in
+  call top ~kind:Netspan.Lookup ~src:origin ~via:(-1) ~key:(key_of top key) ~floor:0
+    ~retries:lookup_retries
+    ~ok:(fun p hops lower_hops ->
+      k (Some { owner_addr = p.paddr; owner_id = Id.of_int space p.pid; hops; lower_hops }))
     ~failed:(fun () -> k None)
 
 let find_successor r ~kind ~src ~key ~retries ~ok ~failed =
-  issue r ~kind ~src ~via:(-1) ~key ~floor:r.index ~retries ~ok ~failed
+  call r ~kind ~src ~via:(-1) ~key:(key_of r key) ~floor:r.index ~retries ~ok ~failed
 
 let find_successor_via r ~kind ~src ~via ~key ~retries ~ok ~failed =
-  issue r ~kind ~src ~via ~key ~floor:r.index ~retries ~ok ~failed
+  call r ~kind ~src ~via ~key:(key_of r key) ~floor:r.index ~retries ~ok ~failed
 
 (* --- periodic maintenance --------------------------------------------- *)
 
@@ -457,7 +557,7 @@ let rec stabilize r s =
     | _ ->
         if s.anchor <> s.addr && Engine.is_alive sh.eng s.anchor then begin
           maint sh `Stabilize;
-          find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
+          call r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.key ~floor:r.index
             ~retries:(-1) ~failed:ignore ~ok:(fun p _ _ ->
               if (current_successor s).paddr = s.addr && p.paddr <> s.addr then s.succs <- [ p ])
         end);
@@ -470,7 +570,7 @@ let rec stabilize r s =
       ~ok:(fun (spred, slist) ->
         s.succ_suspect <- 0;
         (match spred with
-        | Some x when x.paddr <> s.addr && Id.in_oo x.pid ~lo:s.id ~hi:succ.pid ->
+        | Some x when x.paddr <> s.addr && in_oo x.pid ~lo:s.key ~hi:succ.pid ->
             (* a closer successor exists between us and our successor *)
             s.succs <- truncate_succs r s (x :: slist)
         | _ ->
@@ -483,25 +583,25 @@ let rec stabilize r s =
           && Engine.is_alive sh.eng s.anchor
         then begin
           maint sh `Stabilize;
-          find_successor_via r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.id
+          call r ~kind:Netspan.Stabilize ~src:s.addr ~via:s.anchor ~key:s.key ~floor:r.index
             ~retries:(-1) ~failed:ignore ~ok:(fun p _ _ ->
               let cur = current_successor s in
               if
                 p.paddr <> s.addr
-                && (cur.paddr = s.addr || Id.in_oo p.pid ~lo:s.id ~hi:cur.pid)
+                && (cur.paddr = s.addr || in_oo p.pid ~lo:s.key ~hi:cur.pid)
               then s.succs <- truncate_succs r s (p :: s.succs))
         end;
         let new_succ = current_successor s in
         (* notify: we believe we are their predecessor *)
         maint sh `Notify;
         Engine.send sh.eng ~kind:Netspan.Notify ~src:s.addr ~dst:new_succ.paddr (fun () ->
-            match Hashtbl.find_opt r.nodes new_succ.paddr with
-            | None -> ()
-            | Some ss -> (
+            match Hashtbl.find r.nodes new_succ.paddr with
+            | exception Not_found -> ()
+            | ss -> (
                 let candidate = self_peer s in
                 match ss.pred with
                 | None -> ss.pred <- Some candidate
-                | Some p when Id.in_oo candidate.pid ~lo:p.pid ~hi:ss.id ->
+                | Some p when in_oo candidate.pid ~lo:p.pid ~hi:ss.key ->
                     ss.pred <- Some candidate
                 | Some _ -> ()));
         schedule_stabilize r s)
@@ -523,22 +623,22 @@ and schedule_stabilize r s =
        ~delay:(stabilize_every *. r.sh.scale)
        (fun () -> stabilize r s))
 
+let no_ok _ _ _ = ()
+
+(* Each query answers into its finger slot. An unresolvable finger is
+   cleared rather than kept as a possibly-dead entry steering
+   closest_preceding into a black hole: with the slot empty, routing falls
+   back to lower fingers and the successor list until a later round
+   re-resolves it. *)
 let rec fix_fingers r s =
-  let space = r.sh.cfg.space in
-  let bits = Id.bits space in
+  let bits = r.sh.bits in
   for _ = 1 to min fingers_per_round bits do
     let i = s.next_finger in
     s.next_finger <- (s.next_finger + 1) mod bits;
-    let start = Id.add_pow2 space s.id i in
     maint r.sh `Fix;
-    find_successor r ~kind:Netspan.Fix_fingers ~src:s.addr ~key:start ~retries:0
-      ~ok:(fun p _ _ -> s.fingers.(i) <- Some p)
-      ~failed:(fun () ->
-        (* unresolvable finger: clear it rather than keep a possibly-dead
-           entry steering closest_preceding into a black hole — with the
-           slot empty, routing falls back to lower fingers and the
-           successor list until a later round re-resolves it *)
-        s.fingers.(i) <- None)
+    issue r ~kind:Netspan.Fix_fingers ~src:s.addr ~via:(-1)
+      ~key:((s.key + (1 lsl i)) land r.sh.mask)
+      ~floor:r.index ~retries:0 ~slot:i ~fingers:s.fingers ~ok:no_ok ~failed:ignore
   done;
   ignore
     (Engine.timer r.sh.eng ~node:s.addr
@@ -573,7 +673,7 @@ let start r s =
 let join r s ~bootstrap ~joined =
   let rec attempt n =
     (* route the join query through the bootstrap node *)
-    find_successor_via r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.id ~retries:0
+    call r ~kind:Netspan.Join ~src:s.addr ~via:bootstrap ~key:s.key ~floor:r.index ~retries:0
       ~ok:(fun p _ _ ->
         s.succs <- [ p ];
         joined ())

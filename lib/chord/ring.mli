@@ -15,6 +15,13 @@
     Every function sends and arms timers in a fixed order: message loss is
     drawn per send, so that order is part of the simulation's behaviour.
 
+    Ids travel as ints: a node's {!state.key} and a peer's {!peer.pid} are
+    [Id.to_int] of the id, so every interval test on the walk and in
+    maintenance is an int compare, with {!Hashid.Id}'s conventions. That
+    caps the space at 62 bits ({!create}); every message-level run uses
+    32. Ids are converted only where they enter ({!add}, {!lookup},
+    {!find_successor}) and where a lookup's owner leaves ({!outcome}).
+
     The maintenance settings no experiment varies are constants here:
     stabilize and fix-fingers every 500 ms and check-predecessor every
     1000 ms (each stretched by the adaptive multiplier), 8 finger slots
@@ -37,12 +44,13 @@ val default_config : Hashid.Id.space -> config
 val lookup_retries : int
 (** Times a source re-issues an unanswered lookup before it gives up (3). *)
 
-type peer = { paddr : int; pid : Hashid.Id.t }
+type peer = { paddr : int; pid : int  (** the peer's id as an int *) }
 
 (** One node's state on one ring. *)
 type state = {
   addr : int;
   id : Hashid.Id.t;
+  key : int;  (** [id] as an int *)
   mutable pred : peer option;
   mutable succs : peer list;  (** head = immediate successor *)
   fingers : peer option array;
@@ -58,11 +66,13 @@ type state = {
 }
 
 type t
-(** One ring: its node table and its convergence detector. *)
+(** One ring: its node table, kept also as an index sorted by address, and
+    its convergence detector. *)
 
 val create : ?ts:Obs.Timeseries.t -> prefix:string -> rings:int -> config -> Simnet.Engine.t -> t array
 (** [rings] rings sharing one engine, configuration and probe; index 0 is
-    the global ring. [ts]
+    the global ring. Raises [Invalid_argument] when the configuration's
+    space is wider than 62 bits, the most an int key holds. [ts]
     (default disabled) receives the series [<prefix>.members] (gauge),
     [<prefix>.joins], [<prefix>.joins_completed], [<prefix>.fails] and
     [<prefix>.maint.ops] (counters), [<prefix>.maint.scale] and
@@ -70,7 +80,9 @@ val create : ?ts:Obs.Timeseries.t -> prefix:string -> rings:int -> config -> Sim
 
 val add : t -> addr:int -> id:Hashid.Id.t -> state
 (** Register a node with an empty successor list and no fingers; its
-    anchor is itself. The caller rejects reused addresses. *)
+    anchor is itself. The caller rejects reused addresses; a reused one
+    replaces the node of that address. The node enters the address index
+    in its sorted place. *)
 
 val find : t -> int -> state
 (** Raises [Not_found] for an unknown address. *)
@@ -82,7 +94,13 @@ val self_peer : state -> peer
 val current_successor : state -> peer
 (** Head of the successor list, the node itself when the list is empty. *)
 
-val closest_preceding : state -> key:Hashid.Id.t -> peer
+val in_oo : int -> lo:int -> hi:int -> bool
+(** {!Hashid.Id.in_oo} on int keys: [(a, a)] is the circle minus [a]. *)
+
+val in_oc : int -> lo:int -> hi:int -> bool
+(** {!Hashid.Id.in_oc} on int keys: [(a, a\]] is the whole circle. *)
+
+val closest_preceding : state -> key:int -> peer
 (** Best known next hop strictly inside (node, key): the known peer closest
     to the key among the fingers and the successor list; falls back to
     {!current_successor}. Runs on every forwarded hop and allocates
@@ -109,7 +127,7 @@ val ask :
 
 type outcome = {
   owner_addr : int;
-  owner_id : Hashid.Id.t;
+  owner_id : Hashid.Id.t;  (** the answering peer's {!peer.pid} as an id *)
   hops : int;  (** forwards up to the node that answers: 0 when the origin does *)
   lower_hops : int;  (** those sent on a ring above the global one *)
 }
@@ -147,7 +165,10 @@ val truncate_succs : t -> state -> peer list -> peer list
 
 val start : t -> state -> unit
 (** Arm the node's stabilize, fix-fingers and check-predecessor timers, in
-    that order. *)
+    that order. A fix-fingers round walks {!find_successor}'s query for
+    each of its 8 finger slots; the query carries its slot, so its answer
+    writes the finger (keeping the old box when the peer is the same) and
+    its timeout clears it, with no continuation allocated. *)
 
 val join : t -> state -> bootstrap:int -> joined:(unit -> unit) -> unit
 (** Find the node's own id through [bootstrap], retrying forever (with a
@@ -166,6 +187,12 @@ val lifecycle : ?census:(float -> unit) -> t array -> [ `Spawn | `Join | `Fail ]
 
 val joined : ?census:(float -> unit) -> t array -> unit
 (** Count a completed join; with [census], refresh the gauges as above. *)
+
+val fingerprint : t -> int
+(** Digest of the ring's routing state that the convergence probe observes
+    every 500 ms: each live node's address, predecessor, successor list and
+    fingers, folded with {!Simnet.Stability.fp_add} in address order along
+    the index. Allocates nothing. *)
 
 val stability : t -> Simnet.Stability.t
 val scale : t -> float

@@ -32,6 +32,11 @@ type pnode = {
   addr : int;
   id : Id.t;
   orders : string array; (* orders.(k-1) = ring name digits at paper layer k+1 *)
+  names : Ring_name.t array;
+  tkeys : string array;
+  rids : Id.t array;
+      (* indexed as [orders]: that ring's name, its table's key in [stored]
+         and its hashed id, computed once when the node is created *)
   layers : Ring.state array;
       (* layers.(0) = global; layers.(k) is this node's record in rings.(k).
          Lower layers keep their anchor at the node itself: they recover
@@ -139,8 +144,6 @@ let live_members t = Ring.live_members (global t)
 
 (* ---- ring-table duties -------------------------------------------------- *)
 
-let ring_name_of pn ~layer = Ring_name.make ~layer ~order:pn.orders.(layer - 2)
-
 let store_ring_table pn rt =
   Hashtbl.replace pn.stored (Ring_name.to_string (Ring_table.name rt)) rt
 
@@ -190,7 +193,7 @@ let rec ring_table_duty t pn =
                           (fun (p : Ring.peer) ->
                             ignore
                               (Ring_table.register rt
-                                 { Ring_table.node = p.paddr; id = p.pid }))
+                                 { Ring_table.node = p.paddr; id = Id.of_int t.cfg.space p.pid }))
                           members)
                       ~timeout:(fun () -> ()))
           end)
@@ -246,11 +249,9 @@ let rec ring_table_duty t pn =
 let rec ring_refresh t pn =
   let g = global t in
   for layer = 2 to t.cfg.depth do
-    let rname = ring_name_of pn ~layer in
-    let key = Ring_name.to_string rname in
-    let rid = Ring_name.ring_id t.cfg.space rname in
+    let rname = pn.names.(layer - 2) and key = pn.tkeys.(layer - 2) in
     Ring.count_duty g;
-    Ring.find_successor g ~kind:Netspan.Ring ~src:pn.addr ~key:rid ~retries:0
+    Ring.find_successor g ~kind:Netspan.Ring ~src:pn.addr ~key:pn.rids.(layer - 2) ~retries:0
       ~ok:(fun manager _ _ ->
         Ring.count_duty g;
         Ring.ask g ~kind:Netspan.Ring ~src:pn.addr ~dst:manager.paddr
@@ -275,14 +276,11 @@ let rec ring_refresh t pn =
                    anchor re-join applies the same liveness shortcut) *)
                 if e.Ring_table.node <> pn.addr && Engine.is_alive t.eng e.Ring_table.node
                 then begin
-                  let succ = Ring.current_successor s in
-                  if
-                    succ.paddr = pn.addr
-                    || Id.in_oo e.Ring_table.id ~lo:pn.id ~hi:succ.pid
-                  then
+                  let succ = Ring.current_successor s
+                  and pid = Id.to_int t.cfg.space e.Ring_table.id in
+                  if succ.paddr = pn.addr || Ring.in_oo pid ~lo:s.key ~hi:succ.pid then
                     s.succs <-
-                      Ring.truncate_succs r s
-                        ({ paddr = e.Ring_table.node; pid = e.Ring_table.id } :: s.succs)
+                      Ring.truncate_succs r s ({ paddr = e.Ring_table.node; pid } :: s.succs)
                 end)
               entries)
           ~timeout:(fun () -> ()))
@@ -311,11 +309,16 @@ let measure_orders t ~addr =
 
 let fresh_node t ~addr ~id =
   if Hashtbl.mem t.nodes addr then invalid_arg "Hprotocol: address already in use";
+  let orders = measure_orders t ~addr in
+  let names = Array.mapi (fun k order -> Ring_name.make ~layer:(k + 2) ~order) orders in
   let pn =
     {
       addr;
       id;
-      orders = measure_orders t ~addr;
+      orders;
+      names;
+      tkeys = Array.map Ring_name.to_string names;
+      rids = Array.map (Ring_name.ring_id t.cfg.space) names;
       layers = Array.map (fun r -> Ring.add r ~addr ~id) t.rings;
       stored = Hashtbl.create 4;
       replicas = Hashtbl.create 4;
@@ -330,7 +333,7 @@ let spawn t ~addr ~id =
   (* first node stores the ring tables of all of its own rings *)
   for layer = 2 to t.cfg.depth do
     store_ring_table pn
-      (Ring_table.of_members t.cfg.space (ring_name_of pn ~layer) [ { Ring_table.node = addr; id } ])
+      (Ring_table.of_members t.cfg.space pn.names.(layer - 2) [ { Ring_table.node = addr; id } ])
   done;
   start_maintenance t pn;
   Ring.lifecycle ~census:(ring_census t) t.rings `Spawn
@@ -339,9 +342,7 @@ let spawn t ~addr ~id =
    layer, ask a recorded member for our ring-level successor, register
    ourselves in the table if we displace an extreme. *)
 let join_lower_layer t pn ~layer ~and_then =
-  let rname = ring_name_of pn ~layer in
-  let key = Ring_name.to_string rname in
-  let rid = Ring_name.ring_id t.cfg.space rname in
+  let rname = pn.names.(layer - 2) and key = pn.tkeys.(layer - 2) in
   let r = t.rings.(layer - 1) and s = pn.layers.(layer - 1) in
   let g = global t in
   let register_with manager_addr =
@@ -358,7 +359,8 @@ let join_lower_layer t pn ~layer ~and_then =
   in
   let alone () = s.succs <- [ Ring.self_peer s ] in
   (* route to the manager of this ring's table on the top layer *)
-  Ring.find_successor g ~kind:Netspan.Join ~src:pn.addr ~key:rid ~retries:Ring.lookup_retries
+  Ring.find_successor g ~kind:Netspan.Join ~src:pn.addr ~key:pn.rids.(layer - 2)
+    ~retries:Ring.lookup_retries
     ~ok:(fun manager _ _ ->
       Ring.ask g ~kind:Netspan.Join ~src:pn.addr ~dst:manager.paddr
         ~service:(fun ms -> Option.map Ring_table.entries (stored_table (get t ms.addr) key))

@@ -21,19 +21,20 @@ let of_bytes_masked sp b =
 let of_int sp n =
   if n < 0 then invalid_arg "Id.of_int: negative";
   let b = Bytes.make sp.nbytes '\000' in
-  let rec fill i v =
-    if i >= 0 && v > 0 then begin
-      Bytes.set b i (Char.chr (v land 0xFF));
-      fill (i - 1) (v lsr 8)
-    end
-  in
-  fill (sp.nbytes - 1) n;
+  let i = ref (sp.nbytes - 1) and v = ref n in
+  while !i >= 0 && !v > 0 do
+    Bytes.set b !i (Char.chr (!v land 0xFF));
+    v := !v lsr 8;
+    decr i
+  done;
   of_bytes_masked sp b
 
 let to_int sp (x : t) =
   if sp.bits > 62 then failwith "Id.to_int: space too wide";
   let v = ref 0 in
-  String.iter (fun c -> v := (!v lsl 8) lor Char.code c) x;
+  for i = 0 to String.length x - 1 do
+    v := (!v lsl 8) lor Char.code (String.unsafe_get x i)
+  done;
   !v
 
 let of_hash sp s =

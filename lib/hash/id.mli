@@ -28,10 +28,13 @@ val sha1_space : space
 
 val zero : space -> t
 val of_int : space -> int -> t
-(** [of_int sp n] for [0 <= n]; reduced modulo [2^bits]. *)
+(** [of_int sp n] for [0 <= n]; reduced modulo [2^bits]. Allocates only the
+    result. *)
 
 val to_int : space -> t -> int
-(** Exact value; raises [Failure] if the space has more than 62 bits. *)
+(** Exact value; raises [Failure] if the space has more than 62 bits.
+    Allocates nothing. Within a space of at most 62 bits, [to_int] keeps
+    {!compare}'s order, so the interval tests below hold of the ints too. *)
 
 val of_hash : space -> string -> t
 (** SHA-1 of the argument truncated (big-endian prefix, top bits masked) to

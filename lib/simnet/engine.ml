@@ -2,6 +2,7 @@ type t = {
   latency : int -> int -> float;
   alive : bool array;
   heap : Event_heap.t;
+  next : Event_heap.cell; (* the earliest event's time, read unboxed by [run] *)
   mutable clock : float;
   mutable loss_rate : float;
   mutable loss_rng : Prng.Rng.t option;
@@ -36,6 +37,7 @@ let create ~latency ~nodes =
     latency;
     alive = Array.make nodes true;
     heap = Event_heap.create ();
+    next = { Event_heap.time = 0.0 };
     clock = 0.0;
     loss_rate = 0.0;
     loss_rng = None;
@@ -208,7 +210,8 @@ let run ?(max_events = max_int) ?until t =
   while !continue && !processed < max_events do
     if Event_heap.is_empty h then continue := false
     else begin
-      let time = Event_heap.min_time h in
+      Event_heap.min_time h t.next;
+      let time = t.next.time in
       match until with
       | Some limit when time >= limit ->
           (* it belongs to a later run: queue it again under a fresh stamp,
@@ -220,7 +223,8 @@ let run ?(max_events = max_int) ?until t =
       | _ ->
           let tag = Event_heap.min_tag h in
           let f = Event_heap.take h in
-          t.clock <- Float.max t.clock time;
+          (* a boxed clock costs 2 words only when it moves *)
+          if time > t.clock then t.clock <- time;
           incr processed;
           fire t tag f
     end

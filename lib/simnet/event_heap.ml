@@ -293,10 +293,12 @@ let[@inline] earliest h =
     let l = h.lanes.(k) in
     if precedes l.ltime.(l.head) l.lstamp.(l.head) h.time.(0) h.stamp.(0) then k else -1
 
-let min_time h =
+type cell = { mutable time : float }
+
+let min_time h cell =
   check_nonempty h "min_time";
   let k = earliest h in
-  if k < 0 then h.time.(0) else h.lanes.(k).ltime.(h.lanes.(k).head)
+  cell.time <- (if k < 0 then h.time.(0) else h.lanes.(k).ltime.(h.lanes.(k).head))
 
 let min_tag h =
   check_nonempty h "min_tag";

@@ -71,13 +71,16 @@ let test_fingerprint_mixer () =
 (* --- ring helpers ------------------------------------------------------------ *)
 
 (* The earlier, allocating forms of the two per-hop helpers, kept as the
-   reference the current ones must match exactly. *)
-let ref_closest_preceding (s : Chord.Ring.state) ~key =
+   reference the current ones must match exactly. The reference compares
+   ids as [Id.t], converting each peer's int key back, so it cross-checks
+   the int compares of the walk. *)
+let ref_closest_preceding sp (s : Chord.Ring.state) ~key =
+  let id (p : Chord.Ring.peer) = Id.of_int sp p.pid in
   let best = ref None in
   let consider (p : Chord.Ring.peer) =
-    if p.paddr <> s.addr && Id.in_oo p.pid ~lo:s.id ~hi:key then
+    if p.paddr <> s.addr && Id.in_oo (id p) ~lo:s.id ~hi:key then
       match !best with
-      | Some (b : Chord.Ring.peer) when Id.in_oo p.pid ~lo:b.pid ~hi:key -> best := Some p
+      | Some b when Id.in_oo (id p) ~lo:(id b) ~hi:key -> best := Some p
       | Some _ -> ()
       | None -> best := Some p
   in
@@ -126,7 +129,7 @@ let prop_ring_helpers =
         let p = peers.(Prng.Rng.int rng n) in
         match Prng.Rng.int rng 4 with
         | 0 -> { p with Chord.Ring.paddr = p.paddr }
-        | 1 -> { p with Chord.Ring.pid = Id.random sp rng }
+        | 1 -> { p with Chord.Ring.pid = Id.to_int sp (Id.random sp rng) }
         | _ -> p
       in
       let plist () = List.init (Prng.Rng.int rng 9) (fun _ -> peer ()) in
@@ -138,9 +141,98 @@ let prop_ring_helpers =
       List.for_all
         (fun _ ->
           let key = Id.random sp rng in
-          Chord.Ring.closest_preceding s ~key = ref_closest_preceding s ~key)
+          Chord.Ring.closest_preceding s ~key:(Id.to_int sp key) = ref_closest_preceding sp s ~key)
         (List.init 20 Fun.id)
       && Chord.Ring.truncate_succs ring s l = ref_truncate_succs eng ~len s l)
+
+(* The ring's int interval tests are Id's: random ids at widths from 1 to
+   62 bits, with the bounds drawn equal and the point drawn on a bound
+   often enough to cover Chord's wrap conventions. *)
+let prop_int_intervals =
+  QCheck.Test.make ~name:"int in_oo and in_oc equal Id.in_oo and Id.in_oc" ~count:2000
+    QCheck.(pair small_nat (int_range 0 3))
+    (fun (seed, w) ->
+      let rng = Prng.Rng.create ~seed in
+      let sp = Id.space ~bits:[| 1; 6; 32; 62 |].(w) in
+      let lo = Id.random sp rng in
+      let hi = if Prng.Rng.int rng 4 = 0 then lo else Id.random sp rng in
+      let x =
+        match Prng.Rng.int rng 4 with 0 -> lo | 1 -> hi | _ -> Id.random sp rng
+      in
+      let k = Id.to_int sp in
+      Chord.Ring.in_oo (k x) ~lo:(k lo) ~hi:(k hi) = Id.in_oo x ~lo ~hi
+      && Chord.Ring.in_oc (k x) ~lo:(k lo) ~hi:(k hi) = Id.in_oc x ~lo ~hi)
+
+let test_wide_space_rejected () =
+  let eng = Engine.create ~latency:(fun _ _ -> 1.0) ~nodes:1 in
+  List.iter
+    (fun bits ->
+      Alcotest.check_raises (Printf.sprintf "%d bits" bits)
+        (Invalid_argument
+           (Printf.sprintf "Ring.create: a %d-bit space is wider than the 62 bits an int key holds"
+              bits))
+        (fun () ->
+          ignore
+            (Chord.Ring.create ~prefix:"t" ~rings:1 (Chord.Ring.default_config (Id.space ~bits)) eng)))
+    [ 63; 160 ];
+  ignore (Chord.Ring.create ~prefix:"t" ~rings:1 (Chord.Ring.default_config (Id.space ~bits:62)) eng)
+
+(* The fingerprint as it was computed before the ring kept an address
+   index: a fold over the node table's keys, sorted afresh. [addrs] are the
+   ring's addresses in any order. *)
+let ref_fingerprint eng ring addrs =
+  let open Stab in
+  List.fold_left
+    (fun acc addr ->
+      if not (Engine.is_alive eng addr) then acc
+      else begin
+        let s = Chord.Ring.find ring addr in
+        let acc = fp_add acc addr in
+        let acc = fp_add acc (match s.pred with None -> -1 | Some p -> p.paddr) in
+        let acc = List.fold_left (fun acc (p : Chord.Ring.peer) -> fp_add acc p.paddr) acc s.succs in
+        let acc = fp_add acc (-2) in
+        Array.fold_left
+          (fun acc f -> fp_add acc (match f with None -> -1 | Some (p : Chord.Ring.peer) -> p.paddr))
+          acc s.fingers
+      end)
+    fp_init (List.sort Int.compare addrs)
+
+(* Random rings: addresses added out of order with gaps, some nodes
+   killed, random predecessors, successor lists and fingers. *)
+let prop_fingerprint =
+  QCheck.Test.make ~name:"indexed fingerprint equals the sorted-table fold" ~count:300
+    QCheck.(pair small_nat (int_range 0 40))
+    (fun (seed, n) ->
+      let rng = Prng.Rng.create ~seed in
+      let sp = Id.space ~bits:8 in
+      let hosts = 64 in
+      let eng = Engine.create ~latency:(fun _ _ -> 1.0) ~nodes:hosts in
+      let ring = (Chord.Ring.create ~prefix:"t" ~rings:1 (Chord.Ring.default_config sp) eng).(0) in
+      let addrs = ref [] in
+      for _ = 1 to n do
+        let addr = Prng.Rng.int rng hosts in
+        if not (Chord.Ring.mem ring addr) then begin
+          ignore (Chord.Ring.add ring ~addr ~id:(Id.random sp rng));
+          addrs := addr :: !addrs
+        end
+      done;
+      let peer () =
+        let s = Chord.Ring.find ring (List.nth !addrs (Prng.Rng.int rng (List.length !addrs))) in
+        Chord.Ring.self_peer s
+      in
+      List.iter
+        (fun addr ->
+          let s = Chord.Ring.find ring addr in
+          if Prng.Rng.int rng 2 = 0 then s.pred <- Some (peer ());
+          s.succs <- List.init (Prng.Rng.int rng 5) (fun _ -> peer ());
+          Array.iteri
+            (fun i _ -> if Prng.Rng.int rng 3 = 0 then s.fingers.(i) <- Some (peer ()))
+            s.fingers;
+          if Prng.Rng.int rng 4 = 0 then Engine.kill eng addr)
+        !addrs;
+      Chord.Ring.fingerprint ring = ref_fingerprint eng ring !addrs
+      && Chord.Ring.live_members ring
+         = List.sort Int.compare (List.filter (Engine.is_alive eng) !addrs))
 
 (* --- protocol-level properties --------------------------------------------- *)
 
@@ -389,7 +481,13 @@ let () =
           Alcotest.test_case "state machine" `Quick test_stability_machine;
           Alcotest.test_case "fingerprint mixer" `Quick test_fingerprint_mixer;
         ] );
-      ("ring-helpers", [ QCheck_alcotest.to_alcotest prop_ring_helpers ]);
+      ( "ring-helpers",
+        [
+          QCheck_alcotest.to_alcotest prop_ring_helpers;
+          QCheck_alcotest.to_alcotest prop_int_intervals;
+          QCheck_alcotest.to_alcotest prop_fingerprint;
+          Alcotest.test_case "wide spaces rejected" `Quick test_wide_space_rejected;
+        ] );
       ( "protocol-convergence",
         [
           test_convergence_bounded;

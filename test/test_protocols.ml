@@ -515,6 +515,30 @@ let test_hieras_lookup_counts depth expect () =
          HP.lookup p ~origin ~key
            (Option.iter (fun o -> k (o.HP.owner_addr, o.HP.hops, o.HP.lower_hops)))))
 
+(* --- Maintenance allocation ---------------------------------------------------- *)
+
+(* What one maintenance RPC costs in minor words on a converged, loss-free
+   64-node Chord pool over 10 simulated seconds: its round, its messages
+   and replies, and the convergence probe. Minor words are deterministic
+   for a fixed build, so the ratio is exact. The bound sits between the
+   rings on [Id.t] keys, whose fix-fingers queries each allocated two
+   closures and a finger start (61.7 words per RPC), and the rings on int
+   keys (37.8). *)
+let test_maintenance_words () =
+  let eng, p = build_chord ~hosts:64 42 in
+  Alcotest.(check bool) "converged" true (CP.converged p);
+  let rpcs () =
+    let c = Chord.Ring.counts (CP.rings p).(0) in
+    c.stabilize + c.notify + c.fix_fingers + c.check_pred + c.duty
+  in
+  let ops = rpcs () and before = Gc.minor_words () in
+  Engine.run ~until:(Engine.now eng +. 10_000.0) eng;
+  let words = Gc.minor_words () -. before and ops = rpcs () - ops in
+  let per = words /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per maintenance RPC (%d RPCs) stay under 48" per ops)
+    true (per < 48.0)
+
 (* --- Settled requests ------------------------------------------------------------ *)
 
 (* A request whose reply has landed holds nothing: a block reachable only
@@ -606,6 +630,8 @@ let () =
             (test_hieras_lookup_counts 3
                "300 answered, 728 hops, 350 lower, f474669748616d2ab67b0f0a444fd214");
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per maintenance RPC" `Slow test_maintenance_words ] );
       ( "settled",
         [
           Alcotest.test_case "Ring.ask holds nothing" `Quick test_settled_ring_ask;
