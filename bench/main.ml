@@ -349,8 +349,9 @@ let engine_event_state () =
    timeout, which waits in its lane beside the 20,000 heap events *)
 let engine_rpc eng =
   let pending = ref Simnet.Engine.no_timer in
-  Simnet.Engine.send eng ~src:0 ~dst:1 (fun () ->
-      Simnet.Engine.send eng ~src:1 ~dst:0 (fun () -> ignore (Simnet.Engine.settle eng pending)));
+  Simnet.Engine.send eng ~kind:Obs.Netspan.Other ~src:0 ~dst:1 (fun () ->
+      Simnet.Engine.send eng ~kind:Obs.Netspan.Other ~src:1 ~dst:0 (fun () ->
+          ignore (Simnet.Engine.settle eng pending)));
   pending :=
     Simnet.Engine.timer eng ~node:0 ~delay:10.0 (fun () ->
         ignore (Simnet.Engine.settle eng pending));
@@ -390,7 +391,7 @@ let micro_tests pool =
            ignore (Topology.Latency.host_latency lat origins.(i) origins.((i + 1) land 4095))));
     Test.make ~name:"engine-event-20k"
       (Staged.stage (fun () ->
-           Simnet.Engine.send eng ~src:0 ~dst:1 ignore;
+           Simnet.Engine.send eng ~kind:Obs.Netspan.Other ~src:0 ~dst:1 ignore;
            Simnet.Engine.run ~max_events:1 eng));
     Test.make ~name:"engine-rpc-20k" (Staged.stage (fun () -> engine_rpc eng));
   ]

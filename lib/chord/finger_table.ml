@@ -1,5 +1,7 @@
 module Id = Hashid.Id
 
+type members = { ids : Id.t array; pre : int array; nodes : int array }
+
 type arena = { off : int array; exps : Bytes.t; nodes : int array }
 
 type t = {
@@ -9,101 +11,62 @@ type t = {
   bits : int;
 }
 
-(* Emit the run-length segments of one finger table without materializing a
-   [t]. The per-exponent finger position is monotone along the circle (the
-   start point [owner + 2^i] moves strictly clockwise and never completes a
-   full turn), so equal finger values form contiguous exponent runs; we
-   gallop past each run instead of probing all [bits] exponents. Most tables
-   have one giant low-exponent run (every [2^i] smaller than the successor
-   gap maps to the successor), which galloping crosses in O(log run).
+(* One member set being packed, with per exponent the position that
+   exponent's finger last had for an earlier owner of the set.
 
-   The walk works in {e unrolled} positions [j] of [0 .. 2n]: [j < n] is
-   sorted member [j], [j >= n] the same member one full turn later ([2n] =
-   member 0 two turns up, reachable only when the owner is not a member).
-   A start point [s = owner + 2^e] lies strictly within one clockwise turn
-   of the owner, so its successor is the first unrolled position at-or-after
-   [s]'s unrolled value — and because that value grows strictly with [e],
-   the position never moves backwards. Two consequences make the scan cheap:
-   a "did the finger move?" probe is a single id comparison ([ge] at the
-   current position), and each new segment's position is found by a binary
-   search over only the not-yet-passed window. [member_pre] (the aligned
-   {!Id.prefix_int} column, see Network) turns almost every comparison into
-   one integer load. *)
-let pack sp ~owner_id ~member_ids ?member_pre ~member_nodes ~push () =
-  let n = Array.length member_ids in
-  if n = 0 then invalid_arg "Finger_table.pack: no members";
-  if n <> Array.length member_nodes then invalid_arg "Finger_table.pack: misaligned arrays";
-  (match member_pre with
-  | Some p when Array.length p <> n -> invalid_arg "Finger_table.pack: misaligned prefixes"
-  | _ -> ());
-  let bits = Id.bits sp in
-  (* compare member [j mod n] against a start-point value *)
-  let cmp_at =
-    match member_pre with
-    | None -> fun j s _s_pre -> Id.compare member_ids.(j) s
-    | Some pre ->
-        fun j s s_pre ->
-          let p = Array.unsafe_get pre j in
-          if p < s_pre then -1
-          else if p > s_pre then 1
-          else Id.compare (Array.unsafe_get member_ids j) s
-  in
-  (* is unrolled position [j] at-or-after start point [s]?  [wrapped] = the
-     addition [owner + 2^e] wrapped past zero, i.e. [s] sits on the turn
-     above the base one *)
-  let ge j ~s ~s_pre ~wrapped =
-    if j >= 2 * n then true
-    else if j < n then (not wrapped) && cmp_at j s s_pre >= 0
-    else (not wrapped) || cmp_at (j - n) s s_pre >= 0
-  in
-  let start e =
-    let s = Id.add_pow2 sp owner_id e in
-    (s, Id.prefix_int s, Id.compare s owner_id < 0)
-  in
-  let pos = ref 0 (* first at-or-after position of the previous exponent *) in
-  let prev_v = ref (-1) in
-  let first = ref true in
-  let i = ref 0 in
-  while !i < bits do
-    let s, s_pre, wrapped = start !i in
-    (* this exponent's position: monotone, so search only [pos, 2n) *)
-    let lo = ref !pos and hi = ref (2 * n) in
+   Positions are {e unrolled}: [j < n] is member [j], [j >= n] the same
+   member one full turn later ([2n] = member 0 two turns up). A start point
+   [owner + 2^e] lies strictly within one clockwise turn of the owner, so
+   its finger is the first unrolled position at-or-after the start's
+   unrolled value. That value grows strictly with [e] for one owner, and
+   with the owner for one [e] (owners are packed in ascending order), so
+   the position never moves back along either: each search gallops forward
+   from the larger of the two lower bounds. *)
+type sweep = {
+  set : members;
+  cursor : int array; (* per exponent *)
+  mutable next : int; (* the member packed next *)
+}
+
+(* Is member [m] at or after the start [owner_id + 2^e], whose prefix is
+   [s_pre]? The prefix column decides, unless it ties: only then is the
+   start built. *)
+let member_ge sp (set : members) m ~owner_id ~e ~s_pre =
+  let p = Array.unsafe_get set.pre m in
+  p > s_pre
+  || (p = s_pre && Id.compare (Array.unsafe_get set.ids m) (Id.add_pow2 sp owner_id e) >= 0)
+
+(* Is unrolled position [j] at or after the start? [wrapped] = the sum
+   wrapped past zero, i.e. the start sits on the turn above the base one. *)
+let ge sp set n j ~owner_id ~e ~s_pre ~wrapped =
+  if j >= 2 * n then true
+  else if j < n then (not wrapped) && member_ge sp set j ~owner_id ~e ~s_pre
+  else (not wrapped) || member_ge sp set (j - n) ~owner_id ~e ~s_pre
+
+(* the first position at or after the start, known to be no earlier than
+   [lo]: gallop forward, then bisect the last stride *)
+let first_ge sp set n lo ~owner_id ~e ~s_pre ~wrapped =
+  if ge sp set n lo ~owner_id ~e ~s_pre ~wrapped then lo
+  else begin
+    let below = ref lo and step = ref 1 in
+    let hi = ref (Int.min (lo + 1) (2 * n)) in
+    while !hi < 2 * n && not (ge sp set n !hi ~owner_id ~e ~s_pre ~wrapped) do
+      below := !hi;
+      step := 2 * !step;
+      hi := Int.min (!below + !step) (2 * n)
+    done;
+    let lo = ref (!below + 1) and hi = ref !hi in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if ge mid ~s ~s_pre ~wrapped then hi := mid else lo := mid + 1
+      if ge sp set n mid ~owner_id ~e ~s_pre ~wrapped then hi := mid else lo := mid + 1
     done;
-    pos := !lo;
-    let v = member_nodes.(!lo mod n) in
-    (* a position move of exactly [n] (same member, one turn up) keeps the
-       value: still the same run-length segment, no boundary to emit *)
-    if !first || v <> !prev_v then push !i v;
-    first := false;
-    prev_v := v;
-    (* gallop: double the stride while the probe's successor stays put *)
-    let still e =
-      let s, s_pre, wrapped = start e in
-      ge !pos ~s ~s_pre ~wrapped
-    in
-    let last_good = ref !i and step = ref 1 in
-    let probe = ref (!i + 1) in
-    let growing = ref true in
-    while !growing do
-      if !probe >= bits then growing := false
-      else if still !probe then begin
-        last_good := !probe;
-        step := !step * 2;
-        probe := !last_good + !step
-      end
-      else growing := false
-    done;
-    (* binary search the first moved exponent in (last_good, min probe bits] *)
-    let lo = ref (!last_good + 1) and hi = ref (min !probe bits) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if still mid then lo := mid + 1 else hi := mid
-    done;
-    i := !lo
-  done
+    !lo
+  end
+
+(* does exponent [e]'s finger still sit at position [pos]? *)
+let still sp set n pos ~owner_id ~owner_pre ~carry e =
+  let s_pre = Id.prefix_add_pow2 sp ~prefix:owner_pre ~carry_bit:carry e in
+  ge sp set n pos ~owner_id ~e ~s_pre ~wrapped:(s_pre < owner_pre)
 
 (* A node among [m] members with random identifiers has about
    log2 m + 1/3 distinct fingers, so one more than the bit length of [m]
@@ -113,14 +76,26 @@ let segments_hint ~bits m =
   let rec width k = if 1 lsl k >= m then k else width (k + 1) in
   min bits (width 0 + 1)
 
-let pack_arena sp ~size ~owner_id ~members =
+let pack_arena sp ~sets ~set_of =
   let bits = Id.bits sp in
-  let capacity = ref 0 in
-  for i = 0 to size - 1 do
-    let member_ids, _, _ = members i in
-    capacity := !capacity + segments_hint ~bits (Array.length member_ids)
-  done;
-  let capacity = !capacity in
+  let sweeps =
+    Array.map
+      (fun (set : members) ->
+        let n = Array.length set.ids in
+        if n = 0 then invalid_arg "Finger_table.pack_arena: empty member set";
+        if Array.length set.pre <> n || Array.length set.nodes <> n then
+          invalid_arg "Finger_table.pack_arena: misaligned member arrays";
+        { set; cursor = Array.make bits 0; next = 0 })
+      sets
+  in
+  let size = Array.fold_left (fun acc (set : members) -> acc + Array.length set.ids) 0 sets in
+  let capacity =
+    Array.fold_left
+      (fun acc (set : members) ->
+        let n = Array.length set.ids in
+        acc + (n * segments_hint ~bits n))
+      0 sets
+  in
   let off = Array.make (size + 1) 0 in
   let exp_buf = Buffer.create capacity in
   let node_buf = ref (Array.make (max 16 capacity) 0) in
@@ -137,8 +112,52 @@ let pack_arena sp ~size ~owner_id ~members =
   in
   for i = 0 to size - 1 do
     off.(i) <- !count;
-    let member_ids, member_pre, member_nodes = members i in
-    pack sp ~owner_id:(owner_id i) ~member_ids ~member_pre ~member_nodes ~push ()
+    let sw = sweeps.(set_of i) in
+    let set = sw.set in
+    let n = Array.length set.ids and k = sw.next in
+    (* node [i] is its set's next member, and the members ascend *)
+    if k >= n || set.nodes.(k) <> i then
+      invalid_arg "Finger_table.pack_arena: node not its set's next member";
+    let owner_id = set.ids.(k) and owner_pre = set.pre.(k) in
+    if owner_pre <> Id.prefix_int owner_id then
+      invalid_arg "Finger_table.pack_arena: prefix column misaligned";
+    if k > 0 && Id.compare set.ids.(k - 1) owner_id >= 0 then
+      invalid_arg "Finger_table.pack_arena: members not ascending";
+    sw.next <- k + 1;
+    let carry = Id.carry_bit sp owner_id in
+    (* every start lies strictly past the owner: its finger is no earlier
+       than position [k + 1] *)
+    let lo = ref (k + 1) and prev_v = ref (-1) and e = ref 0 in
+    while !e < bits do
+      let s_pre = Id.prefix_add_pow2 sp ~prefix:owner_pre ~carry_bit:carry !e in
+      let pos =
+        first_ge sp set n
+          (Int.max !lo sw.cursor.(!e))
+          ~owner_id ~e:!e ~s_pre ~wrapped:(s_pre < owner_pre)
+      in
+      sw.cursor.(!e) <- pos;
+      (* a move of exactly [n] (same member, one turn up) keeps the value:
+         still the same run-length segment *)
+      let v = set.nodes.(pos mod n) in
+      if v <> !prev_v then push !e v;
+      prev_v := v;
+      (* gallop over the exponents whose finger stays put, then bisect the
+         first one that moves *)
+      let last_good = ref !e and step = ref 1 in
+      let probe = ref (!e + 1) in
+      while !probe < bits && still sp set n pos ~owner_id ~owner_pre ~carry !probe do
+        last_good := !probe;
+        step := 2 * !step;
+        probe := !last_good + !step
+      done;
+      let a = ref (!last_good + 1) and b = ref (Int.min !probe bits) in
+      while !a < !b do
+        let mid = (!a + !b) / 2 in
+        if still sp set n pos ~owner_id ~owner_pre ~carry mid then a := mid + 1 else b := mid
+      done;
+      e := !a;
+      lo := pos + 1
+    done
   done;
   off.(size) <- !count;
   { off; exps = Buffer.to_bytes exp_buf; nodes = Array.sub !node_buf 0 !count }
@@ -150,20 +169,29 @@ let arena_bytes a =
   + (word + ((Bytes.length a.exps / word) + 1) * word)
   + arr (Array.length a.nodes)
 
+(* The reference the arena is tested against: every finger found on its
+   own, by bisection over the members, then run-length encoded. *)
 let build sp ~owner ~owner_id ~member_ids ~member_nodes =
+  let n = Array.length member_ids in
+  if n = 0 then invalid_arg "Finger_table.build: no members";
+  if n <> Array.length member_nodes then invalid_arg "Finger_table.build: misaligned arrays";
   let bits = Id.bits sp in
-  let exps = ref [] and nodes = ref [] in
-  pack sp ~owner_id ~member_ids ~member_nodes
-    ~push:(fun e v ->
-      exps := e :: !exps;
-      nodes := v :: !nodes)
-    ();
-  {
-    owner;
-    exps = Array.of_list (List.rev !exps);
-    nodes = Array.of_list (List.rev !nodes);
-    bits;
-  }
+  (* the first member at or after [s], member 0 past the last *)
+  let successor s =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Id.compare member_ids.(mid) s < 0 then lo := mid + 1 else hi := mid
+    done;
+    member_nodes.(!lo mod n)
+  in
+  let fingers = Array.init bits (fun e -> successor (Id.add_pow2 sp owner_id e)) in
+  let exps =
+    List.init bits Fun.id
+    |> List.filter (fun e -> e = 0 || fingers.(e) <> fingers.(e - 1))
+    |> Array.of_list
+  in
+  { owner; exps; nodes = Array.map (Array.get fingers) exps; bits }
 
 let of_arena a ~bits i =
   let lo = a.off.(i) and hi = a.off.(i + 1) in

@@ -20,44 +20,41 @@ val build :
   t
 (** [build sp ~owner ~owner_id ~member_ids ~member_nodes]: [member_ids] must
     be sorted ascending and aligned with [member_nodes] (global node
-    indices); the owner must be among the members. Finger [i] is the first
-    member clockwise from [owner_id + 2^i]. *)
+    indices). Finger [i] is the first member clockwise from
+    [owner_id + 2^i]. Each finger is found on its own, by bisection: this
+    is the reference {!pack_arena} is tested against, at [bits] id
+    additions per table. *)
 
-val pack :
-  Hashid.Id.space ->
-  owner_id:Hashid.Id.t ->
-  member_ids:Hashid.Id.t array ->
-  ?member_pre:int array ->
-  member_nodes:int array ->
-  push:(int -> int -> unit) ->
-  unit ->
-  unit
-(** Emit exactly the [(exp, node)] segments {!build} would store, in
-    ascending exponent order, through [push] — the packed-network builders
-    append them to a shared arena instead of allocating a [t] per node.
-    Runs of equal fingers are crossed by galloping (exponent monotonicity),
-    so cost is O(segments × log run) probes rather than [bits]; each probe
-    is a single id comparison against the current successor position.
-    [member_pre], when given, must be the aligned {!Hashid.Id.prefix_int}
-    column of [member_ids]: comparisons then resolve by one integer load
-    except on (astronomically rare) prefix ties. *)
+type members = { ids : Hashid.Id.t array; pre : int array; nodes : int array }
+(** One member set: identifiers sorted ascending, their aligned
+    {!Hashid.Id.prefix_int} column, and the global node index of each. *)
 
 type arena = { off : int array; exps : Bytes.t; nodes : int array }
 (** Every node's table in one shared arena: node [i]'s segments are
     [exps/nodes.(off.(i) .. off.(i+1) - 1)], in ascending exponent order,
     one exponent byte per segment (bits <= 255). *)
 
-val pack_arena :
-  Hashid.Id.space ->
-  size:int ->
-  owner_id:(int -> Hashid.Id.t) ->
-  members:(int -> Hashid.Id.t array * int array * int array) ->
-  arena
-(** The arena filled in node order: node [i]'s segments come from {!pack}
-    over [members i] = [(member_ids, member_pre, member_nodes)] of the ring
-    it routes in. The buffers start at about [log2 m + 1] segments per
-    node of a ring of [m] members, what random identifiers need, and
-    double past it. *)
+val pack_arena : Hashid.Id.space -> sets:members array -> set_of:(int -> int) -> arena
+(** The arena of nodes [0 .. size - 1], [size] the sets' total length:
+    node [i] routes among [sets.(set_of i)] and its segments are exactly
+    those {!build} stores over that set. Node [i] must be its set's next
+    member, so each set lists its nodes ascending and the sets partition
+    the nodes; the members must ascend by identifier, with the prefix
+    column aligned. Anything else raises [Invalid_argument]: the owners of
+    a set are packed in ascending identifier order by construction.
+
+    Cost: a start point [owner + 2^e] is judged by its prefix, computed in
+    O(1) ({!Hashid.Id.prefix_add_pow2}) and compared against the set's
+    prefix column by one integer load; a start is built only on a prefix
+    tie. Runs of equal fingers are crossed by galloping over exponents. A
+    new segment's position is galloped forward from the larger of two lower
+    bounds: the owner's previous segment position, and the position the
+    same exponent's finger last had for an earlier owner of the set
+    (positions never move back along a set, so one cursor per exponent per
+    set serves). Apart from the starts built on ties, nothing is allocated
+    per node beyond the arena itself. The
+    buffers start at about [log2 m + 1] segments per node of a set of [m]
+    members, what random identifiers need, and double past it. *)
 
 val of_arena : arena -> bits:int -> int -> t
 (** Node [i]'s table, materialized from its arena slice (a packed

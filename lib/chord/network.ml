@@ -30,9 +30,9 @@ let mk ~space ~ids ~hosts ~succ_list_len =
   let member_nodes = Array.init n (fun i -> i) in
   let pre = Array.map Id.prefix_int sorted_ids in
   let fingers =
-    Finger_table.pack_arena space ~size:n
-      ~owner_id:(fun i -> sorted_ids.(i))
-      ~members:(fun _ -> (sorted_ids, pre, member_nodes))
+    Finger_table.pack_arena space
+      ~sets:[| { Finger_table.ids = sorted_ids; pre; nodes = member_nodes } |]
+      ~set_of:(fun _ -> 0)
   in
   {
     space;

@@ -26,6 +26,12 @@ let backoff_max = 8.0
    keeps its order and every interval test is an int compare. *)
 type peer = { paddr : int; pid : int }
 
+(* a node's maintenance rounds as the closures its timers fire, built once
+   by [start] instead of once a round *)
+type ticks = { stabilize : unit -> unit; fix_fingers : unit -> unit; check_pred : unit -> unit }
+
+let no_ticks = { stabilize = ignore; fix_fingers = ignore; check_pred = ignore }
+
 type state = {
   addr : int;
   id : Id.t;
@@ -42,6 +48,7 @@ type state = {
   mutable succ_suspect : int;
       (* consecutive stabilize timeouts against the current successor; a
          single lost reply must not expunge a healthy peer *)
+  mutable ticks : ticks;
 }
 
 (* what the rings of one protocol instance share *)
@@ -52,6 +59,11 @@ type shared = {
   mask : int; (* 2^bits - 1: finger starts wrap with it *)
   mutable rings : t array; (* every ring, index 0 the global one; set by [create] *)
   mutable scale : float; (* current maintenance-interval multiplier, >= 1 *)
+  mutable stabilize_delay : float;
+  mutable fix_fingers_delay : float;
+  mutable check_pred_delay : float;
+      (* the intervals times [scale], recomputed only when it moves: a
+         product computed every round is a float boxed every round *)
   mutable probing : bool; (* fingerprint probe loop started *)
   mutable maint_stabilize : int;
   mutable maint_notify : int;
@@ -91,6 +103,9 @@ let create ?(ts = Obs.Timeseries.disabled) ~prefix ~rings cfg eng =
       mask = (1 lsl bits) - 1;
       rings = [||];
       scale = 1.0;
+      stabilize_delay = stabilize_every;
+      fix_fingers_delay = fix_fingers_every;
+      check_pred_delay = check_pred_every;
       probing = false;
       maint_stabilize = 0;
       maint_notify = 0;
@@ -161,6 +176,7 @@ let add r ~addr ~id =
       anchor = addr;
       stabilize_rounds = 0;
       succ_suspect = 0;
+      ticks = no_ticks;
     }
   in
   Hashtbl.replace r.nodes addr s;
@@ -173,6 +189,14 @@ let engine r = r.sh.eng
 let config r = r.sh.cfg
 let stability r = r.stab
 let scale r = r.sh.scale
+
+let set_scale sh scale =
+  if scale <> sh.scale then begin
+    sh.scale <- scale;
+    sh.stabilize_delay <- stabilize_every *. scale;
+    sh.fix_fingers_delay <- fix_fingers_every *. scale;
+    sh.check_pred_delay <- check_pred_every *. scale
+  end
 
 (* one maintenance RPC initiated (stabilize ask, notify, finger fix, pred
    check, protocol duty) — the unit the bandwidth-overhead series counts *)
@@ -270,7 +294,7 @@ let rec probe rings =
   Array.iter (fun r -> Simnet.Stability.observe r.stab ~at ~fingerprint:(fingerprint r)) rings;
   let all_stable = Array.for_all (fun r -> Simnet.Stability.is_stable r.stab) rings in
   if sh.cfg.adaptive then
-    sh.scale <- (if all_stable then Float.min backoff_max (sh.scale *. 2.0) else 1.0);
+    set_scale sh (if all_stable then Float.min backoff_max (sh.scale *. 2.0) else 1.0);
   Obs.Timeseries.set sh.ts_scale ~at sh.scale;
   Obs.Timeseries.set sh.ts_stable ~at (if all_stable then 1.0 else 0.0);
   Engine.schedule sh.eng ~delay:stabilize_every (fun () -> probe rings)
@@ -292,7 +316,7 @@ let lifecycle ?census:extra rings event =
   let sh = rings.(0).sh in
   let at = Engine.now sh.eng in
   Array.iter (fun r -> Simnet.Stability.perturb r.stab ~at) rings;
-  sh.scale <- 1.0;
+  set_scale sh 1.0;
   if not sh.probing then begin
     sh.probing <- true;
     Engine.schedule sh.eng ~delay:stabilize_every (fun () -> probe rings)
@@ -618,10 +642,7 @@ let rec stabilize r s =
   end
 
 and schedule_stabilize r s =
-  ignore
-    (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(stabilize_every *. r.sh.scale)
-       (fun () -> stabilize r s))
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:r.sh.stabilize_delay s.ticks.stabilize)
 
 let no_ok _ _ _ = ()
 
@@ -630,7 +651,7 @@ let no_ok _ _ _ = ()
    closest_preceding into a black hole: with the slot empty, routing falls
    back to lower fingers and the successor list until a later round
    re-resolves it. *)
-let rec fix_fingers r s =
+let fix_fingers r s =
   let bits = r.sh.bits in
   for _ = 1 to min fingers_per_round bits do
     let i = s.next_finger in
@@ -640,12 +661,9 @@ let rec fix_fingers r s =
       ~key:((s.key + (1 lsl i)) land r.sh.mask)
       ~floor:r.index ~retries:0 ~slot:i ~fingers:s.fingers ~ok:no_ok ~failed:ignore
   done;
-  ignore
-    (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(fix_fingers_every *. r.sh.scale)
-       (fun () -> fix_fingers r s))
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:r.sh.fix_fingers_delay s.ticks.fix_fingers)
 
-let rec check_predecessor r s =
+let check_predecessor r s =
   (match s.pred with
   | None -> ()
   | Some p ->
@@ -659,16 +677,18 @@ let rec check_predecessor r s =
             | Some q when q.paddr = p.paddr -> s.pred <- None
             | _ -> ())
       end);
-  ignore
-    (Engine.timer r.sh.eng ~node:s.addr
-       ~delay:(check_pred_every *. r.sh.scale)
-       (fun () -> check_predecessor r s))
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:r.sh.check_pred_delay s.ticks.check_pred)
 
 let start r s =
+  s.ticks <-
+    {
+      stabilize = (fun () -> stabilize r s);
+      fix_fingers = (fun () -> fix_fingers r s);
+      check_pred = (fun () -> check_predecessor r s);
+    };
   schedule_stabilize r s;
-  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:fix_fingers_every (fun () -> fix_fingers r s));
-  ignore
-    (Engine.timer r.sh.eng ~node:s.addr ~delay:check_pred_every (fun () -> check_predecessor r s))
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:fix_fingers_every s.ticks.fix_fingers);
+  ignore (Engine.timer r.sh.eng ~node:s.addr ~delay:check_pred_every s.ticks.check_pred)
 
 let join r s ~bootstrap ~joined =
   let rec attempt n =

@@ -46,6 +46,10 @@ val lookup_retries : int
 
 type peer = { paddr : int; pid : int  (** the peer's id as an int *) }
 
+type ticks
+(** A node's maintenance rounds as the closures its timers fire, built
+    once by {!start}. *)
+
 (** One node's state on one ring. *)
 type state = {
   addr : int;
@@ -63,6 +67,7 @@ type state = {
   mutable stabilize_rounds : int;
   mutable succ_suspect : int;
       (** consecutive stabilize timeouts against the current successor *)
+  mutable ticks : ticks;
 }
 
 type t

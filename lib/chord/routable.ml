@@ -66,13 +66,13 @@ module Base = struct
   type layer = { ring_succ : int array; ring_pred : int array; fingers : Finger_table.arena }
 
   (* Chord node indices are id-ordered, so members ascending by node index
-     are ascending by identifier, as [Finger_table.pack] requires. *)
+     are ascending by identifier, as [Finger_table.pack_arena] requires. *)
   let make_layer t ~rings =
     let net = t.net in
     let n = Network.size net in
     let ring_succ = Array.make n 0 and ring_pred = Array.make n 0 in
     let ring_of = Array.make n 0 in
-    let rings =
+    let sets =
       Array.of_list rings
       |> Array.mapi (fun r members ->
              let m = Array.length members in
@@ -83,13 +83,9 @@ module Base = struct
                  ring_pred.(node) <- members.((pos + m - 1) mod m))
                members;
              let ids = Array.map (Network.id net) members in
-             (ids, Array.map Id.prefix_int ids, members))
+             { Finger_table.ids; pre = Array.map Id.prefix_int ids; nodes = members })
     in
-    let fingers =
-      Finger_table.pack_arena (Network.space net) ~size:n
-        ~owner_id:(Network.id net)
-        ~members:(fun i -> rings.(ring_of.(i)))
-    in
+    let fingers = Finger_table.pack_arena (Network.space net) ~sets ~set_of:(Array.get ring_of) in
     { ring_succ; ring_pred; fingers }
 
   (* the walk stops at the ring member that most closely precedes the key:

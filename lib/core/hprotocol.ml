@@ -46,6 +46,10 @@ type pnode = {
       (* backup copies pushed by the table's manager ("duplicated on several
          nodes for fault tolerance", paper §3.1); promoted to [stored] when
          ownership of the hashed ring name passes to this node *)
+  mutable duty_tick : unit -> unit;
+  mutable refresh_tick : unit -> unit;
+      (* the two duties as their timers fire them, built once by
+         [start_maintenance] instead of once a round *)
 }
 
 type t = {
@@ -57,6 +61,11 @@ type t = {
   nodes : (int, pnode) Hashtbl.t;
   rings : Ring.t array; (* rings.(layer-1) = that layer's ring *)
   ts_rings : Obs.Timeseries.series array; (* ts_rings.(k-2) = layer-k ring count *)
+  mutable check_scale : float;
+  mutable check_delay : float;
+      (* [ring_check_every] times the multiplier [check_scale], recomputed
+         only when the global ring's multiplier moves: a product computed
+         every round is a float boxed every round *)
 }
 
 let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
@@ -73,6 +82,8 @@ let create ?(ts = Obs.Timeseries.disabled) cfg eng ~lat ~landmarks =
     ts_rings =
       Array.init (cfg.depth - 1) (fun k ->
           Obs.Timeseries.gauge ts (Printf.sprintf "hieras.layer%d.rings" (k + 2)));
+    check_scale = 1.0;
+    check_delay = ring_check_every;
   }
 
 let engine t = t.eng
@@ -162,9 +173,16 @@ let stored_table pn key =
           Some replica
       | None -> None)
 
+let sync_check_delay t =
+  let scale = Ring.scale (global t) in
+  if scale <> t.check_scale then begin
+    t.check_scale <- scale;
+    t.check_delay <- ring_check_every *. scale
+  end
+
 (* The manager checks liveness of recorded nodes, refills from a survivor's
    ring successor list, and migrates tables whose top-layer owner changed. *)
-let rec ring_table_duty t pn =
+let ring_table_duty t pn =
   let g = global t in
   let tables = Hashtbl.fold (fun k v acc -> (k, v) :: acc) pn.stored [] in
   List.iter
@@ -235,10 +253,8 @@ let rec ring_table_duty t pn =
           end)
         ~failed:(fun () -> ()))
     tables;
-  ignore
-    (Engine.timer t.eng ~node:pn.addr
-       ~delay:(ring_check_every *. Ring.scale g)
-       (fun () -> ring_table_duty t pn))
+  sync_check_delay t;
+  ignore (Engine.timer t.eng ~node:pn.addr ~delay:t.check_delay pn.duty_tick)
 
 (* Ring unification: concurrent joiners may read a stale ring table and boot
    a private one-node ring. Periodically every node re-reads its rings'
@@ -246,7 +262,7 @@ let rec ring_table_duty t pn =
    current ring successor (stabilize then merges the loops), and re-registers
    itself so the table tracks the live extremes. The paper assumes joins are
    sequential and tables current; this duty removes that assumption. *)
-let rec ring_refresh t pn =
+let ring_refresh t pn =
   let g = global t in
   for layer = 2 to t.cfg.depth do
     let rname = pn.names.(layer - 2) and key = pn.tkeys.(layer - 2) in
@@ -286,22 +302,18 @@ let rec ring_refresh t pn =
           ~timeout:(fun () -> ()))
       ~failed:(fun () -> ())
   done;
-  ignore
-    (Engine.timer t.eng ~node:pn.addr
-       ~delay:(ring_check_every *. Ring.scale g)
-       (fun () -> ring_refresh t pn))
+  sync_check_delay t;
+  ignore (Engine.timer t.eng ~node:pn.addr ~delay:t.check_delay pn.refresh_tick)
 
 (* ---- lifecycle ---------------------------------------------------------- *)
 
 (* every layer's Chord timers in layer order, then the ring-table duties *)
 let start_maintenance t pn =
+  pn.duty_tick <- (fun () -> ring_table_duty t pn);
+  pn.refresh_tick <- (fun () -> ring_refresh t pn);
   Array.iteri (fun k r -> Ring.start r pn.layers.(k)) t.rings;
-  ignore
-    (Engine.timer t.eng ~node:pn.addr ~delay:ring_check_every (fun () ->
-         ring_table_duty t pn));
-  ignore
-    (Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. ring_check_every) (fun () ->
-         ring_refresh t pn))
+  ignore (Engine.timer t.eng ~node:pn.addr ~delay:ring_check_every pn.duty_tick);
+  ignore (Engine.timer t.eng ~node:pn.addr ~delay:(1.5 *. ring_check_every) pn.refresh_tick)
 
 let measure_orders t ~addr =
   let dists = Binning.Landmark.measure t.lat t.landmarks ~host:addr in
@@ -322,6 +334,8 @@ let fresh_node t ~addr ~id =
       layers = Array.map (fun r -> Ring.add r ~addr ~id) t.rings;
       stored = Hashtbl.create 4;
       replicas = Hashtbl.create 4;
+      duty_tick = ignore;
+      refresh_tick = ignore;
     }
   in
   Hashtbl.replace t.nodes addr pn;

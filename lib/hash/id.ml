@@ -1,4 +1,5 @@
-type space = { bits : int; nbytes : int; top_mask : int }
+type space = { bits : int; nbytes : int; top_mask : int; low : int }
+(* [low]: the bits below [prefix_int], every byte past the seventh *)
 type t = string (* big-endian, length nbytes, top byte masked to top_mask *)
 
 let space ~bits =
@@ -6,7 +7,7 @@ let space ~bits =
   let nbytes = (bits + 7) / 8 in
   let rem = bits mod 8 in
   let top_mask = if rem = 0 then 0xFF else (1 lsl rem) - 1 in
-  { bits; nbytes; top_mask }
+  { bits; nbytes; top_mask; low = 8 * Int.max 0 (nbytes - 7) }
 
 let bits sp = sp.bits
 let bytes sp = sp.nbytes
@@ -50,12 +51,35 @@ let compare (a : t) (b : t) = String.compare a b
 let equal (a : t) (b : t) = String.equal a b
 
 let prefix_int (x : t) =
-  let k = min 7 (String.length x) in
+  let k = Int.min 7 (String.length x) in
   let v = ref 0 in
   for i = 0 to k - 1 do
     v := (!v lsl 8) lor Char.code (String.unsafe_get x i)
   done;
   !v
+
+let carry_bit sp (x : t) =
+  let i = ref 7 in
+  while !i < sp.nbytes && String.unsafe_get x !i = '\xff' do
+    incr i
+  done;
+  if !i >= sp.nbytes then -1
+  else begin
+    let b = Char.code (String.unsafe_get x !i) in
+    let k = ref 7 in
+    while b land (1 lsl !k) <> 0 do
+      decr k
+    done;
+    (8 * (sp.nbytes - 1 - !i)) + !k
+  end
+
+(* Adding 2^i at or above the low bits adds 2^(i - low) to the prefix.
+   Below them it carries one into the prefix exactly when bits i .. low-1
+   of x are all ones, i.e. when i is above x's highest zero low bit. *)
+let prefix_add_pow2 sp ~prefix ~carry_bit i =
+  if i < 0 || i >= sp.bits then invalid_arg "Id.prefix_add_pow2: exponent out of range";
+  let add = if i >= sp.low then 1 lsl (i - sp.low) else if i > carry_bit then 1 else 0 in
+  (prefix + add) land ((1 lsl (sp.bits - sp.low)) - 1)
 
 let add_pow2 sp (x : t) i =
   if i < 0 || i >= sp.bits then invalid_arg "Id.add_pow2: exponent out of range";

@@ -59,6 +59,19 @@ val add_pow2 : space -> t -> int -> t
 (** [add_pow2 sp x i] is [x + 2^i mod 2^bits]; requires [0 <= i < bits].
     This generates Chord finger starts. *)
 
+val carry_bit : space -> t -> int
+(** The position of [x]'s highest zero bit below its {!prefix_int} bits,
+    or [-1] when those bits are all ones or the space has none (at most 56
+    bits): adding [2^i] with [i] below the prefix carries into it exactly
+    when [i > carry_bit sp x]. *)
+
+val prefix_add_pow2 : space -> prefix:int -> carry_bit:int -> int -> int
+(** [prefix_add_pow2 sp ~prefix:(prefix_int x) ~carry_bit:(carry_bit sp x) i]
+    is [prefix_int (add_pow2 sp x i)], in O(1) and without building the
+    identifier; requires [0 <= i < bits]. The sum wrapped past zero exactly
+    when the result is below [prefix]. Chord's finger starts of one owner
+    are judged this way, building a start only on a prefix tie. *)
+
 val succ : space -> t -> t
 (** [x + 1 mod 2^bits]. *)
 

@@ -163,7 +163,7 @@ let send_traced t ~kind ~src ~dst f =
     in
     ignore (Event_heap.push t.heap ~now:t.clock ~delay:lat ~tag:god deliver)
 
-let send ?(kind = Obs.Netspan.Other) t ~src ~dst f =
+let send t ~kind ~src ~dst f =
   if not t.alive.(src) then invalid_arg "Engine.send: source node is dead";
   t.sent <- t.sent + 1;
   Obs.Timeseries.add t.ts_sent ~at:t.clock 1.0;

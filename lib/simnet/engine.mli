@@ -38,15 +38,16 @@ val revive : t -> int -> unit
 val set_loss : t -> rate:float -> rng:Prng.Rng.t -> unit
 (** Drop each message independently with probability [rate] (0 disables). *)
 
-val send : ?kind:Obs.Netspan.kind -> t -> src:int -> dst:int -> (unit -> unit) -> unit
+val send : t -> kind:Obs.Netspan.kind -> src:int -> dst:int -> (unit -> unit) -> unit
 (** Deliver the closure at [now + latency src dst], unless the destination is
     dead at delivery time or the message is lost. The source must be alive
     when sending (a dead source raises [Invalid_argument] — protocols must
     not act from beyond the grave).
 
-    [kind] (default [Other]) labels the message for the attached
-    {!Obs.Netspan} tracer; it is ignored — without even an allocation —
-    when no tracer is attached. When one is, the send records a span whose
+    [kind] labels the message for the attached {!Obs.Netspan} tracer
+    ([Other] when nothing more specific fits); it is ignored when no tracer
+    is attached, and being a required argument it costs no option box even
+    when computed. With a tracer attached, the send records a span whose
     parent is the message being delivered right now (sends from timers,
     god-events and driver code start fresh causal trees), and the loss
     draw happens at the same point in the RNG stream as on the untraced

@@ -252,6 +252,35 @@ let prop_add_pow2_doubles =
     (fun (x, i) ->
       Id.equal (Id.add_pow2 sp (Id.add_pow2 sp x i) i) (Id.add_pow2 sp x (i + 1)))
 
+(* [prefix_add_pow2] against the built sum, in every width, on ids whose
+   bits below the prefix are all ones (every such exponent carries), all
+   ones but one, or random, and whose prefix is all ones (the sum wraps) or
+   random *)
+let prop_prefix_add_pow2 =
+  QCheck.Test.make ~name:"prefix_add_pow2 = prefix_int (add_pow2 x i)" ~count:500
+    QCheck.(quad (int_range 1 160) (int_range 0 2) bool (int_range 0 1_000_000))
+    (fun (bits, low_kind, top, seed) ->
+      let sp = Id.space ~bits in
+      let rng = Prng.Rng.create ~seed in
+      let low = 8 * max 0 (Id.bytes sp - 7) in
+      let zero_bit = if low > 0 then Prng.Rng.int rng low else 0 in
+      let x = ref (Id.zero sp) in
+      for i = 0 to bits - 1 do
+        let set =
+          if i >= low then top || Prng.Rng.bool rng
+          else match low_kind with 0 -> true | 1 -> i <> zero_bit | _ -> Prng.Rng.bool rng
+        in
+        if set then x := Id.add_pow2 sp !x i
+      done;
+      let x = !x in
+      let prefix = Id.prefix_int x and carry_bit = Id.carry_bit sp x in
+      List.for_all
+        (fun i ->
+          let s = Id.add_pow2 sp x i in
+          let p = Id.prefix_add_pow2 sp ~prefix ~carry_bit i in
+          p = Id.prefix_int s && (p < prefix) = (Id.compare s x < 0))
+        (List.init bits Fun.id))
+
 let prop_succ_pred_inverse =
   let sp = Id.space ~bits:16 in
   QCheck.Test.make ~name:"succ . pred = id" ~count:500 (small_id_gen sp) (fun x ->
@@ -333,5 +362,6 @@ let () =
             prop_interval_complement;
             prop_oc_equals_oo_or_endpoint;
             prop_distance_cw_antisymmetric;
+            prop_prefix_add_pow2;
           ] );
     ]

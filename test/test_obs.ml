@@ -414,7 +414,9 @@ let engine_prop (seed, loss_centi, nodes, ops) =
      path (message loss, dead destination, dead timer owner) is exercised *)
   for op = 1 to ops do
     match Prng.Rng.int rng 5 with
-    | 0 | 1 -> Simnet.Engine.send eng ~src:0 ~dst:(Prng.Rng.int rng nodes) (fun () -> ())
+    | 0 | 1 ->
+        Simnet.Engine.send eng ~kind:Obs.Netspan.Other ~src:0 ~dst:(Prng.Rng.int rng nodes)
+          (fun () -> ())
     | 2 ->
         (* a cancelled timer still fires, as a no-op, and is counted *)
         let h =

@@ -33,10 +33,10 @@ let sorted_ids ~n rng =
 
 (* --- packed network == record-level reference ------------------------------ *)
 
-(* The packed arena is filled by [Finger_table.pack] with the id-prefix
-   acceleration and position-space galloping; [Finger_table.build] is the
-   plain record-level path without [member_pre]. Observational equality of
-   the two over random networks pins the acceleration as exact. *)
+(* The packed arena is filled by [Finger_table.pack_arena]'s sweep (start
+   prefixes, per-exponent cursors, galloping); [Finger_table.build] finds
+   every finger on its own by bisection. Observational equality of the two
+   over random networks pins the sweep as exact. *)
 let test_packed_equals_reference () =
   QCheck.Test.make ~count:25 ~name:"packed network == Finger_table.build reference"
     QCheck.(pair (int_range 2 80) (int_range 0 10_000))
@@ -144,6 +144,125 @@ let test_hieras_layers_equal_reference () =
           (Hnetwork.ring_names hnet ~layer)
       done;
       true)
+
+(* --- identifiers random draws never reach ------------------------------------ *)
+
+(* Two random SHA-1 ids tie on their 56-bit prefix with probability 2^-56,
+   so the sweep's prefix ties, its carries into the prefix and its starts
+   that wrap past zero onto a tie need ids built for them. Each id takes
+   its bits above the prefix's low end from a few shared patterns (all
+   ones at the top of the space, zero at the bottom, one random prefix and
+   that prefix plus one) or a fresh draw, and its low bits from all ones,
+   all ones but one, zero, a small value or a random draw. *)
+let edge_ids sp ~n rng =
+  let bits = Id.bits sp in
+  let low = 8 * max 0 (Id.bytes sp - 7) in
+  let of_bits f =
+    let x = ref (Id.zero sp) in
+    for i = 0 to bits - 1 do
+      if f i then x := Id.add_pow2 sp !x i
+    done;
+    !x
+  in
+  let shared = Array.init bits (fun _ -> Rng.bool rng) in
+  let tbl = Hashtbl.create (2 * n) in
+  for _ = 1 to n do
+    let fresh = Array.init bits (fun _ -> Rng.bool rng) in
+    let zero_bit = Rng.int rng low in
+    let high_kind = Rng.int rng 5 and low_kind = Rng.int rng 5 in
+    let id =
+      of_bits (fun i ->
+          if i >= low then
+            match high_kind with 0 -> true | 1 -> false | 2 | 3 -> shared.(i) | _ -> fresh.(i)
+          else
+            match low_kind with
+            | 0 -> true
+            | 1 -> i <> zero_bit
+            | 2 -> false
+            | 3 -> i < 8 && fresh.(i)
+            | _ -> fresh.(i))
+    in
+    let id = if high_kind = 3 then Id.add_pow2 sp id low else id in
+    Hashtbl.replace tbl id ()
+  done;
+  let ids = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+  Array.sort Id.compare ids;
+  ids
+
+(* Every node's segments, on the global ring and on one layer of up to four
+   random rings, against [Finger_table.build] over its member set. *)
+let test_packed_edge_ids () =
+  QCheck.Test.make ~count:60 ~name:"packed arenas == build on tied, carrying and wrapping ids"
+    QCheck.(triple (oneofl [ 57; 60; 64; 160 ]) (int_range 1 48) (int_range 0 10_000))
+    (fun (bits, n, seed) ->
+      let sp = Id.space ~bits in
+      let rng = Rng.create ~seed in
+      let ids = edge_ids sp ~n rng in
+      let n = Array.length ids in
+      let net = Network.of_ids ~space:sp ~ids ~hosts:(Array.init n (fun i -> i)) () in
+      let check ~what view ~members =
+        Array.iter
+          (fun node ->
+            let ref_t =
+              FT.build sp ~owner:node ~owner_id:ids.(node)
+                ~member_ids:(Array.map (Array.get ids) members)
+                ~member_nodes:members
+            in
+            if FT.segments (view node) <> FT.segments ref_t then
+              QCheck.Test.fail_reportf "%d bits, %s: segments of node %d differ" bits what node)
+          members
+      in
+      check ~what:"global ring" (Network.finger_table net) ~members:(Array.init n (fun i -> i));
+      let t = Chord.Routable.of_network net in
+      let ring_of = Array.init n (fun _ -> Rng.int rng (1 + Rng.int rng 4)) in
+      let rings =
+        List.init 4 (fun r ->
+            Array.of_list (List.filter (fun i -> ring_of.(i) = r) (List.init n Fun.id)))
+        |> List.filter (fun m -> Array.length m > 0)
+      in
+      let layer = Chord.Routable.make_layer t ~rings in
+      List.iter
+        (fun members ->
+          check ~what:"layer ring" (Chord.Routable.layer_finger_table t layer) ~members)
+        rings;
+      true)
+
+(* Owners are packed in ascending identifier order by construction: a node
+   must be its set's next member, and the members must ascend. *)
+let test_pack_arena_rejects_disorder () =
+  let ids = sorted_ids ~n:3 (Rng.create ~seed:5) in
+  let pre = Array.map Id.prefix_int ids in
+  let pack ids pre nodes =
+    ignore (FT.pack_arena space ~sets:[| { FT.ids; pre; nodes } |] ~set_of:(fun _ -> 0))
+  in
+  let rejects what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Finger_table.pack_arena: " ^ msg)) f
+  in
+  pack ids pre [| 0; 1; 2 |];
+  rejects "nodes out of order" "node not its set's next member" (fun () ->
+      pack ids pre [| 0; 2; 1 |]);
+  rejects "node missing" "node not its set's next member" (fun () -> pack ids pre [| 0; 1; 3 |]);
+  let rev = Array.of_list (List.rev (Array.to_list ids)) in
+  rejects "ids descending" "members not ascending" (fun () ->
+      pack rev (Array.map Id.prefix_int rev) [| 0; 1; 2 |]);
+  rejects "prefix column misaligned" "prefix column misaligned" (fun () ->
+      pack ids (Array.map Id.prefix_int rev) [| 0; 1; 2 |])
+
+(* The sweep judges a start by its prefix, without building it, and packs
+   into preallocated buffers: its minor allocation is per set, not per node
+   (0.0 words a node here, against 648.7 when every probe built its start
+   and returned a tuple). *)
+let test_pack_arena_allocation () =
+  let n = 20_000 in
+  let ids = sorted_ids ~n (Rng.create ~seed:11) in
+  let set = { FT.ids; pre = Array.map Id.prefix_int ids; nodes = Array.init n Fun.id } in
+  let before = Gc.minor_words () in
+  let arena = FT.pack_arena space ~sets:[| set |] ~set_of:(fun _ -> 0) in
+  let per_node = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "one offset per node" (n + 1) (Array.length arena.FT.off);
+  Alcotest.(check bool)
+    (Printf.sprintf "pack_arena stays under 8 minor words a node (%.1f)" per_node)
+    true (per_node < 8.0)
 
 (* --- exhaustive 8-bit differential of the owner rule ------------------------- *)
 
@@ -405,6 +524,10 @@ let () =
         [
           qt (test_packed_equals_reference ());
           qt (test_hieras_layers_equal_reference ());
+          qt (test_packed_edge_ids ());
+          Alcotest.test_case "pack_arena rejects owners out of order" `Quick
+            test_pack_arena_rejects_disorder;
+          Alcotest.test_case "pack_arena allocation per node" `Quick test_pack_arena_allocation;
           Alcotest.test_case "exhaustive 8-bit space: owner rule == identifier reference" `Quick
             test_exhaustive_8bit;
         ] );

@@ -3,6 +3,7 @@
 
 module Heap = Simnet.Event_heap
 module Engine = Simnet.Engine
+module Netspan = Obs.Netspan
 
 (* --- Event_heap ------------------------------------------------------------ *)
 
@@ -179,7 +180,7 @@ let const_latency l _ _ = l
 let test_send_delivery_time () =
   let eng = Engine.create ~latency:(fun a b -> float_of_int (abs (a - b)) *. 10.0) ~nodes:3 in
   let arrival = ref (-1.0) in
-  Engine.send eng ~src:0 ~dst:2 (fun () -> arrival := Engine.now eng);
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:2 (fun () -> arrival := Engine.now eng);
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "arrives at latency" 20.0 !arrival;
   Alcotest.(check int) "sent" 1 (Engine.sent eng);
@@ -189,21 +190,21 @@ let test_send_from_dead_raises () =
   let eng = Engine.create ~latency:(const_latency 1.0) ~nodes:2 in
   Engine.kill eng 0;
   Alcotest.check_raises "dead source" (Invalid_argument "Engine.send: source node is dead")
-    (fun () -> Engine.send eng ~src:0 ~dst:1 (fun () -> ()))
+    (fun () -> Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> ()))
 
 let test_send_after_revive_delivers () =
   let eng = Engine.create ~latency:(const_latency 1.0) ~nodes:2 in
   Engine.kill eng 0;
   Engine.revive eng 0;
   let ran = ref false in
-  Engine.send eng ~src:0 ~dst:1 (fun () -> ran := true);
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> ran := true);
   Engine.run eng;
   Alcotest.(check bool) "revived source can send" true !ran
 
 let test_message_to_dead_dropped () =
   let eng = Engine.create ~latency:(const_latency 5.0) ~nodes:2 in
   let ran = ref false in
-  Engine.send eng ~src:0 ~dst:1 (fun () -> ran := true);
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> ran := true);
   Engine.kill eng 1;
   Engine.run eng;
   Alcotest.(check bool) "not delivered" false !ran;
@@ -214,10 +215,10 @@ let test_kill_midflight () =
      revive after arrival does not resurrect it *)
   let eng = Engine.create ~latency:(const_latency 10.0) ~nodes:2 in
   let ran = ref 0 in
-  Engine.send eng ~src:0 ~dst:1 (fun () -> incr ran);
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> incr ran);
   Engine.schedule eng ~delay:5.0 (fun () -> Engine.kill eng 1);
   Engine.schedule eng ~delay:15.0 (fun () -> Engine.revive eng 1);
-  Engine.send eng ~src:0 ~dst:1 (fun () -> incr ran);
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> incr ran);
   Engine.run eng;
   Alcotest.(check int) "both dropped (arrival at t=10, dead 5..15)" 0 !ran
 
@@ -246,7 +247,7 @@ let test_kill_revive_transition_only () =
     (Engine.deaths eng - Engine.revivals eng);
   (* double-kill must not double-count messages dropped at a dead node *)
   let eng2 = Engine.create ~latency:(const_latency 5.0) ~nodes:2 in
-  Engine.send eng2 ~src:0 ~dst:1 (fun () -> ());
+  Engine.send eng2 ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> ());
   Engine.kill eng2 1;
   Engine.kill eng2 1;
   Engine.run eng2;
@@ -301,7 +302,7 @@ let test_clock_monotonic () =
   Engine.schedule eng ~delay:1.0 record;
   Engine.schedule eng ~delay:2.0 (fun () ->
       record ();
-      Engine.send eng ~src:0 ~dst:1 record);
+      Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 record);
   Engine.run eng;
   let l = List.rev !times in
   Alcotest.(check (list (float 1e-9))) "1, 2, then 2+3" [ 1.0; 2.0; 5.0 ] l
@@ -311,7 +312,7 @@ let test_message_loss () =
   Engine.set_loss eng ~rate:0.5 ~rng:(Prng.Rng.create ~seed:5);
   let delivered = ref 0 in
   for _ = 1 to 1000 do
-    Engine.send eng ~src:0 ~dst:1 (fun () -> incr delivered)
+    Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () -> incr delivered)
   done;
   Engine.run eng;
   Alcotest.(check int) "accounting adds up" 1000 (!delivered + Engine.dropped_loss eng);
@@ -336,8 +337,11 @@ let test_cascading_sends () =
   (* a relay chain: 0 -> 1 -> 2 -> 3, accumulating latency *)
   let eng = Engine.create ~latency:(const_latency 2.0) ~nodes:4 in
   let final = ref (-1.0) in
-  let rec relay n () = if n < 3 then Engine.send eng ~src:n ~dst:(n + 1) (relay (n + 1)) else final := Engine.now eng in
-  Engine.send eng ~src:0 ~dst:1 (relay 1);
+  let rec relay n () =
+    if n < 3 then Engine.send eng ~kind:Netspan.Other ~src:n ~dst:(n + 1) (relay (n + 1))
+    else final := Engine.now eng
+  in
+  Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (relay 1);
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "3 hops x 2ms" 6.0 !final
 
@@ -793,8 +797,12 @@ let test_settle_once () =
   let outcome = ref [] in
   let pending = ref Engine.no_timer in
   let reply () = if Engine.settle eng pending then outcome := "reply" :: !outcome in
-  Engine.send eng ~src:0 ~dst:1 (fun () -> Engine.send eng ~src:1 ~dst:0 reply);
-  Engine.send eng ~src:0 ~dst:1 (fun () -> Engine.send eng ~src:1 ~dst:0 reply);
+  let request () =
+    Engine.send eng ~kind:Netspan.Other ~src:0 ~dst:1 (fun () ->
+        Engine.send eng ~kind:Netspan.Other ~src:1 ~dst:0 reply)
+  in
+  request ();
+  request ();
   pending :=
     Engine.timer eng ~node:0 ~delay:10.0 (fun () ->
         if Engine.settle eng pending then outcome := "timeout" :: !outcome);
