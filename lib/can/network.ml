@@ -105,13 +105,13 @@ let coord_of_hash name k =
   done;
   !v
 
-let build ~space ~hosts ?(dims = 2) ?(salt = "can-peer") () =
+let build ~space ~hosts ?(dims = 2) () =
   ignore space;
   if dims < 1 then invalid_arg "Can.Network.build: dims must be >= 1";
   let n = Array.length hosts in
   let points =
     Array.init n (fun i ->
-        Array.init dims (fun k -> coord_of_hash (Printf.sprintf "%s:%d" salt i) k))
+        Array.init dims (fun k -> coord_of_hash (Printf.sprintf "can-peer:%d" i) k))
   in
   of_points ~hosts ~points
 

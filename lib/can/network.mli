@@ -17,7 +17,6 @@ val build :
   space:Hashid.Id.space ->
   hosts:int array ->
   ?dims:int ->
-  ?salt:string ->
   unit ->
   t
 (** One peer per host; peer points derive from hashed identifiers (two

@@ -182,9 +182,7 @@ let run_cell spec ~fi (r, alpha) algo =
           ttl_ms;
         })
   in
-  let wspec =
-    { Webcache.default_spec with count = spec.requests; objects = spec.objects; alpha }
-  in
+  let wspec = { Webcache.count = spec.requests; objects = spec.objects; alpha } in
   let cat = Webcache.catalogue wspec p.sub.Kv.space in
   let settle = o.Overlay.settle_ms in
   (* populate: every object put once, from a random live origin *)

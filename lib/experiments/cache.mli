@@ -25,10 +25,8 @@
 
 type fault = No_fault | Crash | Spaced
 
-val fault_name : fault -> string
-(** ["none"], ["crash"] (uniform random kills), ["spaced"]. *)
-
 val fault_of_name : string -> fault option
+(** ["none"], ["crash"] (uniform random kills) or ["spaced"]. *)
 
 type spec = {
   pool : int;  (** nodes; all join before the store populates *)

@@ -19,8 +19,8 @@ let algorithms ?pool cfg =
   let landmarks = Binning.Landmark.choose_spread lat ~count:cfg.Config.landmarks rng in
   let rc = Chord.Routable.make ~net:chord ~lat in
   let hieras depth = Tournament.LChord.build ~base:rc ~lat ~landmarks ~depth () in
-  let pastry = Pastry.Network.build ~space ~hosts ~lat ~rng () in
-  let tapestry = Tapestry.Network.build ~space ~hosts ~lat ~rng () in
+  let pastry = Pastry.Network.build ~space ~hosts ~lat ~rng in
+  let tapestry = Tapestry.Network.build ~space ~hosts ~lat in
   let can = Can.Routable.make ~net:(Can.Network.build ~space ~hosts ()) ~lat in
   let rows =
     [

@@ -123,6 +123,8 @@ let table2 ?pool ?registry:_ ?trace:_ ?timer:_ cfg =
 let sweep_sizes cfg =
   List.filter (fun n -> n >= Topology.Model.min_hosts cfg.Config.model) (Config.network_sizes cfg)
 
+(* Average hops (Fig 2) and average latency with the HIERAS/Chord ratio
+   (Fig 3) at each network size. *)
 let fig2_and_fig3 ?pool ?registry ?trace ?timer cfg =
   let hops_table = Table.create [ "Model"; "Nodes"; "Chord hops"; "HIERAS hops"; "Overhead" ] in
   let lat_table =
@@ -296,6 +298,7 @@ let fig4_and_fig5 ?pool ?registry ?trace ?timer cfg =
 (* Figures 6 and 7: landmark sweep                                    *)
 (* ----------------------------------------------------------------- *)
 
+(* Landmark counts 2..12: hops (Fig 6) and latency (Fig 7). *)
 let fig6_and_fig7 ?pool ?registry ?trace ?timer cfg =
   let model = Topology.Model.name cfg.Config.model in
   let env = Runner.build_env ?pool ?timer cfg in
@@ -376,6 +379,8 @@ let depth_sweep_sizes cfg =
   List.init 6 (fun i -> (i + 5) * 1000)
   |> List.map (fun n -> max 64 (int_of_float (float_of_int n *. scale)))
 
+(* Depths 2..4 over sizes 5000..10000 with 6 landmarks: hops (Fig 8) and
+   latency (Fig 9). *)
 let fig8_and_fig9 ?pool ?registry ?trace ?timer cfg =
   let model = Topology.Model.name cfg.Config.model in
   let cfg = Config.with_landmarks cfg 6 in

@@ -44,16 +44,6 @@ val table2 :
     (paper Table 2): start, interval, layer-1 and layer-2 successors with
     their layer-2 ring names. *)
 
-val fig2_and_fig3 :
-  ?pool:Parallel.Pool.t ->
-  ?registry:Obs.Metrics.t ->
-  ?trace:Obs.Trace.t ->
-  ?timer:Obs.Timer.t ->
-  Config.t ->
-  Report.section * Report.section
-(** Size sweep per model: average hops (Fig 2) and average latency with the
-    HIERAS/Chord ratio (Fig 3). *)
-
 val fig4_and_fig5 :
   ?pool:Parallel.Pool.t ->
   ?registry:Obs.Metrics.t ->
@@ -63,25 +53,6 @@ val fig4_and_fig5 :
   Report.section * Report.section
 (** Hop-count PDF (Fig 4) and latency CDF (Fig 5) at the default
     configuration. *)
-
-val fig6_and_fig7 :
-  ?pool:Parallel.Pool.t ->
-  ?registry:Obs.Metrics.t ->
-  ?trace:Obs.Trace.t ->
-  ?timer:Obs.Timer.t ->
-  Config.t ->
-  Report.section * Report.section
-(** Landmark-count sweep 2..12: hops (Fig 6) and latency (Fig 7). *)
-
-val fig8_and_fig9 :
-  ?pool:Parallel.Pool.t ->
-  ?registry:Obs.Metrics.t ->
-  ?trace:Obs.Trace.t ->
-  ?timer:Obs.Timer.t ->
-  Config.t ->
-  Report.section * Report.section
-(** Hierarchy-depth sweep 2..4 over sizes 5000..10000 with 6 landmarks:
-    hops (Fig 8) and latency (Fig 9). *)
 
 val all : generator
 (** Every table and figure, in paper order. A [timer] additionally wraps each

@@ -13,9 +13,7 @@ val print : section -> unit
 val print_all : section list -> unit
 (** Render every section separated by blank lines. *)
 
-val to_csv : section -> string
-(** The section's table as CSV (RFC-4180 quoting); notes become trailing
-    comment lines prefixed with [#]. *)
-
 val write_csv : section -> dir:string -> string
-(** Write [<dir>/<id>.csv] (creating [dir] if needed); returns the path. *)
+(** Write the section's table as CSV (RFC-4180 quoting; notes become
+    trailing comment lines prefixed with [#]) to [<dir>/<id>.csv],
+    creating [dir] if needed; returns the path. *)

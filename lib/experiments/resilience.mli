@@ -62,8 +62,5 @@ val run :
 
 val export_registry : Obs.Metrics.t -> results -> unit
 
-val success_rate : int -> int -> float
-(** [success_rate succeeded issued]; 0 when nothing was issued. *)
-
 val section : results -> Report.section
 (** Render as the report section [resilience] (one row per fraction). *)

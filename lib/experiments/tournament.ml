@@ -79,16 +79,10 @@ let build_contestants env cfg =
   let pastry =
     Pastry.Routable.make
       (Pastry.Network.build ~space ~hosts ~lat
-         ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7577))
-         ())
+         ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7577)))
   in
   let can = Can.Routable.make ~net:(Can.Network.build ~space ~hosts ()) ~lat in
-  let tapestry =
-    Tapestry.Routable.make
-      (Tapestry.Network.build ~space ~hosts ~lat
-         ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7591))
-         ())
-  in
+  let tapestry = Tapestry.Routable.make (Tapestry.Network.build ~space ~hosts ~lat) in
   [
     C ((module Chord.Routable), rc);
     C ((module LChord), LChord.build ~base:rc ~lat ~landmarks ~depth ());

@@ -336,6 +336,15 @@ let trace_event_of_json j =
             }
       | ev -> failwith (Printf.sprintf "trace event: unknown kind %S" ev))
 
+(* a net event's optional context; an absent one reads as "" *)
+let ctx_field j =
+  match Jsonu.member "ctx" j with
+  | None -> ""
+  | Some v -> (
+      match Jsonu.to_string v with
+      | Some s -> s
+      | None -> failwith "net event: field \"ctx\" is not a string")
+
 (* Both event families share one streaming entry point: lookup traces carry
    ev start/hop/recover/end, net traces carry ev msg/drop. A single file
    (or stdin) can hold either; the accumulated state decides which report
@@ -343,14 +352,7 @@ let trace_event_of_json j =
 let feed_json t j =
   match str_field "ev" j with
   | "msg" ->
-      let ctx =
-        match Jsonu.member "ctx" j with
-        | Some v -> (
-            match Jsonu.to_string v with
-            | Some s -> s
-            | None -> failwith "net event: field \"ctx\" is not a string")
-        | None -> ""
-      in
+      let ctx = ctx_field j in
       let parent = match Jsonu.member "parent" j with Some _ -> int_field "parent" j | None -> -1 in
       let kind_s = str_field "kind" j in
       let kind =
@@ -365,11 +367,8 @@ let feed_json t j =
       feed_msg t ~ctx ~span:(int_field "span" j) ~parent ~kind ~src:(int_field "src" j)
         ~dst:(int_field "dst" j) ~lat:(float_field "lat" j) ~declared_bytes
   | "drop" ->
-      let ctx =
-        match Jsonu.member "ctx" j with
-        | Some v -> Option.value ~default:"" (Jsonu.to_string v)
-        | None -> ""
-      in
+      let ctx = ctx_field j in
+      ignore (float_field "at" j);
       let why =
         match str_field "why" j with
         | "dead" -> `Dead

@@ -38,8 +38,6 @@ val histogram : ?buckets:float array -> t -> string -> histogram
     millisecond latency scales of the paper's topologies (1 .. 5000 ms).
     Raises [Invalid_argument] on empty or non-increasing buckets. *)
 
-val default_buckets : float array
-
 (** {2 Mutation} *)
 
 val incr : counter -> unit

@@ -85,9 +85,10 @@ val ring : capacity:int -> t
     bounded). Raises [Invalid_argument] if [capacity < 1]. *)
 
 val jsonl : ?sample:float -> (string -> unit) -> t
-(** Streaming JSONL sink: each event is rendered with {!event_to_json} and
-    passed to the writer as one line terminated by ['\n']. Pass
-    [output_string oc] for a file, [Buffer.add_string buf] for memory.
+(** Streaming JSONL sink: each event is rendered as one line of JSON
+    (fields: see DESIGN.md §8) and passed to the writer, terminated by
+    ['\n']. Pass [output_string oc] for a file, [Buffer.add_string buf]
+    for memory.
 
     [sample] (default 1) keeps the events of a deterministic subset of
     lookups: ids are allocated for {e every} lookup and the keep decision
@@ -109,10 +110,8 @@ val hop :
 val recover :
   t -> lookup:int -> kind:rkind -> layer:int -> at_node:int -> dead_node:int -> delay_ms:float -> unit
 
-val rkind_name : rkind -> string
-(** "retry", "fallback" or "layer_escape" — the JSON [kind] field. *)
-
 val rkind_of_name : string -> rkind option
+(** Parses the JSON [kind] field: "retry", "fallback" or "layer_escape". *)
 
 val finish :
   t -> lookup:int -> destination:int -> hops:int -> latency_ms:float -> finished_at_layer:int -> unit
@@ -126,6 +125,3 @@ val events : t -> event list
 
 val clear : t -> unit
 (** Ring sink: drop buffered events (lookup ids keep counting). *)
-
-val event_to_json : event -> string
-(** One-line JSON rendering, no trailing newline. Fields: see DESIGN.md §8. *)

@@ -97,9 +97,6 @@ let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let regions_run t = t.regions_run
-let chunks_run t = t.chunks_run
-
 let export_metrics ?(prefix = "pool") t m =
   Obs.Metrics.set (Obs.Metrics.gauge m (prefix ^ ".jobs")) (float_of_int t.jobs);
   Obs.Metrics.set_counter (Obs.Metrics.counter m (prefix ^ ".regions")) t.regions_run;

@@ -22,8 +22,10 @@
     this is what the experiment runner uses so that [--jobs 1] and
     [--jobs N] print identical tables.
 
-    A pool is reusable across calls but not reentrant: run one parallel
-    region at a time, from one domain. *)
+    The first exception raised by any chunk is re-raised on the calling
+    domain (other chunks may still run). A pool is reusable across calls
+    but not reentrant: run one parallel region at a time, from one
+    domain. *)
 
 type t
 
@@ -42,31 +44,17 @@ val sequential : t
 (** A shared width-1 pool (no domains). The default everywhere a [?pool] is
     accepted, so callers that never ask for parallelism pay nothing. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains. Idempotent; the pool is unusable afterwards.
-    {!sequential} needs no shutdown. *)
-
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, and always [shutdown]. *)
-
-val regions_run : t -> int
-(** Parallel regions ({!run_chunks} calls, directly or via the combinators)
-    executed over the pool's lifetime. *)
-
-val chunks_run : t -> int
-(** Total chunks dispatched over the pool's lifetime. Chunk counts of
-    {!parallel_for} depend on the pool width; only {!map_chunks} layouts
-    are width-independent. *)
+(** [create], run, and always join the worker domains; the pool is
+    unusable afterwards. *)
 
 val export_metrics : ?prefix:string -> t -> Obs.Metrics.t -> unit
 (** Mirror the pool's instrumentation into a metrics registry: gauge
-    [<prefix>.jobs], counters [<prefix>.regions] and [<prefix>.chunks]
-    (default prefix ["pool"]). Idempotent: re-exporting overwrites. *)
-
-val run_chunks : t -> count:int -> (int -> unit) -> unit
-(** Run [f 0 .. f (count - 1)], spread over the pool. The first exception
-    raised by any chunk is re-raised on the calling domain (other chunks may
-    still run). This is the primitive the combinators below build on. *)
+    [<prefix>.jobs], counters [<prefix>.regions] (parallel regions run
+    over the pool's lifetime, one per combinator call) and [<prefix>.chunks]
+    (chunks dispatched; those of {!parallel_for} depend on the pool width,
+    only {!map_chunks} layouts are width-independent). Default prefix
+    ["pool"]. Idempotent: re-exporting overwrites. *)
 
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** Run [f 0 .. f (n - 1)] in [min jobs n] contiguous chunks, sizes

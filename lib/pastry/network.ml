@@ -22,9 +22,15 @@ let shared_prefix_len t a b =
   let rec go i = if i < n && Id.digit4 t.space a i = Id.digit4 t.space b i then go (i + 1) else i in
   go 0
 
+(* A leaf set of 16, Pastry's |L| default. *)
+let leaf_radius = 8
+
+(* bounds the proximity sampling per routing-table cell *)
+let candidates_per_cell = 16
+
 (* The set's order is the [Hashtbl]'s, which the routing steps' scans and
    fallbacks read. *)
-let compute_leaf_set ~n ~leaf_radius i =
+let compute_leaf_set ~n i =
   let r = min leaf_radius ((n - 1) / 2) in
   let acc = ref [] in
   for k = 1 to r do
@@ -58,8 +64,7 @@ let sort_peers ids hosts =
   done;
   (sorted_ids, sorted_hosts)
 
-let build ~space ~hosts ~lat ~rng ?(leaf_radius = 8) ?(candidates_per_cell = 16)
-    ?(salt = "pastry-peer") () =
+let build ~space ~hosts ~lat ~rng =
   if Id.bits space mod 4 <> 0 then
     invalid_arg "Pastry.Network.build: identifier width must be a multiple of 4";
   let n = Array.length hosts in
@@ -68,7 +73,7 @@ let build ~space ~hosts ~lat ~rng ?(leaf_radius = 8) ?(candidates_per_cell = 16)
   let raw_ids =
     Array.init n (fun i ->
         let rec fresh attempt =
-          let id = Id.of_hash space (Printf.sprintf "%s:%d:%d" salt i attempt) in
+          let id = Id.of_hash space (Printf.sprintf "pastry-peer:%d:%d" i attempt) in
           if Hashtbl.mem seen id then fresh (attempt + 1)
           else begin
             Hashtbl.replace seen id ();
@@ -153,7 +158,7 @@ let build ~space ~hosts ~lat ~rng ?(leaf_radius = 8) ?(candidates_per_cell = 16)
          with Exit -> ());
         table)
   in
-  let leaves = Array.init n (compute_leaf_set ~n ~leaf_radius) in
+  let leaves = Array.init n (compute_leaf_set ~n) in
   { space; ids; hosts; lat; rows; tables; leaves }
 
 let link_latency t a b = Topology.Latency.host_latency t.lat t.hosts.(a) t.hosts.(b)

@@ -10,9 +10,10 @@
     simulated topologies.
 
     Identifiers are interpreted as base-16 digit strings (the classic
-    [b = 4]); each node keeps a leaf set (the [2 * leaf_radius] numerically
-    adjacent nodes) and a routing table of [rows x 16] cells populated by
-    sampling candidates per cell and keeping the nearest by latency. *)
+    [b = 4]); each node keeps a leaf set (the 16 numerically adjacent nodes,
+    Pastry's |L| default) and a routing table of [rows x 16] cells
+    populated by sampling up to 16 candidates per cell and keeping the
+    nearest by latency. *)
 
 type t
 
@@ -21,14 +22,9 @@ val build :
   hosts:int array ->
   lat:Topology.Latency.t ->
   rng:Prng.Rng.t ->
-  ?leaf_radius:int ->
-  ?candidates_per_cell:int ->
-  ?salt:string ->
-  unit ->
   t
-(** [space] must have a width divisible by 4. [leaf_radius] defaults to 8
-    (leaf set of 16, Pastry's |L| default); [candidates_per_cell] (default
-    16) bounds the proximity sampling per routing-table cell. *)
+(** [space] must have a width divisible by 4. [rng] draws the proximity
+    sample of a routing-table cell with more than 16 candidates. *)
 
 val space : t -> Hashid.Id.space
 val size : t -> int
@@ -36,9 +32,9 @@ val id : t -> int -> Hashid.Id.t
 val host : t -> int -> int
 
 val leaf_set : t -> int -> int array
-(** Numerically adjacent nodes (up to [2 * leaf_radius], fewer in tiny
-    networks), unordered; computed once per node at build. Do not mutate the
-    returned array. *)
+(** Numerically adjacent nodes (up to 16, fewer in tiny networks),
+    unordered; computed once per node at build. Do not mutate the returned
+    array. *)
 
 val table_entry : t -> int -> row:int -> col:int -> int option
 (** The routing-table cell: a node sharing the first [row] digits with the

@@ -518,10 +518,6 @@ let tamper t a key entry =
 let puts t = t.n_puts
 let puts_acked t = t.n_puts_acked
 let gets t = t.n_gets
-let gets_found t = t.n_gets_found
-let gets_absent t = t.n_gets_absent
-let gets_failed t = t.n_gets_failed
-let deletes t = t.n_deletes
 let replicate_msgs t = t.n_replicates
 let handoffs t = t.n_handoffs
 let promotions t = t.n_promotions

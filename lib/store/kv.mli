@@ -173,10 +173,6 @@ val tamper : t -> int -> Hashid.Id.t -> entry -> unit
 val puts : t -> int
 val puts_acked : t -> int
 val gets : t -> int
-val gets_found : t -> int
-val gets_absent : t -> int
-val gets_failed : t -> int
-val deletes : t -> int
 val replicate_msgs : t -> int
 val handoffs : t -> int
 val promotions : t -> int

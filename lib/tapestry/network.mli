@@ -17,18 +17,8 @@
 
 type t
 
-val build :
-  space:Hashid.Id.space ->
-  hosts:int array ->
-  lat:Topology.Latency.t ->
-  rng:Prng.Rng.t ->
-  ?candidates_per_hop:int ->
-  ?salt:string ->
-  unit ->
-  t
-(** [space] width must be a multiple of 4. [candidates_per_hop] (default 16)
-    bounds the proximity sampling when choosing among a level's matching
-    nodes. *)
+val build : space:Hashid.Id.space -> hosts:int array -> lat:Topology.Latency.t -> t
+(** [space] width must be a multiple of 4. *)
 
 val space : t -> Hashid.Id.space
 val size : t -> int
@@ -36,7 +26,8 @@ val id : t -> int -> Hashid.Id.t
 val host : t -> int -> int
 
 val root_of_key : t -> Hashid.Id.t -> int
-(** The surrogate root: unique, path-independent owner of the key. *)
+(** The surrogate root: unique, path-independent owner of the key. Each
+    level narrows a run of the sorted ids by bisection; allocates nothing. *)
 
 val root_path : t -> Hashid.Id.t -> int list
 (** The digit sequence surrogate routing resolves for this key (diagnostic;
@@ -53,23 +44,22 @@ val link_latency : t -> int -> int -> float
 
 val key_group : t -> key:Hashid.Id.t -> len:int -> int array
 (** The nodes whose identifiers match the key's first [len] base-16 digits
-    (all nodes for [len = 0]; [\[||\]] when no node matches or the prefix
-    levels stop earlier). Do not mutate the returned array. *)
+    (all nodes for [len = 0]; [\[||\]] when no node matches, or when a
+    single node already matches a shorter prefix of the key). *)
 
 val shared_digits : t -> int -> Hashid.Id.t -> int
 (** Length of the common base-16 digit prefix of a node's identifier and a
     key. *)
 
-val next_on_path : t -> path:int array -> cur:int -> int
-(** One routing step: the proximity-closest node of {!path_candidates}.
-    [path] is {!root_path} as an array; requires [cur] not to match the full
-    path yet. *)
+val next_on_path : t -> owner:int -> cur:int -> int
+(** One routing step toward [owner], the key's root: the proximity-closest
+    node of {!path_candidates}. Requires [cur] not to match [owner]'s full
+    root path ({!root_path_of}) yet. *)
 
-val path_candidates : t -> path:int array -> cur:int -> int list
-(** The deterministic proximity sample at [cur]'s routing level — up to
-    [candidates_per_hop] nodes matching one more digit of the root path,
-    evenly strided through the level group — sorted closest-first (sample
-    order on ties). The head is {!next_on_path}'s pick; the tail is the
-    failover order for resilient routing. A pure function of the id set:
-    routes never consult the build rng, so they are deterministic and safe
-    to issue from parallel workers. *)
+val path_candidates : t -> owner:int -> cur:int -> int list
+(** The deterministic proximity sample at [cur]'s routing level — up to 16
+    nodes matching one more digit of [owner]'s root path, evenly strided
+    through the level group — sorted closest-first (sample order on ties).
+    The head is {!next_on_path}'s pick; the tail is the failover order for
+    resilient routing. A pure function of the id set, so routes are
+    deterministic and safe to issue from parallel workers. *)

@@ -20,10 +20,8 @@ module Base = struct
     if is_alive root then Some root else None
 
   (* the key's root path is its owner's *)
-  let step t ~cur ~owner ~key:_ = Network.next_on_path t ~path:(Network.root_path_of t owner) ~cur
-
-  let candidates t ~cur ~owner ~key:_ =
-    Network.path_candidates t ~path:(Network.root_path_of t owner) ~cur
+  let step t ~cur ~owner ~key:_ = Network.next_on_path t ~owner ~cur
+  let candidates t ~cur ~owner ~key:_ = Network.path_candidates t ~owner ~cur
 
   (* no heartbeat window: every dead contact is found by probing *)
   let window _ ~cur:_ = []

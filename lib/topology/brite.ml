@@ -1,41 +1,30 @@
-type params = {
-  routers_per_host : float;
-  m : int;
-  plane_size : float;
-  plane_speed : float;
-  delay_floor : float;
-  waxman_scale : float;
-  host_access_delay : float;
-}
+let m = 4
+let plane_size = 1000.0
+let plane_speed = 6.0
+let delay_floor = 1.0
 
-let default_params =
-  {
-    routers_per_host = 0.125;
-    m = 4;
-    plane_size = 1000.0;
-    plane_speed = 6.0;
-    delay_floor = 1.0;
-    waxman_scale = 0.08;
-    host_access_delay = 1.0;
-  }
+(* locality of attachment: a degree-proportional candidate at distance [d]
+   is accepted with probability [exp (-d / (waxman_scale * plane_size))] —
+   BRITE's Waxman factor *)
+let waxman_scale = 0.08
+let host_access_delay = 1.0
 
-let router_count p ~hosts = max 100 (min 1500 (int_of_float (p.routers_per_host *. float_of_int hosts)))
+let router_count ~hosts = max 100 (min 1500 (int_of_float (0.125 *. float_of_int hosts)))
 
-let generate ?(params = default_params) ?backend ?pool ~hosts rng =
-  let p = params in
+let generate ?backend ?pool ~hosts rng =
   if hosts < 1 then invalid_arg "Brite.generate: need at least one host";
-  let nr = router_count p ~hosts in
-  let xs = Array.init nr (fun _ -> Prng.Rng.float rng p.plane_size) in
-  let ys = Array.init nr (fun _ -> Prng.Rng.float rng p.plane_size) in
+  let nr = router_count ~hosts in
+  let xs = Array.init nr (fun _ -> Prng.Rng.float rng plane_size) in
+  let ys = Array.init nr (fun _ -> Prng.Rng.float rng plane_size) in
   let dist u v =
     let dx = xs.(u) -. xs.(v) and dy = ys.(u) -. ys.(v) in
     sqrt ((dx *. dx) +. (dy *. dy))
   in
-  let delay u v = p.delay_floor +. (dist u v /. p.plane_speed) in
-  let lambda = p.waxman_scale *. p.plane_size in
-  let core = p.m + 1 in
+  let delay u v = delay_floor +. (dist u v /. plane_speed) in
+  let lambda = waxman_scale *. plane_size in
+  let core = m + 1 in
   let b = Graph.builder nr in
-  let ep = Array.make ((2 * nr * p.m) + (core * core)) 0 in
+  let ep = Array.make ((2 * nr * m) + (core * core)) 0 in
   let ep_len = ref 0 in
   let add_endpoint v =
     ep.(!ep_len) <- v;
@@ -56,7 +45,7 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   for v = core to nr - 1 do
     let wired = ref 0 in
     let attempts = ref 0 in
-    while !wired < p.m && !attempts < 600 do
+    while !wired < m && !attempts < 600 do
       incr attempts;
       let target = ep.(Prng.Rng.int rng !ep_len) in
       let accept =
@@ -74,5 +63,5 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   done;
   let graph = Graph.freeze b in
   let host_router = Array.init hosts (fun _ -> Prng.Rng.int rng nr) in
-  let host_access = Array.make hosts p.host_access_delay in
+  let host_access = Array.make hosts host_access_delay in
   Latency.create ?backend ?pool ~router_graph:graph ~host_router ~host_access ()

@@ -1,62 +1,46 @@
-type params = {
-  routers_per_host : float;
-  min_degree : int;
-  regions : int;
-  local_bias : float;
-  intra_delay_floor : float;
-  intra_delay_scale : float;
-  intra_delay_cap : float;
-  inter_delay_floor : float;
-  inter_delay_scale : float;
-  inter_delay_cap : float;
-  delay_shape : float;
-  host_access_delay : float;
-}
-
-let default_params =
-  {
-    routers_per_host = 0.125;
-    min_degree = 2;
-    regions = 4;
-    local_bias = 0.75;
-    intra_delay_floor = 1.5;
-    intra_delay_scale = 4.0;
-    intra_delay_cap = 18.0;
-    inter_delay_floor = 90.0;
-    inter_delay_scale = 40.0;
-    inter_delay_cap = 300.0;
-    delay_shape = 1.4;
-    host_access_delay = 1.0;
-  }
-
 let min_hosts = 3000
+let min_degree = 2
+let regions = 4
 
-let link_delay p rng ~same_region =
+(* probability a new link prefers a same-region peer *)
+let local_bias = 0.75
+
+(* Link delays in ms: a floor plus a Pareto tail, capped; intra-region
+   links are cheap, inter-region links expensive. *)
+let intra_delay_floor = 1.5
+let intra_delay_scale = 4.0
+let intra_delay_cap = 18.0
+let inter_delay_floor = 90.0
+let inter_delay_scale = 40.0
+let inter_delay_cap = 300.0
+let delay_shape = 1.4
+let host_access_delay = 1.0
+
+let link_delay rng ~same_region =
   if same_region then
-    Float.min p.intra_delay_cap
-      (p.intra_delay_floor +. Prng.Dist.pareto rng ~shape:p.delay_shape ~scale:p.intra_delay_scale)
+    Float.min intra_delay_cap
+      (intra_delay_floor +. Prng.Dist.pareto rng ~shape:delay_shape ~scale:intra_delay_scale)
   else
-    Float.min p.inter_delay_cap
-      (p.inter_delay_floor +. Prng.Dist.pareto rng ~shape:p.delay_shape ~scale:p.inter_delay_scale)
+    Float.min inter_delay_cap
+      (inter_delay_floor +. Prng.Dist.pareto rng ~shape:delay_shape ~scale:inter_delay_scale)
 
-let router_count p ~hosts = max 200 (min 1500 (int_of_float (p.routers_per_host *. float_of_int hosts)))
+let router_count ~hosts = max 200 (min 1500 (int_of_float (0.125 *. float_of_int hosts)))
 
-let generate ?(params = default_params) ?backend ?pool ~hosts rng =
-  let p = params in
+let generate ?backend ?pool ~hosts rng =
   if hosts < min_hosts then
     invalid_arg
       (Printf.sprintf "Inet.generate: the Inet model needs at least %d hosts (got %d)" min_hosts
          hosts);
-  let nr = router_count p ~hosts in
-  let region = Array.init nr (fun _ -> Prng.Rng.int rng p.regions) in
-  let core = max 3 (p.min_degree + 1) in
+  let nr = router_count ~hosts in
+  let region = Array.init nr (fun _ -> Prng.Rng.int rng regions) in
+  let core = min_degree + 1 in
   let b = Graph.builder nr in
   (* endpoint multiset: picking a uniform element = degree-proportional
      router (the classic O(1) preferential-attachment trick). Real AS graphs
      peer mostly regionally, so with probability [local_bias] a newcomer
      keeps resampling until it finds a same-region target — that regional
      structure is exactly what distributed binning quantises. *)
-  let ep = Array.make ((2 * nr * p.min_degree) + (core * core)) 0 in
+  let ep = Array.make ((2 * nr * min_degree) + (core * core)) 0 in
   let ep_len = ref 0 in
   let add_endpoint v =
     ep.(!ep_len) <- v;
@@ -64,7 +48,7 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   in
   for u = 0 to core - 1 do
     for v = u + 1 to core - 1 do
-      Graph.add_edge b u v (link_delay p rng ~same_region:(region.(u) = region.(v)));
+      Graph.add_edge b u v (link_delay rng ~same_region:(region.(u) = region.(v)));
       add_endpoint u;
       add_endpoint v
     done
@@ -72,9 +56,9 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   for v = core to nr - 1 do
     let wired = ref 0 in
     let attempts = ref 0 in
-    while !wired < p.min_degree && !attempts < 400 do
+    while !wired < min_degree && !attempts < 400 do
       incr attempts;
-      let want_local = Prng.Rng.float rng 1.0 < p.local_bias in
+      let want_local = Prng.Rng.float rng 1.0 < local_bias in
       let target =
         if want_local then begin
           (* bounded resampling for a same-region, degree-proportional peer *)
@@ -87,7 +71,7 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
         else ep.(Prng.Rng.int rng !ep_len)
       in
       if target <> v && not (Graph.has_edge b v target) then begin
-        Graph.add_edge b v target (link_delay p rng ~same_region:(region.(v) = region.(target)));
+        Graph.add_edge b v target (link_delay rng ~same_region:(region.(v) = region.(target)));
         add_endpoint v;
         add_endpoint target;
         incr wired
@@ -96,7 +80,7 @@ let generate ?(params = default_params) ?backend ?pool ~hosts rng =
   done;
   let graph = Graph.freeze b in
   let host_router = Array.init hosts (fun _ -> Prng.Rng.int rng nr) in
-  let host_access = Array.make hosts p.host_access_delay in
+  let host_access = Array.make hosts host_access_delay in
   Latency.create ?backend ?pool ~router_graph:graph ~host_router ~host_access ()
 
 let degree_histogram g =

@@ -15,9 +15,9 @@ let min_hosts = function Inet -> Inet.min_hosts | Transit_stub | Brite -> 1
 
 let routers kind ~hosts =
   match kind with
-  | Transit_stub -> Transit_stub.router_count (Transit_stub.default_params ~hosts)
-  | Inet -> Inet.router_count Inet.default_params ~hosts
-  | Brite -> Brite.router_count Brite.default_params ~hosts
+  | Transit_stub -> Transit_stub.router_count ~hosts
+  | Inet -> Inet.router_count ~hosts
+  | Brite -> Brite.router_count ~hosts
 
 let build ?pool kind ~hosts rng =
   let backend = Latency.Auto in

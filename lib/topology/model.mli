@@ -17,10 +17,10 @@ val routers : kind -> hosts:int -> int
     network can hold. Never decreases as [hosts] grows. *)
 
 val build : ?pool:Parallel.Pool.t -> kind -> hosts:int -> Prng.Rng.t -> Latency.t
-(** Generate a topology of this kind with default parameters and the given
-    number of DHT end-hosts. The latency oracle's storage is
-    {!Latency.Auto}: lazy rows above 1024 routers or when the hosts sit on
-    fewer than half of them, the eager matrix otherwise. The pool
+(** Generate a topology of this kind with the given number of DHT
+    end-hosts. The latency oracle's storage is {!Latency.Auto}: lazy rows
+    above 1024 routers or when the hosts sit on fewer than half of them, the
+    eager matrix otherwise. The pool
     parallelizes an eager oracle's Dijkstra precomputation. The topology —
     and every latency the oracle returns — is independent of both the
     storage and the pool width. *)

@@ -4,36 +4,28 @@
     The Internet is modelled as a two-level hierarchy: a small set of
     {e transit domains} (backbones) whose routers interconnect densely, and
     many {e stub domains} (campus/ISP edge networks) hanging off transit
-    routers. The paper's link delays are used by default: 100 ms for
-    intra-transit (and inter-transit) links, 20 ms for stub-transit links and
-    5 ms for intra-stub links, which yields the characteristic three-scale
-    delay distribution that distributed binning exploits.
+    routers. The paper's link delays are used: 100 ms for intra-transit
+    (and inter-transit) links, 20 ms for stub-transit links and 5 ms for
+    intra-stub links, which yields the characteristic three-scale delay
+    distribution that distributed binning exploits.
 
     DHT end-hosts attach to uniformly random stub routers through a short
     access link. *)
 
-type params = {
-  transit_domains : int;  (** number of backbone domains *)
-  transit_per_domain : int;  (** routers per transit domain *)
-  stubs_per_transit : int;  (** stub domains hanging off each transit router *)
-  routers_per_stub : int;  (** routers per stub domain *)
-  intra_transit_delay : float;  (** ms; paper: 100 *)
-  inter_transit_delay : float;  (** ms between transit domains; 100 *)
-  transit_stub_delay : float;  (** ms; paper: 20 *)
-  intra_stub_delay : float;  (** ms; paper: 5 *)
-  host_access_delay : float;  (** ms host-to-stub-router access link *)
-  redundancy : float;
-      (** extra random intra-domain edges as a fraction of the domain's
-          spanning-tree edge count (adds path diversity) *)
-}
+val transit_routers : int
+(** The backbone: two transit domains of two routers each, routers
+    [0 .. transit_routers - 1]. Stub routers follow, one stub domain after
+    another. *)
 
-val default_params : hosts:int -> params
-(** Router counts scaled to the host count (roughly one stub router per ten
-    hosts, in the discrete steps that also give the paper its 6000-vs-7000
-    node configuration wobble). *)
+val routers_per_stub : hosts:int -> int
+(** Routers per stub domain at this host count. The stub shape grows in
+    discrete steps, roughly one stub router per ten hosts; the steps also
+    give the paper its 6000-vs-7000 node configuration wobble. *)
+
+val router_count : hosts:int -> int
+(** Total routers {!generate} builds for [hosts] end-hosts. *)
 
 val generate :
-  ?params:params ->
   ?backend:Latency.backend ->
   ?pool:Parallel.Pool.t ->
   hosts:int ->
@@ -42,6 +34,3 @@ val generate :
 (** Build a connected transit-stub router graph, attach [hosts] end-hosts,
     and return the latency oracle ([backend] selects its storage strategy,
     default eager; the generated topology is the same for every backend). *)
-
-val router_count : params -> int
-(** Total routers the parameter set produces. *)

@@ -3,22 +3,16 @@ module Id = Hashid.Id
 type obj = { name : string; key : Id.t; bytes : int }
 type request = { origin : int; obj : int }
 
-type spec = {
-  count : int;
-  objects : int;
-  alpha : float;
-  min_bytes : int;
-  max_bytes : int;
-}
+type spec = { count : int; objects : int; alpha : float }
 
-let default_spec = { count = 1_000; objects = 128; alpha = 0.8; min_bytes = 512; max_bytes = 65_536 }
+let default_spec = { count = 1_000; objects = 128; alpha = 0.8 }
+let min_bytes = 512
+let max_bytes = 65_536
 
 let validate s =
   if s.count < 0 then Error "request count must be >= 0"
   else if s.objects < 1 then Error "catalogue must hold at least one object"
   else if s.alpha < 0.0 then Error "zipf alpha must be >= 0"
-  else if s.min_bytes < 1 then Error "minimum object size must be >= 1"
-  else if s.max_bytes < s.min_bytes then Error "maximum object size must be >= the minimum"
   else Ok ()
 
 (* The catalogue is a pure function of the spec's shape (never of the
@@ -29,15 +23,10 @@ let catalogue spec space =
   let rng = Prng.Rng.create ~seed:((spec.objects * 2654435761) lxor 0x5ca1ab1e) in
   Array.init spec.objects (fun i ->
       let name = Printf.sprintf "obj-%d" i in
-      let span = spec.max_bytes - spec.min_bytes in
-      let bytes =
-        if span = 0 then spec.min_bytes
-        else
-          (* heavy-tailed sizes clipped into [min, max]: most objects are
-             small, a few approach the cap — the web's size distribution *)
-          let raw = Prng.Dist.pareto rng ~shape:1.2 ~scale:(float_of_int spec.min_bytes) in
-          min spec.max_bytes (max spec.min_bytes (int_of_float raw))
-      in
+      (* heavy-tailed sizes clipped into [min, max]: most objects are
+         small, a few approach the cap — the web's size distribution *)
+      let raw = Prng.Dist.pareto rng ~shape:1.2 ~scale:(float_of_int min_bytes) in
+      let bytes = min max_bytes (max min_bytes (int_of_float raw)) in
       { name; key = Keys.file_key space name; bytes })
 
 let iter spec ~nodes rng f =

@@ -19,12 +19,17 @@ type spec = {
   count : int;  (** requests in the stream *)
   objects : int;  (** catalogue size (>= 1) *)
   alpha : float;  (** Zipf skew; 0 = uniform popularity *)
-  min_bytes : int;  (** smallest object *)
-  max_bytes : int;  (** size cap (Pareto tail clipped here) *)
 }
 
 val default_spec : spec
-(** 1000 requests over 128 objects, alpha 0.8, sizes 512 B .. 64 KiB. *)
+(** 1000 requests over 128 objects, alpha 0.8. *)
+
+val min_bytes : int
+(** The smallest object: 512 B. *)
+
+val max_bytes : int
+(** The size cap, 64 KiB: object sizes are Pareto-distributed from
+    {!min_bytes}, their tail clipped here. *)
 
 val validate : spec -> (unit, string) result
 

@@ -71,10 +71,7 @@ let test_zone_torus_distance () =
 let make ?(hosts = 150) seed =
   let rng = Prng.Rng.create ~seed in
   let lat = Topology.Transit_stub.generate ~hosts rng in
-  let net =
-    Net.build ~space:Id.sha1_space ~hosts:(Array.init hosts (fun i -> i))
-      ~salt:(Printf.sprintf "c%d" seed) ()
-  in
+  let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init hosts (fun i -> i)) () in
   (lat, net)
 
 let test_partition_invariant () =
@@ -165,10 +162,7 @@ let test_route_hop_scaling () =
 let make_layered ?(hosts = 200) ?(depth = 2) seed =
   let rng = Prng.Rng.create ~seed in
   let lat = Topology.Transit_stub.generate ~hosts rng in
-  let net =
-    Net.build ~space:Id.sha1_space ~hosts:(Array.init hosts (fun i -> i))
-      ~salt:(Printf.sprintf "lc%d" seed) ()
-  in
+  let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init hosts (fun i -> i)) () in
   let lm = Binning.Landmark.choose_spread lat ~count:4 rng in
   (lat, net, LCan.build ~base:(R.make ~net ~lat) ~lat ~landmarks:lm ~depth ())
 
@@ -254,10 +248,7 @@ let prop_route_owner =
     (fun (seed, n) ->
       let rng = Prng.Rng.create ~seed:(seed + 90) in
       let lat = Topology.Transit_stub.generate ~hosts:n rng in
-      let net =
-        Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i))
-          ~salt:(string_of_int seed) ()
-      in
+      let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) () in
       let r = R.make ~net ~lat in
       let ok = ref true in
       for _ = 1 to 20 do
@@ -271,11 +262,10 @@ let prop_partition_any_size =
   QCheck.Test.make ~name:"zones always partition the torus" ~count:25
     QCheck.(pair small_nat (int_range 1 120))
     (fun (seed, n) ->
-      let net =
-        Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i))
-          ~salt:(string_of_int (seed + 1000)) ()
-      in
-      Net.zones_partition_space net)
+      (* random join points: hashed ones are a function of the size alone *)
+      let rng = Prng.Rng.create ~seed:(seed + 1000) in
+      let points = Array.init n (fun _ -> Array.init 2 (fun _ -> Prng.Rng.float rng 1.0)) in
+      Net.zones_partition_space (Net.of_points ~hosts:(Array.init n (fun i -> i)) ~points))
 
 let () =
   Alcotest.run "can"

@@ -639,11 +639,18 @@ let test_analyze_audit_detects_corruption () =
   Alcotest.(check int) "no violation" 0 r.Analyze.violations;
   (* malformed lines fail loudly *)
   let an = Analyze.create () in
-  Alcotest.(check bool) "bad line raises" true
-    (try
-       Analyze.feed_line an {|{"ev":"frobnicate"}|};
-       false
-     with Failure _ -> true);
+  List.iter
+    (fun (what, line) ->
+      Alcotest.(check bool) what true
+        (try
+           Analyze.feed_line an line;
+           false
+         with Failure _ -> true))
+    [
+      ("bad line raises", {|{"ev":"frobnicate"}|});
+      ("drop with a numeric ctx raises", {|{"ev":"drop","ctx":7,"span":1,"at":2.5,"why":"loss"}|});
+      ("drop without at raises", {|{"ev":"drop","span":1,"why":"loss"}|});
+    ];
   Analyze.feed_line an "";
   Alcotest.(check int) "blank lines ignored" 0 (Analyze.report an).Analyze.events
 

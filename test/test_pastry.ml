@@ -12,10 +12,7 @@ let space16 = Id.space ~bits:16
 let make ?(hosts = 120) ?(space = space16) seed =
   let rng = Prng.Rng.create ~seed in
   let lat = Topology.Transit_stub.generate ~hosts rng in
-  let net =
-    Net.build ~space ~hosts:(Array.init hosts (fun i -> i)) ~lat ~rng
-      ~salt:(Printf.sprintf "t%d" seed) ()
-  in
+  let net = Net.build ~space ~hosts:(Array.init hosts (fun i -> i)) ~lat ~rng in
   (lat, net)
 
 (* --- digits --------------------------------------------------------------- *)
@@ -57,9 +54,9 @@ let test_build_validation () =
   Alcotest.check_raises "width not multiple of 4"
     (Invalid_argument "Pastry.Network.build: identifier width must be a multiple of 4")
     (fun () ->
-      ignore (Net.build ~space:(Id.space ~bits:10) ~hosts:[| 0; 1 |] ~lat ~rng ()));
+      ignore (Net.build ~space:(Id.space ~bits:10) ~hosts:[| 0; 1 |] ~lat ~rng));
   Alcotest.check_raises "empty" (Invalid_argument "Pastry.Network.build: empty network")
-    (fun () -> ignore (Net.build ~space:space16 ~hosts:[||] ~lat ~rng ()))
+    (fun () -> ignore (Net.build ~space:space16 ~hosts:[||] ~lat ~rng))
 
 let test_table_entries_share_prefix () =
   let _, net = make 3 in
@@ -148,10 +145,7 @@ let prop_route_correct =
     (fun (seed, n) ->
       let rng = Prng.Rng.create ~seed:(seed + 50) in
       let lat = Topology.Transit_stub.generate ~hosts:n rng in
-      let net =
-        Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat ~rng
-          ~salt:(string_of_int seed) ()
-      in
+      let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat ~rng in
       let r = R.make net in
       let ok = ref true in
       for _ = 1 to 25 do

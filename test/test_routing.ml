@@ -47,8 +47,7 @@ let pastry_r =
     (let s = Lazy.force shared in
      Pastry.Routable.make
        (Pastry.Network.build ~space ~hosts:s.hosts ~lat:s.lat
-          ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7577))
-          ()))
+          ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7577))))
 
 let can_r =
   lazy
@@ -58,10 +57,7 @@ let can_r =
 let tapestry_r =
   lazy
     (let s = Lazy.force shared in
-     Tapestry.Routable.make
-       (Tapestry.Network.build ~space ~hosts:s.hosts ~lat:s.lat
-          ~rng:(Prng.Rng.create ~seed:(cfg.Config.seed + 7591))
-          ()))
+     Tapestry.Routable.make (Tapestry.Network.build ~space ~hosts:s.hosts ~lat:s.lat))
 
 let lchord =
   lazy

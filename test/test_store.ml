@@ -630,7 +630,7 @@ let test_cache_hotspots () =
 
 (* --- the zipf web-cache workload ------------------------------------------------ *)
 
-let wspec = { Webcache.default_spec with Webcache.count = 400; objects = 32; alpha = 1.2 }
+let wspec = { Webcache.count = 400; objects = 32; alpha = 1.2 }
 
 let stream spec seed =
   Webcache.to_array spec ~nodes:20 (Prng.Rng.create ~seed) |> Array.to_list
@@ -656,7 +656,7 @@ let test_catalogue_pure () =
   Array.iter
     (fun o ->
       Alcotest.(check bool) "sizes within bounds" true
-        (o.Webcache.bytes >= wspec.Webcache.min_bytes && o.Webcache.bytes <= wspec.Webcache.max_bytes))
+        (o.Webcache.bytes >= Webcache.min_bytes && o.Webcache.bytes <= Webcache.max_bytes))
     cat;
   let keys = Array.to_list cat |> List.map (fun o -> o.Webcache.key) in
   Alcotest.(check int) "keys distinct" (Array.length cat)

@@ -8,10 +8,7 @@ module R = Tapestry.Routable
 let make ?(hosts = 150) ?(space = Id.sha1_space) seed =
   let rng = Prng.Rng.create ~seed in
   let lat = Topology.Transit_stub.generate ~hosts rng in
-  let net =
-    Net.build ~space ~hosts:(Array.init hosts (fun i -> i)) ~lat ~rng
-      ~salt:(Printf.sprintf "tap%d" seed) ()
-  in
+  let net = Net.build ~space ~hosts:(Array.init hosts (fun i -> i)) ~lat in
   (lat, net)
 
 let test_build_validation () =
@@ -19,9 +16,9 @@ let test_build_validation () =
   let lat = Topology.Transit_stub.generate ~hosts:4 rng in
   Alcotest.check_raises "width not multiple of 4"
     (Invalid_argument "Tapestry.Network.build: identifier width must be a multiple of 4")
-    (fun () -> ignore (Net.build ~space:(Id.space ~bits:10) ~hosts:[| 0 |] ~lat ~rng ()));
+    (fun () -> ignore (Net.build ~space:(Id.space ~bits:10) ~hosts:[| 0 |] ~lat));
   Alcotest.check_raises "empty" (Invalid_argument "Tapestry.Network.build: empty network")
-    (fun () -> ignore (Net.build ~space:Id.sha1_space ~hosts:[||] ~lat ~rng ()))
+    (fun () -> ignore (Net.build ~space:Id.sha1_space ~hosts:[||] ~lat))
 
 let test_root_deterministic () =
   let _, net = make 2 in
@@ -68,6 +65,20 @@ let test_root_path_of_root () =
           (Net.root_path_of net (Net.root_of_key net key))
       done)
     [ 1; 2; 17; 150; 1024 ]
+
+(* Each level narrows a run of the sorted ids by bisection: no prefix
+   strings, no table lookups, nothing allocated. *)
+let test_root_of_key_allocation () =
+  let _, net = make ~hosts:1024 15 in
+  let keys = Array.init 1000 (fun i -> Id.of_hash Id.sha1_space (Printf.sprintf "key-%d" i)) in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length keys - 1 do
+    sink := !sink + Net.root_of_key net keys.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.0)) "minor words over 1000 calls" 0.0 words
 
 let test_route_reaches_root_from_everywhere () =
   let _, net = make ~hosts:80 7 in
@@ -123,7 +134,7 @@ let test_logarithmic_hops () =
 let test_single_node () =
   let rng = Prng.Rng.create ~seed:14 in
   let lat = Topology.Transit_stub.generate ~hosts:1 rng in
-  let net = Net.build ~space:Id.sha1_space ~hosts:[| 0 |] ~lat ~rng () in
+  let net = Net.build ~space:Id.sha1_space ~hosts:[| 0 |] ~lat in
   let key = Id.of_hash Id.sha1_space "anything" in
   Alcotest.(check int) "root" 0 (Net.root_of_key net key);
   Alcotest.(check int) "route" 0 (R.route (R.make net) ~origin:0 ~key).Routing.destination
@@ -134,10 +145,7 @@ let prop_route_ends_at_root =
     (fun (seed, n) ->
       let rng = Prng.Rng.create ~seed:(seed + 70) in
       let lat = Topology.Transit_stub.generate ~hosts:n rng in
-      let net =
-        Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat ~rng
-          ~salt:(string_of_int seed) ()
-      in
+      let net = Net.build ~space:Id.sha1_space ~hosts:(Array.init n (fun i -> i)) ~lat in
       let r = R.make net in
       let ok = ref true in
       for _ = 1 to 20 do
@@ -157,6 +165,7 @@ let () =
           Alcotest.test_case "own id" `Quick test_root_of_own_id;
           Alcotest.test_case "path matches root" `Quick test_root_path_matches_root;
           Alcotest.test_case "root's own path" `Quick test_root_path_of_root;
+          Alcotest.test_case "root_of_key allocates nothing" `Quick test_root_of_key_allocation;
         ] );
       ( "routing",
         [

@@ -298,8 +298,7 @@ let test_mean_host_latency_estimator () =
 let test_ts_connected_and_sized () =
   let rng = Prng.Rng.create ~seed:1 in
   let lat = TS.generate ~hosts:500 rng in
-  let p = TS.default_params ~hosts:500 in
-  Alcotest.(check int) "router count" (TS.router_count p) (Latency.routers lat);
+  Alcotest.(check int) "router count" (TS.router_count ~hosts:500) (Latency.routers lat);
   Alcotest.(check int) "hosts" 500 (Latency.hosts lat);
   Alcotest.(check bool) "connected" true (Graph.is_connected (Latency.router_graph lat))
 
@@ -307,14 +306,12 @@ let test_ts_three_latency_scales () =
   (* same-stub pairs must be far cheaper than cross-region pairs *)
   let rng = Prng.Rng.create ~seed:2 in
   let lat = TS.generate ~hosts:1000 rng in
-  let p = TS.default_params ~hosts:1000 in
-  let transit = p.TS.transit_domains * p.TS.transit_per_domain in
   let same_stub = Stats.Summary.create () in
   let cross = Stats.Summary.create () in
   for a = 0 to 300 do
     for b = a + 1 to 301 do
       let ra = Latency.router_of_host lat a and rb = Latency.router_of_host lat b in
-      let stub_of r = (r - transit) / p.TS.routers_per_stub in
+      let stub_of r = (r - TS.transit_routers) / TS.routers_per_stub ~hosts:1000 in
       let l = Latency.host_latency lat a b in
       if stub_of ra = stub_of rb then Stats.Summary.add same_stub l
       else if l > 0.0 then Stats.Summary.add cross l
@@ -327,11 +324,9 @@ let test_ts_three_latency_scales () =
 let test_ts_hosts_on_stub_routers () =
   let rng = Prng.Rng.create ~seed:3 in
   let lat = TS.generate ~hosts:200 rng in
-  let p = TS.default_params ~hosts:200 in
-  let transit = p.TS.transit_domains * p.TS.transit_per_domain in
   for h = 0 to 199 do
     Alcotest.(check bool) "host attaches to a stub router" true
-      (Latency.router_of_host lat h >= transit)
+      (Latency.router_of_host lat h >= TS.transit_routers)
   done
 
 let test_ts_determinism () =
@@ -420,6 +415,44 @@ let test_storage_defaults () =
         (resolved (Model.build Model.Transit_stub ~hosts (rng ()))))
     [ (16, "lazy"); (256, "eager"); (1024, "eager") ]
 
+(* What each model generates, pinned: router and edge counts, the bits of
+   the summed link delays and a hash of the host-to-router map. The
+   goldens build Transit-Stub only, and at sizes below Inet's minimum. *)
+let test_model_digests () =
+  let digest kind ~hosts =
+    let rng = Prng.Rng.create ~seed:2003 in
+    let backend = Latency.Lazy in
+    let lat =
+      match kind with
+      | Model.Transit_stub -> TS.generate ~backend ~hosts rng
+      | Model.Inet -> Inet.generate ~backend ~hosts rng
+      | Model.Brite -> Brite.generate ~backend ~hosts rng
+    in
+    let g = Latency.router_graph lat in
+    let delays = ref 0.0 in
+    for u = 0 to Graph.vertex_count g - 1 do
+      Graph.iter_neighbors g u (fun v w -> if v > u then delays := !delays +. w)
+    done;
+    let routers = Buffer.create (4 * hosts) in
+    for h = 0 to hosts - 1 do
+      Buffer.add_string routers (string_of_int (Latency.router_of_host lat h) ^ ",")
+    done;
+    Printf.sprintf "%d routers, %d edges, delays %Lx, hosts %s" (Graph.vertex_count g)
+      (Graph.edge_count g) (Int64.bits_of_float !delays)
+      (Digest.to_hex (Digest.string (Buffer.contents routers)))
+  in
+  List.iter
+    (fun (kind, hosts, want) ->
+      Alcotest.(check string) (Printf.sprintf "%s at %d hosts" (Model.name kind) hosts) want
+        (digest kind ~hosts))
+    [
+      (Model.Transit_stub, 500, "88 routers, 111 edges, delays 408fe00000000000, hosts cf7889e57fe4092657881d3f5aef58f3");
+      (Model.Transit_stub, 7000, "628 routers, 819 edges, delays 40b3ec0000000000, hosts b78aa32866332d366c7913ecea53aa7c");
+      (Model.Inet, 3000, "375 routers, 747 edges, delays 40e06af2dd40abd9, hosts d9b9f4d556616d744e436911aeb01f56");
+      (Model.Brite, 300, "100 routers, 390 edges, delays 40cf0c4f511abf7f, hosts 3660c91bc77be180d5fb4ec2523dc1b4");
+      (Model.Brite, 3000, "375 routers, 1490 edges, delays 40e6c076b70f64ef, hosts 220688337e2625763b6bdb4d6d6d5136");
+    ]
+
 (* --- BRITE ---------------------------------------------------------------------- *)
 
 let test_brite_structure () =
@@ -428,12 +461,10 @@ let test_brite_structure () =
   let g = Latency.router_graph lat in
   Alcotest.(check bool) "connected" true (Graph.is_connected g);
   (* BA growth with m links per router: edges ~ m * routers *)
-  let m = Brite.default_params.Brite.m in
   let v = Graph.vertex_count g and e = Graph.edge_count g in
-  Alcotest.(check bool) "edge density ~ m*n" true (e >= v && e <= (m + 1) * v);
+  Alcotest.(check bool) "edge density ~ m*n" true (e >= v && e <= (Brite.m + 1) * v);
   (* geometric delays are bounded by the plane diagonal *)
-  let p = Brite.default_params in
-  let max_link = (sqrt 2.0 *. p.Brite.plane_size /. p.Brite.plane_speed) +. p.Brite.delay_floor in
+  let max_link = (sqrt 2.0 *. Brite.plane_size /. Brite.plane_speed) +. Brite.delay_floor in
   let ok = ref true in
   for r = 0 to v - 1 do
     Graph.iter_neighbors g r (fun _ w -> if w > max_link +. 1e-6 then ok := false)
@@ -571,6 +602,7 @@ let () =
           Alcotest.test_case "facade" `Quick test_model_facade;
           Alcotest.test_case "router counts" `Quick test_model_routers;
           Alcotest.test_case "storage defaults" `Quick test_storage_defaults;
+          Alcotest.test_case "generated topologies" `Quick test_model_digests;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
