@@ -14,6 +14,8 @@
      resilience  lookup success/stretch vs failed-node fraction
      tournament  every algorithm x flat/layered on one seeded matrix
      extensions  the beyond-the-paper comparisons: Pastry, CAN, ablations
+     bench    every figure run with its wall time and GC words, the
+              latency-oracle probe and the bechamel micro-benchmarks
 
    Exit codes: 0 success, 1 runtime failure (also: regressions found by
    `analyze compare`), 2 invalid command line. *)
@@ -182,16 +184,16 @@ let net_t =
   Term.(const check $ net_trace_out_t $ net_sample_t)
 
 (* --out of the experiment subcommands: one JSON artifact of [schema] *)
-let out_t schema =
+let out_t ?(repeats = "byte-identical for any $(b,--jobs)") schema =
   Arg.(
     value
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE"
         ~doc:
           (Printf.sprintf
-             "Write the results (schema %s, byte-identical for any $(b,--jobs)) as one JSON \
-              object to $(docv) — comparable with `analyze compare`."
-             schema))
+             "Write the results (schema %s, %s) as one JSON object to $(docv) — comparable \
+              with `analyze compare`."
+             schema repeats))
 
 (* Write one JSON artifact, newline-terminated, and report it as [what]. *)
 let write_json file ~what json =
@@ -261,6 +263,23 @@ let config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale =
   | Error msg -> exit_usage msg
   | Ok () -> cfg
 
+let csv_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "csv" ] ~docv:"DIR"
+        ~doc:"Also write each printed section's table as $(docv)/ID.csv (creating $(docv)).")
+
+let print_sections csv sections =
+  Experiments.Report.print_all sections;
+  Option.iter
+    (fun dir -> List.iter (fun s -> ignore (Experiments.Report.write_csv s ~dir)) sections)
+    csv
+
+(* every network the paper's tables and figures build *)
+let figure_networks cfg =
+  List.concat_map (fun id -> Experiments.Figures.networks id cfg) Experiments.Figures.ids
+
 (* ---- figure ----------------------------------------------------------- *)
 
 let figure_cmd =
@@ -270,7 +289,7 @@ let figure_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id: table1 table2 fig2..fig9.")
   in
-  let run id model nodes landmarks depth requests seed scale pm trace_out timings folded =
+  let run id model nodes landmarks depth requests seed scale pm trace_out timings folded csv =
     match Experiments.Figures.by_id id with
     | None ->
         exit_err
@@ -284,35 +303,33 @@ let figure_cmd =
         with_pool_metrics pm (fun pool registry ->
             with_timer ~timings ~folded (fun timer ->
                 with_trace_out trace_out (fun trace ->
-                    Experiments.Report.print_all (f ~pool ?registry ~trace ~timer cfg));
+                    print_sections csv (f ~pool ?registry ~trace ~timer cfg));
                 Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
       const run $ id_t $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t
-      $ seed_t $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t)
+      $ seed_t $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t $ csv_t)
   in
   Cmd.v (Cmd.info "figure" ~doc:"Reproduce one table or figure of the paper") term
 
 (* ---- all -------------------------------------------------------------- *)
 
 let all_cmd =
-  let run model nodes landmarks depth requests seed scale pm trace_out timings folded =
-    let networks cfg =
-      List.concat_map (fun id -> Experiments.Figures.networks id cfg) Experiments.Figures.ids
+  let run model nodes landmarks depth requests seed scale pm trace_out timings folded csv =
+    let cfg =
+      config_of ~networks:figure_networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale
     in
-    let cfg = config_of ~networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale in
     with_pool_metrics pm (fun pool registry ->
         with_timer ~timings ~folded (fun timer ->
             with_trace_out trace_out (fun trace ->
-                Experiments.Report.print_all
-                  (Experiments.Figures.all ~pool ?registry ~trace ~timer cfg));
+                print_sections csv (Experiments.Figures.all ~pool ?registry ~trace ~timer cfg));
             Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
   in
   let term =
     Term.(
       const run $ model_t $ nodes_t 10_000 $ landmarks_t $ depth_t $ requests_t $ seed_t
-      $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t)
+      $ scale_t $ pool_metrics_t $ trace_out_t $ timings_t $ folded_t $ csv_t)
   in
   Cmd.v (Cmd.info "all" ~doc:"Reproduce every table and figure") term
 
@@ -851,10 +868,7 @@ let scale_cmd =
              \xc2\xb5s/lookup, GC words, peak RSS, results embedded) to $(docv) — \
              the BENCH_scale.json artifact.")
   in
-  let label_t =
-    Arg.(value & opt string "scale" & info [ "label" ] ~docv:"S" ~doc:"Bench snapshot label.")
-  in
-  let run nodes requests landmarks depth seed cross_check pm out bench label =
+  let run nodes requests landmarks depth seed cross_check pm out bench =
     let spec = { Scale.nodes; requests; landmarks; depth; seed; cross_check } in
     (match Scale.validate spec with Ok () -> () | Error e -> exit_usage e);
     with_pool_metrics pm (fun pool registry ->
@@ -866,13 +880,13 @@ let scale_cmd =
                r.Scale.cross_mismatches r.Scale.cross_checked);
         Option.iter (fun file -> write_json file ~what:"scale results" (Scale.results_json r)) out;
         Option.iter
-          (fun file -> write_json file ~what:"scale bench snapshot" (Scale.bench_json ~label r))
+          (fun file -> write_json file ~what:"scale bench snapshot" (Scale.bench_json r))
           bench)
   in
   let term =
     Term.(
       const run $ nodes_t $ requests_t $ landmarks_t $ depth_t $ seed_t $ cross_t
-      $ pool_metrics_t $ out_t "hieras-scale" $ bench_t $ label_t)
+      $ pool_metrics_t $ out_t "hieras-scale" $ bench_t)
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1023,6 +1037,40 @@ let extensions_cmd =
        ~doc:"Run the beyond-the-paper comparisons: Pastry, CAN, ablations")
     term
 
+(* ---- bench ------------------------------------------------------------- *)
+
+let bench_cmd =
+  let run seed scale pm timings folded out =
+    let { Experiments.Config.model; nodes; landmarks; depth; requests; _ } =
+      Experiments.Config.paper_default
+    in
+    let cfg =
+      config_of ~networks:figure_networks ~model ~nodes ~landmarks ~depth ~requests ~seed ~scale
+    in
+    with_pool_metrics pm (fun pool registry ->
+        with_timer ~timings ~folded (fun timer ->
+            let ledger = Bench.run ~pool ?registry ~timer cfg in
+            Option.iter
+              (fun file ->
+                write_json file ~what:"bench ledger"
+                  (Bench.to_json ~scale ~jobs:(Parallel.Pool.jobs pool) cfg ledger))
+              out;
+            Option.iter (fun reg -> Obs.Timer.export_metrics timer reg) registry))
+  in
+  let term =
+    Term.(
+      const run $ seed_t $ scale_t $ pool_metrics_t $ timings_t $ folded_t
+      $ out_t ~repeats:"wall times vary; the gated GC counts repeat at one $(b,--jobs)"
+          "hieras-bench")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "The paper harness's ledger: print table1, table2 and figures 2-9 as `all` does, \
+          each figure run's wall time and GC words, a latency-oracle probe and bechamel \
+          micro-benchmarks; $(b,--out) gates only the GC word counts and packed footprints")
+    term
+
 let main =
   let doc = "HIERAS: DHT-based hierarchical P2P routing — paper reproduction" in
   Cmd.group (Cmd.info "hieras-sim" ~doc)
@@ -1040,6 +1088,7 @@ let main =
       resilience_cmd;
       tournament_cmd;
       extensions_cmd;
+      bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -403,14 +403,14 @@ let results_json r =
 
 (* Perf snapshot: the deterministic core plus wall-clock, Gc and peak-RSS
    numbers — the BENCH_scale.json artifact. *)
-let bench_json ?(label = "scale") r =
+let bench_json r =
   let n = Obs.Jsonu.number in
   let us_per_op t =
     if r.lookups = 0 then 0.0 else t *. 1e6 /. float_of_int r.lookups
   in
   Printf.sprintf
-    {|{"schema":"hieras-scale-bench","label":%s,"build_chord_s":%s,"build_hieras_s":%s,"replay_s":%s,"cross_s":%s,"us_per_op":%s,"gc":{"minor_words":%s,"major_words":%s,"top_heap_words":%d},"peak_rss_kb":%d,"results":%s,"gated":%s}|}
-    (Printf.sprintf "%S" label) (n r.build_chord_s) (n r.build_hieras_s) (n r.replay_s)
+    {|{"schema":"hieras-scale-bench","label":"scale","build_chord_s":%s,"build_hieras_s":%s,"replay_s":%s,"cross_s":%s,"us_per_op":%s,"gc":{"minor_words":%s,"major_words":%s,"top_heap_words":%d},"peak_rss_kb":%d,"results":%s,"gated":%s}|}
+    (n r.build_chord_s) (n r.build_hieras_s) (n r.replay_s)
     (n r.cross_s)
     (n (us_per_op r.replay_s))
     (n r.gc_minor_words) (n r.gc_major_words) r.gc_top_heap_words r.peak_rss_kb

@@ -98,11 +98,11 @@ val results_json : result -> string
     [hops_max] and [bytes_resident], [scale.chord.segments],
     [scale.dest_mismatch_rate] and [scale.cross.mismatches]. *)
 
-val bench_json : ?label:string -> result -> string
-(** Schema ["hieras-scale-bench"]: build/replay wall times, µs per lookup,
-    GC words, peak RSS, with {!results_json} embedded under ["results"] —
-    the [BENCH_scale.json] artifact. It gates the same list as
-    {!results_json}, never a wall time. *)
+val bench_json : result -> string
+(** Schema ["hieras-scale-bench"], label ["scale"]: build/replay wall
+    times, µs per lookup, GC words, peak RSS, with {!results_json}
+    embedded under ["results"] — the [BENCH_scale.json] artifact. It
+    gates the same list as {!results_json}, never a wall time. *)
 
 val section : result -> Report.section
 (** Human-readable summary table for [hieras_sim scale]. *)

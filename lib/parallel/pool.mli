@@ -32,12 +32,6 @@ type t
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism. *)
 
-val create : ?jobs:int -> unit -> t
-(** A pool of [jobs] workers (default {!default_jobs}); [jobs - 1] domains
-    are spawned, the calling domain acts as the remaining worker. [jobs = 1]
-    spawns nothing and every combinator degrades to a plain sequential loop.
-    Raises [Invalid_argument] if [jobs < 1]. *)
-
 val jobs : t -> int
 
 val sequential : t
@@ -45,8 +39,12 @@ val sequential : t
     accepted, so callers that never ask for parallelism pay nothing. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, and always join the worker domains; the pool is
-    unusable afterwards. *)
+(** [with_pool ~jobs f] runs [f] on a pool of [jobs] workers (default
+    {!default_jobs}) and always joins the worker domains; the pool is
+    unusable afterwards. [jobs - 1] domains are spawned, the calling domain
+    acts as the remaining worker; [jobs = 1] spawns nothing and every
+    combinator degrades to a plain sequential loop. Raises
+    [Invalid_argument] if [jobs < 1]. *)
 
 val export_metrics : ?prefix:string -> t -> Obs.Metrics.t -> unit
 (** Mirror the pool's instrumentation into a metrics registry: gauge

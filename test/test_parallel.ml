@@ -60,7 +60,7 @@ let test_chunks_validation () =
 
 let test_create_validation () =
   Alcotest.check_raises "jobs 0" (Invalid_argument "Pool.create: jobs must be >= 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()))
+    (fun () -> Pool.with_pool ~jobs:0 ignore)
 
 let test_parallel_for_covers_indices () =
   Pool.with_pool ~jobs:4 (fun pool ->
